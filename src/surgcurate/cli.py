@@ -38,14 +38,11 @@ from .manifest import RunManifest, manifest_path_for, utc_now
 from .metrics import (
     MetricsError,
     acc_at_1,
-    benchmark_table,
-    domain_macro,
-    domain_macro_table,
     emit_report,
-    prompt_sensitivity_table,
     read_predictions_csv,
     read_scores_csv,
     reference_report_tables,
+    score_report_tables,
 )
 from .mixer import MixerError, MixPolicy, write_batch_manifest
 from .seeding import derive_seed
@@ -335,12 +332,8 @@ def split(ctx, dataset, videos, corpus_path, official, community, ratios, strati
 
     inputs: list[Path] = []
     tier = resolve_tier(dataset, official is not None, community is not None)
-    if tier is SplitTier.OFFICIAL:
-        path = _require(official, "official split")
-        inputs.append(path)
-        manifest = make_manifest(dataset, _load_external_assignment(path), tier, created_at=created_at)
-    elif tier is SplitTier.COMMUNITY:
-        path = _require(community, "community split")
+    if tier is not SplitTier.OURS:
+        path = _require(official if tier is SplitTier.OFFICIAL else community, f"{tier.value.lower()} split")
         inputs.append(path)
         manifest = make_manifest(dataset, _load_external_assignment(path), tier, created_at=created_at)
     else:
@@ -451,28 +444,7 @@ def report(scores_paths, domain_map_path, fmt, reference, out, config_file):
         if not scores_paths:
             raise ConfigError("--scores is required unless --reference is given")
         inputs = [_require(p, "scores file") for p in scores_paths]
-        records = [rec for path in inputs for rec in read_scores_csv(path)]
-        plain = [r for r in records if r.variant is None]
-        variants = [r for r in records if r.variant is not None]
-        tables = []
-        if plain:
-            per_dataset: dict[str, dict[str, object]] = {}
-            for rec in plain:
-                per_dataset.setdefault(rec.dataset_id, {})[rec.model_id] = rec.accuracy
-            tables.append(benchmark_table(per_dataset))
-            per_model: dict[str, dict[str, object]] = {}
-            for rec in plain:
-                per_model.setdefault(rec.model_id, {})[rec.dataset_id] = rec.accuracy
-            macro_rows = [(model, domain_macro(ds, domain_map)) for model, ds in sorted(per_model.items())]
-            tables.append(domain_macro_table(macro_rows, title="Domain macro Acc@1 (%) from per-dataset scores"))
-        for model in sorted({r.model_id for r in variants}):
-            pairs: dict[str, dict[str, object]] = {}
-            for rec in variants:
-                if rec.model_id == model:
-                    pairs.setdefault(rec.dataset_id, {})[rec.variant.upper()] = rec.accuracy
-            complete = {ds: (v["P1"], v["P2"]) for ds, v in pairs.items() if {"P1", "P2"} <= set(v)}
-            if complete:
-                tables.append(prompt_sensitivity_table(model, complete))
+        tables = score_report_tables([rec for path in inputs for rec in read_scores_csv(path)], domain_map)
 
     text = emit_report(tables, format=cfg["format"])
     if out:

@@ -75,20 +75,17 @@ class ClusterModel:
         return np.bincount(self.assignments, minlength=self.k)
 
 
-def _pairwise_sq_dists(xb64: np.ndarray, centroids64: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Expansion-form squared distances, clamped at zero (f64 throughout)."""
-    x2 = np.einsum("ij,ij->i", xb64, xb64)
+def _pairwise_sq_dists(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Expansion-form squared distances, clamped at zero (f64 throughout);
+    x2 and c2 are the squared row norms of xb64 and centroids64."""
     d = x2[:, None] + c2[None, :] - 2.0 * (xb64 @ centroids64.T)
     np.maximum(d, 0.0, out=d)
     return d
 
 
-def _assign_chunk(x_chunk: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
-    """Assignment plus partial statistics for one chunk (runs on a worker)."""
-    xb = x_chunk.astype(np.float64)
-    x2 = np.einsum("ij,ij->i", xb, xb)
-    d = x2[:, None] + c2[None, :] - 2.0 * (xb @ centroids64.T)
-    np.maximum(d, 0.0, out=d)
+def _assign_chunk(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
+    """Assignment plus partial statistics for one f64 chunk (runs on a worker)."""
+    d = _pairwise_sq_dists(xb64, x2, centroids64, c2)
     assign = np.argmin(d, axis=1)  # ties -> lowest index
     mind = d[np.arange(len(assign)), assign]
     # the expansion form cannot resolve distances below ~eps * (|x|^2 + |c|^2);
@@ -97,7 +94,7 @@ def _assign_chunk(x_chunk: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
     inertia = float(np.sum(mind))
     order = np.argsort(assign, kind="stable")
     uniq, starts = np.unique(assign[order], return_index=True)
-    sums = np.add.reduceat(xb[order], starts, axis=0)
+    sums = np.add.reduceat(xb64[order], starts, axis=0)
     counts = np.diff(np.concatenate([starts, [len(assign)]]))
     return assign.astype(np.uint32), mind, uniq, sums, counts, inertia
 
@@ -123,11 +120,15 @@ def _assignment_pass(
     c2 = np.einsum("ij,ij->i", centroids64, centroids64)
     spans = _chunks(n, chunk_size)
 
+    def job(span: tuple[int, int]):
+        xb = points[span[0] : span[1]].astype(np.float64)
+        return _assign_chunk(xb, np.einsum("ij,ij->i", xb, xb), centroids64, c2)
+
     if workers is None or workers <= 1 or len(spans) <= 1:
-        results = [_assign_chunk(points[s:e], centroids64, c2) for s, e in spans]
+        results = [job(span) for span in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda se: _assign_chunk(points[se[0]:se[1]], centroids64, c2), spans))
+            results = list(pool.map(job, spans))
 
     assign = np.empty(n, dtype=np.uint32)
     mind = np.empty(n, dtype=np.float64)
@@ -208,7 +209,7 @@ def _min_update_sq_dists(Xc: np.ndarray, centroid64: np.ndarray, d2: np.ndarray,
     c2 = np.einsum("ij,ij->i", c, c)
     for s in range(0, len(Xc), chunk):
         xb = Xc[s : s + chunk].astype(np.float64)
-        dn = _pairwise_sq_dists(xb, c, c2)[:, 0]
+        dn = _pairwise_sq_dists(xb, np.einsum("ij,ij->i", xb, xb), c, c2)[:, 0]
         np.minimum(d2[s : s + chunk], dn, out=d2[s : s + chunk])
 
 
@@ -341,19 +342,11 @@ class ClusterTree:
             assign = model.assignments.astype(np.int64)[assign]
         return assign
 
-    def leaf_members(self) -> list[np.ndarray]:
-        """Row indices of level-0 cluster members, index-ordered."""
-        assign = self.levels[0].assignments
-        order = np.argsort(assign, kind="stable")
-        sorted_assign = assign[order]
-        boundaries = np.searchsorted(sorted_assign, np.arange(self.level_sizes[0] + 1))
-        return [order[boundaries[j]: boundaries[j + 1]] for j in range(self.level_sizes[0])]
-
     def children(self, level: int) -> list[np.ndarray]:
-        """For each cluster at `level`, the indices of its child clusters
-        one level down (level 0 has points, not child clusters)."""
-        if level <= 0:
-            raise ValueError("level 0 clusters have points, not child clusters")
+        """For each cluster at `level`, the index-ordered members one level
+        down: point rows for level 0, child clusters above it."""
+        if not 0 <= level < len(self.levels):
+            raise ValueError(f"level {level} outside 0..{len(self.levels) - 1}")
         assign = self.levels[level].assignments
         order = np.argsort(assign, kind="stable")
         sorted_assign = assign[order]
@@ -408,31 +401,31 @@ class ClusterTree:
             raise BadTreeFile("tree checksum mismatch")
         off = len(TREE_MAGIC)
 
-        def u64() -> int:
+        def take(nbytes: int) -> int:
+            """Offset of the next nbytes; the header must fit the body."""
             nonlocal off
-            val = struct.unpack_from("<Q", body, off)[0]
-            off += 8
-            return val
+            start, off = off, off + nbytes
+            if off > len(body):
+                raise BadTreeFile(f"tree header needs at least {off} bytes, body has {len(body)}")
+            return start
+
+        def u64() -> int:
+            return struct.unpack_from("<Q", body, take(8))[0]
 
         n_levels = u64()
         sizes = [u64() for _ in range(n_levels)]
         seed = u64()
-        tol = struct.unpack_from("<d", body, off)[0]
-        off += 8
-        normalized = bool(body[off])
-        off += 1
+        tol = struct.unpack_from("<d", body, take(8))[0]
+        normalized = bool(body[take(1)])
         centroid_mats = []
         for _ in range(n_levels):
             rows, dim = u64(), u64()
-            mat = np.frombuffer(body, dtype="<f4", count=rows * dim, offset=off).reshape(rows, dim).copy()
-            off += rows * dim * 4
-            centroid_mats.append(mat)
+            mat = np.frombuffer(body, dtype="<f4", count=rows * dim, offset=take(rows * dim * 4))
+            centroid_mats.append(mat.reshape(rows, dim).copy())
         assigns = []
         for _ in range(n_levels):
             count = u64()
-            arr = np.frombuffer(body, dtype="<u4", count=count, offset=off).copy()
-            off += count * 4
-            assigns.append(arr)
+            assigns.append(np.frombuffer(body, dtype="<u4", count=count, offset=take(count * 4)).copy())
         if off != len(body):
             raise BadTreeFile(f"{len(body) - off} unexpected trailing bytes")
         levels = [

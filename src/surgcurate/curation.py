@@ -152,25 +152,22 @@ def select_nearest(points: EmbeddingMatrix, leaf_centroid, member_ids: Iterable[
         return []
     index = points.row_index()
     rows = np.asarray([index[cid] for cid in member_ids], dtype=np.int64)
-    ids = np.asarray(member_ids)
-    c = np.asarray(leaf_centroid, dtype=np.float64)
-    diff = points.data[rows].astype(np.float64) - c[None, :]
-    dists = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((ids, dists))  # distance first, then clip id
-    return [str(ids[i]) for i in order[:quota]]
+    return [cid for cid, _ in _select_leaf(points, leaf_centroid, rows, quota)]
 
 
-def _select_leaf(points: EmbeddingMatrix, centroid, member_rows: np.ndarray, quota: int) -> list[str]:
-    # same ordering rule as select_nearest, but indexed by row to stay
-    # linear in the leaf size instead of rebuilding the full id index
+def _select_leaf(points: EmbeddingMatrix, centroid, member_rows: np.ndarray, quota: int) -> list[tuple[str, float]]:
+    """The select_nearest rule over store rows: (clip_id, squared distance)
+    pairs sorted by (distance, clip_id), linear in the leaf size."""
     if quota == 0:
         return []
     ids = np.asarray([points.row_ids[r] for r in member_rows])
     c = np.asarray(centroid, dtype=np.float64)
     diff = points.data[member_rows].astype(np.float64) - c[None, :]
     dists = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((ids, dists))
-    return [str(ids[i]) for i in order[:quota]]
+    order = np.lexsort((ids, dists))  # distance first, then clip id
+    # the recorded distance is the 1-D dot product, which can differ from the
+    # einsum ranking value in the last ulp; curated.jsonl carries this one
+    return [(str(ids[i]), float(diff[i] @ diff[i])) for i in order[:quota]]
 
 
 def curate(
@@ -192,11 +189,11 @@ def curate(
             f"tree was built over {tree.n_points} points, store has {points.n_rows}"
         )
     plan = allocate_budget(tree, fraction, mode=mode)
-    members = tree.leaf_members()
-    leaf_model = tree.levels[0]
+    members = tree.children(0)
+    centroids = tree.levels[0].centroids
 
-    def job(leaf: int) -> list[str]:
-        return _select_leaf(points, leaf_model.centroids[leaf], members[leaf], plan.quota(0, leaf))
+    def job(leaf: int) -> list[tuple[str, float]]:
+        return _select_leaf(points, centroids[leaf], members[leaf], plan.quota(0, leaf))
 
     leaves = range(tree.level_sizes[0])
     if workers is None or workers <= 1:
@@ -205,13 +202,10 @@ def curate(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_leaf = list(pool.map(job, leaves))
 
-    row_index = points.row_index()
     provenance: dict[str, SelectionRecord] = {}
     for leaf, picked in enumerate(per_leaf):
-        centroid = leaf_model.centroids[leaf].astype(np.float64)
-        for rank, cid in enumerate(picked):
-            diff = points.data[row_index[cid]].astype(np.float64) - centroid
-            provenance[cid] = SelectionRecord(cid, leaf, rank, float(diff @ diff))
+        for rank, (cid, distance) in enumerate(picked):
+            provenance[cid] = SelectionRecord(cid, leaf, rank, distance)
     selected = sorted(provenance)
     if len(selected) != plan.total_budget:
         raise CurationError(

@@ -415,10 +415,15 @@ def domain_macro_table(
     rows = []
     for model, scores in model_rows:
         named = _score_map(scores)
-        cells: dict[str, Fraction | None] = {dom: named.get(dom) for dom in _MACRO_COLUMNS[:4]}
-        complete = all(cells[dom] is not None for dom in _MACRO_COLUMNS[:4])
-        cells["Overall Macro"] = overall_macro(named) if complete else None
-        cells["Worst Domain"] = worst_domain(named)[1] if complete else None
+        # the aggregates cover the four clinical columns only; a Mixed-domain
+        # macro (corpus-only datasets) has no column in this table
+        clinical = {dom: named.get(dom) for dom in _MACRO_COLUMNS[:4]}
+        complete = all(v is not None for v in clinical.values())
+        cells: dict[str, Fraction | None] = {
+            **clinical,
+            "Overall Macro": overall_macro(clinical) if complete else None,
+            "Worst Domain": worst_domain(clinical)[1] if complete else None,
+        }
         rows.append((model, cells))
     return ScoreTable(
         title=title,
@@ -477,6 +482,33 @@ def prompt_sensitivity_table(
         bold_max=False,
         signed_columns=frozenset({"Delta"}),
     )
+
+
+def score_report_tables(records: Sequence[EvalRecord], domain_map: DomainMap | None = None) -> list[ScoreTable]:
+    """Render-ready tables from score rows: the per-dataset benchmark and
+    its domain macros from rows without a variant, then one
+    prompt-sensitivity table per model that has complete P1/P2 pairs."""
+    plain = [r for r in records if r.variant is None]
+    variants = [r for r in records if r.variant is not None]
+    tables = []
+    if plain:
+        per_dataset: dict[str, dict[str, Fraction]] = {}
+        per_model: dict[str, dict[str, Fraction]] = {}
+        for rec in plain:
+            per_dataset.setdefault(rec.dataset_id, {})[rec.model_id] = rec.accuracy
+            per_model.setdefault(rec.model_id, {})[rec.dataset_id] = rec.accuracy
+        tables.append(benchmark_table(per_dataset))
+        macro_rows = [(model, domain_macro(ds, domain_map)) for model, ds in sorted(per_model.items())]
+        tables.append(domain_macro_table(macro_rows, title="Domain macro Acc@1 (%) from per-dataset scores"))
+    for model in sorted({r.model_id for r in variants}):
+        pairs: dict[str, dict[str, Fraction]] = {}
+        for rec in variants:
+            if rec.model_id == model:
+                pairs.setdefault(rec.dataset_id, {})[rec.variant.upper()] = rec.accuracy
+        complete = {ds: (v["P1"], v["P2"]) for ds, v in pairs.items() if {"P1", "P2"} <= set(v)}
+        if complete:
+            tables.append(prompt_sensitivity_table(model, complete))
+    return tables
 
 
 def reference_report_tables() -> list[ScoreTable]:

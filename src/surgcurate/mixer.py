@@ -1,9 +1,10 @@
 """Seeded mixed-batch stream over an unlabeled pool and a clinical core.
 
 Each batch is either pure clinical (probability p) or a fixed
-unlabeled/clinical mixture. The effective clinical share of the stream is
+unlabeled/clinical mixture. The expected clinical share of the stream is
 the closed form p + (1 - p) * (1 - m), exact in rational arithmetic: with
-the defaults (p = 0.15, m = 0.70) that is 81/200 = 0.405.
+the defaults (p = 0.15, m = 0.70) that is 81/200 = 0.405. The realised
+share also depends on how a mixed batch rounds (see mixed_batch_counts).
 
 Pools are drawn without replacement inside an epoch; exhausting a pool
 reshuffles it under an epoch-incremented seed.
@@ -84,21 +85,30 @@ def expected_clinical_fraction(policy: MixPolicy) -> Fraction:
 
 
 def mixed_batch_counts(policy: MixPolicy) -> tuple[int, int]:
-    """(n_unlabeled, n_clinical) for a mixed batch, largest-remainder
-    rounded so long-run composition stays unbiased for any batch size."""
+    """(n_unlabeled, n_clinical) for a mixed batch, largest-remainder rounded.
+
+    Every mixed batch has this one composition, so the realised clinical
+    share is p + (1 - p) * n_clinical / batch_size. It equals
+    expected_clinical_fraction only when m * batch_size is whole: at the
+    defaults and batch 64 a mixed batch is 45/19, and the share is
+    0.15 + 0.85 * 19/64 ~ 0.4023, not 81/200.
+    """
     b = policy.batch_size
     m = policy.mixed_unlabeled_frac
     n_unlabeled, n_clinical = largest_remainder([m * b, (1 - m) * b], b)
     return n_unlabeled, n_clinical
 
 
+def _batch_spec(policy: MixPolicy, pure: bool) -> BatchSpec:
+    if pure:
+        return BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
+    return BatchSpec(BatchMode.MIXED, *mixed_batch_counts(policy))
+
+
 def plan_batch(policy: MixPolicy, rng: np.random.Generator) -> BatchSpec:
     """Draw one batch composition: pure clinical with probability p, else
     the fixed mixed composition."""
-    if rng.random() < float(policy.p_pure_clinical):
-        return BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
-    n_u, n_c = mixed_batch_counts(policy)
-    return BatchSpec(BatchMode.MIXED, n_u, n_c)
+    return _batch_spec(policy, rng.random() < float(policy.p_pure_clinical))
 
 
 class PoolCursor:
@@ -165,11 +175,7 @@ def sample_stream(
 
     for index in range(n_batches):
         if interleave:
-            if _pure_schedule(index, policy.p_pure_clinical):
-                spec = BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
-            else:
-                n_u, n_c = mixed_batch_counts(policy)
-                spec = BatchSpec(BatchMode.MIXED, n_u, n_c)
+            spec = _batch_spec(policy, _pure_schedule(index, policy.p_pure_clinical))
         else:
             spec = plan_batch(policy, mode_rng)
         if spec.mode is BatchMode.PURE_CLINICAL:

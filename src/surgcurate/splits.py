@@ -13,7 +13,6 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +22,8 @@ import numpy as np
 
 from .apportion import as_fraction, largest_remainder
 from .corpus import ClipRecord, CorpusIndex
+from .manifest import utc_now
+from .seeding import derive_seed
 
 
 class SplitError(Exception):
@@ -103,11 +104,7 @@ def ratio_split(
             groups.setdefault(str(strata[vid]), []).append(vid)
         assignment: dict[str, Split] = {}
         for label in sorted(groups):
-            stratum_seed = int.from_bytes(
-                hashlib.sha256(seed.to_bytes(8, "little", signed=False) + label.encode("utf-8")).digest()[:8],
-                "little",
-            )
-            assignment.update(ratio_split(groups[label], ratios=ratios, seed=stratum_seed))
+            assignment.update(ratio_split(groups[label], ratios=ratios, seed=derive_seed(seed, label)))
         return assignment
 
     if len(ids) < 3:
@@ -211,14 +208,12 @@ def make_manifest(
     ratios: Sequence[int] | None = None,
     created_at: str | None = None,
 ) -> SplitManifest:
-    if created_at is None:
-        created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return SplitManifest(
         dataset_id=dataset_id,
         tier=tier,
         assignment=dict(assignment),
         version=version_manifest(assignment),
-        created_at=created_at,
+        created_at=utc_now() if created_at is None else created_at,
         seed=seed,
         ratios=tuple(ratios) if ratios is not None else None,
     )

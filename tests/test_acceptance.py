@@ -5,6 +5,7 @@ runtime budgets are asserted alongside the numeric tolerances.
 """
 
 import functools
+import hashlib
 import time
 from collections import Counter
 from fractions import Fraction
@@ -196,6 +197,16 @@ def test_split_law():
         assert version_manifest(assignment) == version_manifest(ratio_split(ids, seed=seed))
 
 
+# SHA-256 of the criterion-7 fixture pipeline's artifacts (workers=1, seed 5).
+# A deterministic change of behaviour keeps runs agreeing with each other but
+# moves these; bump them only on purpose.
+GOLDEN_PIPELINE_SHA256 = {
+    "tree.sctree": "36b1375b0d813ba7f91201e38c4c43b299b8ad9b4d664b761375281c498817ae",
+    "curated.jsonl": "cffb0106e4df2fef860450fb34f9d1244d11de21c9a2dfb73a4b430d2b3abadc",
+    "batches.jsonl": "6719aca2f3d160370036fa399efb281fcd6df7bacef9e043914970c72103151f",
+}
+
+
 @criterion(7, "pipeline determinism across thread counts and reruns", budget_s=120)
 def test_pipeline_determinism(tmp_path):
     paths = write_fixture_corpus(tmp_path / "fixture")
@@ -224,6 +235,8 @@ def test_pipeline_determinism(tmp_path):
     rerun = run_pipeline("w1b", 1)
     assert single == eight, "artifacts differ across thread counts"
     assert single == rerun, "artifacts differ across reruns with the same root seed"
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in zip(GOLDEN_PIPELINE_SHA256, single)}
+    assert digests == GOLDEN_PIPELINE_SHA256, "artifacts differ from the pinned golden fingerprints"
 
 
 @criterion(8, "store roundtrip on 100 random matrices plus corruption rejection", budget_s=30)

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from surgcurate.clustering import (
     ClusterTree,
     DimensionMismatch,
     KTooLarge,
+    TREE_MAGIC,
     build_hierarchy,
     kmeans,
     kmeanspp_init,
@@ -232,6 +236,24 @@ class TestHierarchy:
         path.write_bytes(bytes(blob))
         with pytest.raises(BadTreeFile):
             ClusterTree.load(path)
+
+    def test_header_past_body_rejected(self):
+        # re-signed, so the checksum passes: 3 levels claimed, body ends after one size
+        body = TREE_MAGIC + struct.pack("<QQ", 3, 16)
+        with pytest.raises(BadTreeFile, match="header"):
+            ClusterTree.from_bytes(body + hashlib.sha256(body).digest())
+
+    def test_children_group_points_and_clusters(self, four_blobs):
+        matrix, _ = four_blobs
+        tree = build_hierarchy(matrix, [8, 4, 2], seed=1)
+        for level in range(3):
+            groups = tree.children(level)
+            assign = tree.levels[level].assignments
+            assert len(groups) == tree.level_sizes[level]
+            for cluster, members in enumerate(groups):
+                assert members.tolist() == np.flatnonzero(assign == cluster).tolist()
+        with pytest.raises(ValueError):
+            tree.children(3)
 
     def test_fingerprint_tracks_content(self, four_blobs):
         matrix, _ = four_blobs

@@ -1,12 +1,17 @@
+import hashlib
 import json
+import struct
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from surgcurate.cli import main
+from surgcurate.clustering import TREE_MAGIC
 from surgcurate.config import ConfigError, SCHEMAS, resolve_config
 from surgcurate.manifest import RunManifest
 from surgcurate.splits import SplitManifest
+from surgcurate.store import EmbeddingMatrix, write_store
 from surgcurate.synthetic import write_fixture_corpus
 
 
@@ -134,6 +139,32 @@ class TestErrorContract:
         assert result.exit_code == 1
         record = json.loads(result.output.strip().splitlines()[-1])
         assert record["error"] == "BadMagic"
+
+    def test_truncated_tree_is_a_json_error_exit_1(self, tmp_path):
+        store = write_store(EmbeddingMatrix(np.zeros((4, 2), dtype=np.float32), ["a", "b", "c", "d"]), tmp_path / "s.semb")
+        body = TREE_MAGIC + struct.pack("<QQ", 3, 16)  # 3 levels claimed, body ends after 24 bytes
+        tree = tmp_path / "t.sctree"
+        tree.write_bytes(body + hashlib.sha256(body).digest())
+        result = CliRunner().invoke(
+            main,
+            ["curate", "--store", str(store), "--tree", str(tree), "--out", str(tmp_path / "c.jsonl")],
+            env={},
+        )
+        assert result.exit_code == 1
+        record = json.loads(result.output.strip().splitlines()[-1])
+        assert record["error"] == "BadTreeFile"
+
+    def test_report_with_mixed_domain_dataset(self, tmp_path):
+        scores = tmp_path / "s.csv"
+        scores.write_text(
+            "dataset,model,variant,acc\n"
+            "cataract-101,m,,60\njigsaws,m,,70\nhyperkvasir,m,,50\ncholec80,m,,40\navos,m,,10\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["report", "--scores", str(scores)], env={})
+        assert result.exit_code == 0, result.output
+        # overall and worst cover the four clinical domains, not avos (Mixed)
+        assert "| m | 60.00 | 70.00 | 50.00 | 40.00 | 55.00 | 40.00 |" in result.output
 
 
 @pytest.fixture(scope="module")

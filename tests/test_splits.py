@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surgcurate.corpus import ClipRecord
+from surgcurate.seeding import derive_seed
 from surgcurate.splits import (
     EmptyDataset,
     Split,
@@ -93,6 +94,18 @@ class TestRatioSplit:
         for label, expected in (("a", (7, 2, 1)), ("b", (14, 4, 2))):
             counts = _counts({v: s for v, s in assignment.items() if v.startswith(label)})
             assert (counts[Split.TRAIN], counts[Split.VAL], counts[Split.TEST]) == expected
+
+    def test_stratum_seed_is_derived_from_root_seed_and_label(self):
+        ids = [f"a{i}" for i in range(10)] + [f"b{i}" for i in range(20)] + [f"c{i}" for i in range(7)]
+        strata = {vid: vid[0] for vid in ids}
+        seed = 0xDEADBEEFCAFEF00D
+        expected = {}
+        for label in "abc":
+            group = [v for v in ids if strata[v] == label]
+            expected.update(ratio_split(group, seed=derive_seed(seed, label)))
+        assert ratio_split(ids, seed=seed, strata=strata) == expected
+        manifest = generate_split_manifest("d", ids, seed=seed, strata=strata, created_at="2026-01-01T00:00:00+00:00")
+        assert manifest.version == "bb7e834c9492910673b90cdbaf44d2564b816f6dc4075fdd61d364279931c766"
 
     def test_stratified_split_requires_full_labeling(self):
         with pytest.raises(SplitError):

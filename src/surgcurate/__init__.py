@@ -6,6 +6,9 @@ sampling with a closed-form effective ratio, versioned video-level split
 manifests, and benchmark metric aggregation.
 """
 
+# Set before the submodule imports below: manifest reads it at import time.
+__version__ = "0.1.0"
+
 from .apportion import (
     as_fraction,
     format_points,
@@ -105,5 +108,3 @@ from .store import (
     read_store,
     write_store,
 )
-
-__version__ = "0.1.0"

@@ -2,11 +2,11 @@
 evaluate, report, stats.
 
 Every command resolves its configuration through flags > environment
-(SURGCURATE_*) > config file > documented defaults, derives its stage
-seed from the single root seed, and writes a run manifest fingerprinting
-its inputs and outputs next to its primary output. Exit codes: 0 ok,
-1 operational error, 2 usage or config error; failures also emit one
-machine-readable JSON error record on stderr.
+(SURGCURATE_*) > config file > the defaults in config.SCHEMAS, derives its
+stage seed from the single root seed, and, when it writes an output file,
+writes a run manifest fingerprinting its inputs and outputs next to it.
+Exit codes: 0 ok, 1 operational error, 2 usage or config error; failures
+also emit one machine-readable JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -15,13 +15,15 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 
+from . import __version__
 from .apportion import as_fraction, format_points
 from .clustering import ClusteringError, ClusterTree, build_hierarchy
-from .config import ConfigError, resolve_config
+from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
     CorpusError,
     CorpusIndex,
@@ -33,7 +35,7 @@ from .corpus import (
     scale_comparison_report,
     validate_corpus,
 )
-from .curation import CurationError, CuratedSet, curate
+from .curation import CurationError, curate, read_pool_ids
 from .manifest import RunManifest, manifest_path_for, utc_now
 from .metrics import (
     MetricsError,
@@ -82,21 +84,6 @@ def _emit_error(exc: Exception) -> None:
     click.echo(json.dumps(record, sort_keys=True), err=True)
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _USAGE_ERRORS as exc:
-            _emit_error(exc)
-            sys.exit(2)
-        except _OPERATIONAL_ERRORS as exc:
-            _emit_error(exc)
-            sys.exit(1)
-
-    return wrapper
-
-
 def _require(path: str | None, what: str) -> Path:
     if path is None:
         raise InputMissing(f"{what} is required")
@@ -110,98 +97,114 @@ def _effective_workers(cfg: dict) -> int:
     return cfg["workers"] if cfg["workers"] > 0 else (os.cpu_count() or 1)
 
 
-def _write_run_manifest(command, cfg, seeds, inputs, outputs, started, extra=None):
-    manifest = RunManifest(
-        command=command,
-        config={**cfg, **(extra or {})},
-        seeds=seeds,
-        started_at=started,
-        finished_at=utc_now(),
-    )
-    for p in inputs:
-        manifest.add_input(p)
-    for p in outputs:
-        manifest.add_output(p)
-    manifest.save(manifest_path_for(outputs[0]))
+@dataclass
+class Provenance:
+    """What a command body reports for its run manifest."""
+
+    output: str | Path
+    inputs: list[Path]
+    seeds: dict[str, int] = field(default_factory=dict)  # stage seeds; the root seed is always recorded
+    extra: dict = field(default_factory=dict)  # recorded next to the resolved config
 
 
-def _read_pool_ids(path: Path) -> list[str]:
-    """Clip ids from a curated JSON-lines file or a plain one-per-line list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first.startswith("{"):
-        return CuratedSet.read_ids(path)
-    return [ln.strip() for ln in path.read_text("utf-8").splitlines() if ln.strip()]
+def _schema_flag(opt: Option) -> click.Option:
+    """The flag for one config option. Values other than bools stay raw
+    strings, so resolve_config parses a flag like an env or file value."""
+    name = opt.name.replace("_", "-")
+    if opt.kind == "bool":
+        decl, metavar = f"--{name}/--no-{name}", None
+        shown = name if opt.default else f"no-{name}"
+    else:
+        decl = f"--{name}"
+        metavar = f"[{'|'.join(opt.choices)}]" if opt.choices else opt.kind.upper()
+        shown = ",".join(map(str, opt.default)) if opt.kind == "levels" else str(opt.default)
+    return click.Option([decl, opt.name], default=None, metavar=metavar, help=f"{opt.help}  [default: {shown}]")
 
 
-_config_option = click.option(
-    "--config",
-    "config_file",
-    type=click.Path(),
-    default=None,
-    envvar="SURGCURATE_CONFIG",
-    help="INI config file with [global] and per-command sections.",
-)
-_seed_option = click.option(
-    "--seed", type=int, default=None, show_default="0", help="Root seed; stage seeds derive from it."
-)
-_workers_option = click.option(
-    "--workers", type=int, default=None, show_default="0 (auto)", help="Worker threads; 0 = all cores."
-)
+def _command(group: click.Group, name: str, flags: tuple[str, ...] = (), configured: bool = True, **attrs):
+    """Register the decorated body as command `name` of `group`.
+
+    A configured command gets a flag for every option of SCHEMAS[name],
+    then for the [global] options named in `flags`, then --config. The wrapper
+    resolves the config, calls body(cfg, **params), writes
+    <output>.run.json when the body returns a Provenance, and maps errors
+    to exit codes with a JSON record on stderr.
+    """
+    options = [*SCHEMAS[name], *(o for o in SCHEMAS["global"] if o.name in flags)] if configured else []
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(config_file=None, **params):
+            if click.get_current_context().invoked_subcommand is not None:
+                return  # a group invoked for a subcommand runs only that
+            started = utc_now()
+            try:
+                cfg = None
+                if configured:
+                    cfg = resolve_config(name, {o.name: params.pop(o.name) for o in options}, config_file)
+                ran = body(cfg, **params)
+                if ran is None:
+                    return
+                manifest = RunManifest(
+                    command=name,
+                    config={**cfg, **ran.extra},
+                    seeds={"root": cfg["seed"], **ran.seeds},
+                    started_at=started,
+                    finished_at=utc_now(),
+                )
+                for p in ran.inputs:
+                    manifest.add_input(p)
+                manifest.add_output(ran.output)
+                manifest.save(manifest_path_for(ran.output))
+            except _USAGE_ERRORS as exc:
+                _emit_error(exc)
+                sys.exit(2)
+            except _OPERATIONAL_ERRORS as exc:
+                _emit_error(exc)
+                sys.exit(1)
+
+        cmd = group.command(name, **attrs)(run)
+        if configured:
+            cmd.params += [_schema_flag(o) for o in options]
+            cmd.params.append(
+                click.Option(
+                    ["--config", "config_file"],
+                    type=click.Path(),
+                    envvar="SURGCURATE_CONFIG",
+                    help="INI config file with [global] and per-command sections.",
+                )
+            )
+        return cmd
+
+    return decorate
 
 
 @click.group()
-@click.version_option(package_name="surgcurate")
+@click.version_option(__version__)
 def main() -> None:
     """Deterministic curation, sampling, split, and benchmark reporting
     for large surgical video corpora."""
 
 
-@main.command()
+@_command(main, "ingest")
 @click.option("--blobs", type=click.Path(), required=True, help="Directory of raw little-endian f32 blobs.")
 @click.option("--ids", type=click.Path(), required=True, help="Sidecar list: one clip id per row.")
 @click.option("--out", type=click.Path(), required=True, help="Output store file.")
-@click.option("--dim", type=int, default=None, show_default="768", help="Embedding dimension.")
-@_config_option
-@guarded
-def ingest(blobs, ids, out, dim, config_file):
+def ingest(cfg, blobs, ids, out):
     """Build one embedding store from raw f32 blobs plus an id list."""
-    started = utc_now()
-    cfg = resolve_config("ingest", {"dim": dim}, config_file)
     blob_dir = _require(blobs, "blob directory")
     id_file = _require(ids, "id list")
     matrix = ingest_raw_blobs(blob_dir, id_file, cfg["dim"])
     write_store(matrix, out)
-    inputs = sorted(p for p in blob_dir.iterdir() if p.is_file()) + [id_file]
-    _write_run_manifest("ingest", cfg, {"root": cfg["seed"]}, inputs, [Path(out)], started)
     click.echo(f"ingested {matrix.n_rows} rows of dim {matrix.dim} -> {out}")
+    return Provenance(out, sorted(p for p in blob_dir.iterdir() if p.is_file()) + [id_file])
 
 
-@main.command()
+@_command(main, "cluster", ("seed", "workers"))
 @click.option("--store", "store_path", type=click.Path(), required=True, help="Embedding store file.")
 @click.option("--out", type=click.Path(), required=True, help="Output cluster tree file.")
-@click.option("--levels", type=str, default=None, show_default="25000,5000,1000", help="Hierarchy sizes, finest first.")
-@click.option("--tol", type=float, default=None, show_default="1e-4", help="Relative inertia improvement threshold.")
-@click.option("--max-iter", "max_iter", type=int, default=None, show_default="100", help="Lloyd iteration cap per level.")
-@click.option("--chunk-size", "chunk_size", type=int, default=None, show_default="4096", help="Points per work chunk.")
-@click.option("--normalize/--no-normalize", default=None, show_default="normalize", help="Unit-normalize rows first.")
-@_seed_option
-@_workers_option
-@_config_option
-@guarded
-def cluster(store_path, out, levels, tol, max_iter, chunk_size, normalize, seed, workers, config_file):
+def cluster(cfg, store_path, out):
     """Build the multi-level K-means hierarchy over an embedding store."""
-    started = utc_now()
-    flags = {
-        "levels": levels,
-        "tol": tol,
-        "max_iter": max_iter,
-        "chunk_size": chunk_size,
-        "normalize": normalize,
-        "seed": seed,
-        "workers": workers,
-    }
-    cfg = resolve_config("cluster", flags, config_file)
     store_file = _require(store_path, "store file")
     matrix = read_store(store_file)
     if cfg["normalize"]:
@@ -219,33 +222,17 @@ def cluster(store_path, out, levels, tol, max_iter, chunk_size, normalize, seed,
         normalized=cfg["normalize"],
     )
     tree.save(out)
-    _write_run_manifest(
-        "cluster",
-        cfg,
-        {"root": cfg["seed"], "cluster": stage_seed},
-        [store_file],
-        [Path(out)],
-        started,
-        extra={"workers_effective": eff_workers},
-    )
     sizes = ",".join(str(s) for s in cfg["levels"])
     click.echo(f"built {len(tree.levels)}-level tree ({sizes}) fingerprint {tree.fingerprint()[:12]} -> {out}")
+    return Provenance(out, [store_file], {"cluster": stage_seed}, {"workers_effective": eff_workers})
 
 
-@main.command("curate")
+@_command(main, "curate", ("seed", "workers"))
 @click.option("--store", "store_path", type=click.Path(), required=True, help="Embedding store file.")
 @click.option("--tree", "tree_path", type=click.Path(), required=True, help="Cluster tree file.")
 @click.option("--out", type=click.Path(), required=True, help="Output curated-set JSON-lines file.")
-@click.option("--fraction", type=str, default=None, show_default="0.10", help="Sampling budget fraction.")
-@click.option("--mode", type=click.Choice(["equal", "proportional"]), default=None, show_default="equal", help="Budget split mode.")
-@_seed_option
-@_workers_option
-@_config_option
-@guarded
-def curate_cmd(store_path, tree_path, out, fraction, mode, seed, workers, config_file):
+def curate_cmd(cfg, store_path, tree_path, out):
     """Select the budgeted nearest-to-centroid subset from every leaf."""
-    started = utc_now()
-    cfg = resolve_config("curate", {"fraction": fraction, "mode": mode, "seed": seed, "workers": workers}, config_file)
     store_file = _require(store_path, "store file")
     tree_file = _require(tree_path, "tree file")
     matrix = read_store(store_file)
@@ -254,29 +241,16 @@ def curate_cmd(store_path, tree_path, out, fraction, mode, seed, workers, config
         matrix = l2_normalize(matrix)
     curated = curate(tree, matrix, as_fraction(cfg["fraction"]), mode=cfg["mode"], workers=_effective_workers(cfg))
     curated.to_jsonl(out)
-    _write_run_manifest(
-        "curate", cfg, {"root": cfg["seed"]}, [store_file, tree_file], [Path(out)], started
-    )
     click.echo(f"curated {len(curated)} of {matrix.n_rows} clips -> {out}")
+    return Provenance(out, [store_file, tree_file])
 
 
-@main.command()
+@_command(main, "sample", ("seed",))
 @click.option("--unlabeled", type=click.Path(), required=True, help="Unlabeled pool: curated JSON-lines or plain id list.")
 @click.option("--clinical", type=click.Path(), required=True, help="Clinical core: one clip id per line.")
 @click.option("--out", type=click.Path(), required=True, help="Output batch manifest (JSON-lines).")
-@click.option("--p-pure", "p_pure", type=str, default=None, show_default="0.15", help="Probability of a pure clinical batch.")
-@click.option("--mix", type=str, default=None, show_default="0.70", help="Unlabeled share of a mixed batch.")
-@click.option("--batch", type=int, default=None, show_default="64", help="Batch size.")
-@click.option("--n", "n_batches", type=int, default=None, show_default="1000", help="Number of batches.")
-@click.option("--interleave/--no-interleave", default=None, show_default="no-interleave", help="Deterministic schedule instead of i.i.d. draws.")
-@_seed_option
-@_config_option
-@guarded
-def sample(unlabeled, clinical, out, p_pure, mix, batch, n_batches, interleave, seed, config_file):
+def sample(cfg, unlabeled, clinical, out):
     """Emit a mixed-batch manifest over the two pools."""
-    started = utc_now()
-    flags = {"p_pure": p_pure, "mix": mix, "batch": batch, "n": n_batches, "interleave": interleave, "seed": seed}
-    cfg = resolve_config("sample", flags, config_file)
     unlabeled_file = _require(unlabeled, "unlabeled pool")
     clinical_file = _require(clinical, "clinical pool")
     stage_seed = derive_seed(cfg["seed"], "sample")
@@ -288,16 +262,14 @@ def sample(unlabeled, clinical, out, p_pure, mix, batch, n_batches, interleave, 
     )
     write_batch_manifest(
         out,
-        _read_pool_ids(unlabeled_file),
-        _read_pool_ids(clinical_file),
+        read_pool_ids(unlabeled_file),
+        read_pool_ids(clinical_file),
         policy,
         cfg["n"],
         interleave=cfg["interleave"],
     )
-    _write_run_manifest(
-        "sample", cfg, {"root": cfg["seed"], "sample": stage_seed}, [unlabeled_file, clinical_file], [Path(out)], started
-    )
     click.echo(f"sampled {cfg['n']} batches of {cfg['batch']} -> {out}")
+    return Provenance(out, [unlabeled_file, clinical_file], {"sample": stage_seed})
 
 
 def _load_external_assignment(path: Path) -> dict[str, Split]:
@@ -305,26 +277,17 @@ def _load_external_assignment(path: Path) -> dict[str, Split]:
     return {vid: Split(split) for vid, split in doc.items()}
 
 
-@main.group(invoke_without_command=True)
+@_command(main, "split", ("seed",), cls=click.Group, invoke_without_command=True)
 @click.option("--dataset", type=str, default=None, help="Dataset id the split belongs to.")
 @click.option("--videos", type=click.Path(), default=None, help="Video id list, one per line.")
 @click.option("--corpus", "corpus_path", type=click.Path(), default=None, help="Corpus manifest; videos of --dataset are used.")
 @click.option("--official", type=click.Path(), default=None, help="Official split assignment (JSON video->split).")
 @click.option("--community", type=click.Path(), default=None, help="Community split assignment (JSON video->split).")
-@click.option("--ratios", type=str, default=None, show_default="7:2:1", help="Train:val:test ratio for tier-Ours splits.")
 @click.option("--stratify-by", "stratify_by", type=click.Path(), default=None, help="Optional JSON video->label map; split each stratum at the same ratios.")
 @click.option("--created-at", "created_at", type=str, default=None, help="Manifest timestamp override (for byte-identical replays).")
 @click.option("--out", type=click.Path(), default=None, help="Output split manifest path.")
-@_seed_option
-@_config_option
-@click.pass_context
-@guarded
-def split(ctx, dataset, videos, corpus_path, official, community, ratios, stratify_by, created_at, out, seed, config_file):
+def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, created_at, out):
     """Generate a split manifest under the three-tier priority rule."""
-    if ctx.invoked_subcommand is not None:
-        return
-    started = utc_now()
-    cfg = resolve_config("split", {"ratios": ratios, "seed": seed}, config_file)
     if dataset is None:
         raise ConfigError("--dataset is required")
     if out is None:
@@ -363,23 +326,20 @@ def split(ctx, dataset, videos, corpus_path, official, community, ratios, strati
             strata=strata,
         )
     manifest.save(out)
-    seeds = {"root": cfg["seed"]}
-    if manifest.seed is not None:
-        seeds[f"split-{dataset}"] = manifest.seed
-    _write_run_manifest("split", cfg, seeds, inputs, [Path(out)], started)
     counts = manifest.counts()
     click.echo(
         f"{dataset}: tier {manifest.tier.value}, "
         f"{counts[Split.TRAIN]}/{counts[Split.VAL]}/{counts[Split.TEST]} train/val/test, "
         f"version {manifest.version[:12]} -> {out}"
     )
+    seeds = {} if manifest.seed is None else {f"split-{dataset}": manifest.seed}
+    return Provenance(out, inputs, seeds)
 
 
-@split.command("verify")
+@_command(split, "verify", configured=False)
 @click.option("--manifest", "manifest_path", type=click.Path(), required=True, help="Split manifest to verify.")
 @click.option("--corpus", "corpus_path", type=click.Path(), required=True, help="Corpus manifest with the clips.")
-@guarded
-def split_verify(manifest_path, corpus_path):
+def split_verify(_cfg, manifest_path, corpus_path):
     """Check video-level disjointness of a split manifest against the clips."""
     manifest_file = _require(manifest_path, "split manifest")
     corpus_file = _require(corpus_path, "corpus manifest")
@@ -398,43 +358,35 @@ def split_verify(manifest_path, corpus_path):
     click.echo(f"{manifest.dataset_id}: split is a clean video-level partition ({len(dataset_clips)} clips checked)")
 
 
-@main.command()
+@_command(main, "evaluate")
 @click.option("--predictions", type=click.Path(), required=True, help="Predictions CSV: sample_id, predicted, label.")
 @click.option("--dataset", type=str, required=True, help="Dataset id for the emitted score row.")
 @click.option("--model", type=str, required=True, help="Model id for the emitted score row.")
 @click.option("--variant", type=str, default=None, help="Variant tag (e.g. P1/P2).")
 @click.option("--out", type=click.Path(), default=None, help="Write a scores CSV row here.")
-@_config_option
-@guarded
-def evaluate(predictions, dataset, model, variant, out, config_file):
+def evaluate(cfg, predictions, dataset, model, variant, out):
     """Score a predictions file (Acc@1) and optionally emit a scores row."""
-    started = utc_now()
-    cfg = resolve_config("evaluate", {}, config_file)
     pred_file = _require(predictions, "predictions file")
     records = read_predictions_csv(pred_file)
     acc = acc_at_1(records)
     click.echo(f"{dataset}/{model}" + (f"/{variant}" if variant else "") + f": Acc@1 {format_points(acc)} ({len(records)} samples)")
-    if out:
-        header_needed = not Path(out).exists()
-        with open(out, "a", encoding="utf-8", newline="") as fh:
-            if header_needed:
-                fh.write("dataset,model,variant,acc\n")
-            fh.write(f"{dataset},{model},{variant or ''},{format_points(acc)}\n")
-        _write_run_manifest("evaluate", cfg, {"root": cfg["seed"]}, [pred_file], [Path(out)], started)
+    if not out:
+        return None
+    header_needed = not Path(out).exists()
+    with open(out, "a", encoding="utf-8", newline="") as fh:
+        if header_needed:
+            fh.write("dataset,model,variant,acc\n")
+        fh.write(f"{dataset},{model},{variant or ''},{format_points(acc)}\n")
+    return Provenance(out, [pred_file])
 
 
-@main.command()
+@_command(main, "report")
 @click.option("--scores", "scores_paths", type=click.Path(), multiple=True, help="Scores CSV (dataset, model, variant, acc); repeatable.")
 @click.option("--domain-map", "domain_map_path", type=click.Path(), default=None, help="Domain mapping JSON override.")
-@click.option("--format", "fmt", type=click.Choice(["markdown", "csv"]), default=None, show_default="markdown", help="Report format.")
 @click.option("--reference", is_flag=True, default=False, help="Render the shipped reference tables instead.")
 @click.option("--out", type=click.Path(), default=None, help="Write the report here instead of stdout.")
-@_config_option
-@guarded
-def report(scores_paths, domain_map_path, fmt, reference, out, config_file):
+def report(cfg, scores_paths, domain_map_path, reference, out):
     """Render benchmark tables: per-dataset scores, domain macros, deltas."""
-    started = utc_now()
-    cfg = resolve_config("report", {"format": fmt}, config_file)
     domain_map = DomainMap.from_file(_require(domain_map_path, "domain map")) if domain_map_path else DomainMap.default()
 
     if reference:
@@ -447,24 +399,19 @@ def report(scores_paths, domain_map_path, fmt, reference, out, config_file):
         tables = score_report_tables([rec for path in inputs for rec in read_scores_csv(path)], domain_map)
 
     text = emit_report(tables, format=cfg["format"])
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        _write_run_manifest("report", cfg, {"root": cfg["seed"]}, inputs, [Path(out)], started)
-        click.echo(f"report -> {out}")
-    else:
+    if not out:
         click.echo(text, nl=False)
+        return None
+    Path(out).write_text(text, encoding="utf-8")
+    click.echo(f"report -> {out}")
+    return Provenance(out, inputs)
 
 
-@main.command()
+@_command(main, "stats")
 @click.option("--corpus", "corpus_path", type=click.Path(), required=True, help="Corpus manifest (JSON-lines).")
-@click.option("--scale-comparison/--no-scale-comparison", "scale_comparison", default=None, show_default="no-scale-comparison", help="Append the shipped scale-comparison table.")
 @click.option("--out", type=click.Path(), default=None, help="Write the inventory report here instead of stdout.")
-@_config_option
-@guarded
-def stats(corpus_path, scale_comparison, out, config_file):
+def stats(cfg, corpus_path, out):
     """Inventory report: videos, clips, frames per source and domain."""
-    started = utc_now()
-    cfg = resolve_config("stats", {"scale_comparison": scale_comparison}, config_file)
     corpus_file = _require(corpus_path, "corpus manifest")
     records = read_corpus_manifest(corpus_file)
     validation = validate_corpus(records)
@@ -474,12 +421,12 @@ def stats(corpus_path, scale_comparison, out, config_file):
         text += "\n" + scale_comparison_report(result)
     if validation.violations:
         text += f"\n{len(validation.violations)} validation violation(s); run records through validate_corpus for detail.\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        _write_run_manifest("stats", cfg, {"root": cfg["seed"]}, [corpus_file], [Path(out)], started)
-        click.echo(f"stats -> {out}")
-    else:
+    if not out:
         click.echo(text, nl=False)
+        return None
+    Path(out).write_text(text, encoding="utf-8")
+    click.echo(f"stats -> {out}")
+    return Provenance(out, [corpus_file])
 
 
 if __name__ == "__main__":

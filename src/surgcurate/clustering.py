@@ -413,6 +413,8 @@ class ClusterTree:
             return struct.unpack_from("<Q", body, take(8))[0]
 
         n_levels = u64()
+        if n_levels == 0:
+            raise BadTreeFile("tree has no levels")
         sizes = [u64() for _ in range(n_levels)]
         seed = u64()
         tol = struct.unpack_from("<d", body, take(8))[0]
@@ -428,6 +430,15 @@ class ClusterTree:
             assigns.append(np.frombuffer(body, dtype="<u4", count=count, offset=take(count * 4)).copy())
         if off != len(body):
             raise BadTreeFile(f"{len(body) - off} unexpected trailing bytes")
+        for level, (cm, am) in enumerate(zip(centroid_mats, assigns)):
+            if len(cm) != sizes[level]:
+                raise BadTreeFile(f"level {level}: {len(cm)} centroid rows for size {sizes[level]}")
+            if level > 0 and len(am) != sizes[level - 1]:
+                raise BadTreeFile(f"level {level}: {len(am)} assignments for {sizes[level - 1]} clusters below")
+            if len(am) and int(am.max()) >= sizes[level]:
+                raise BadTreeFile(f"level {level}: assignment {int(am.max())} is not below size {sizes[level]}")
+            if cm.shape[1] != centroid_mats[0].shape[1]:
+                raise BadTreeFile(f"level {level}: dimension {cm.shape[1]}, level 0 has {centroid_mats[0].shape[1]}")
         levels = [
             ClusterModel(
                 k=len(cm),

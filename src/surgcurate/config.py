@@ -2,8 +2,12 @@
 
 The config file is INI: one section per subcommand plus an optional
 [global] section. Environment variables use the SURGCURATE_ prefix with
-the key upper-cased (SURGCURATE_SEED=7). Every key maps 1:1 to a CLI flag
-and the resolved config is fully explicit: no unset fields survive.
+the key upper-cased (SURGCURATE_SEED=7). SCHEMAS is the only declaration
+of an option: the CLI derives its flags, help and shown defaults from it.
+A command's own keys are all flags; the [global] keys are flags only on
+the commands that take them and config-only elsewhere. Every value, from
+a flag, the environment or the file, is parsed by the same rule, and the
+resolved config is fully explicit: no unset fields survive.
 """
 
 from __future__ import annotations
@@ -52,44 +56,45 @@ class Option:
     kind: str  # key into _PARSERS
     default: Any
     help: str = ""
+    choices: tuple[str, ...] = ()  # allowed values, when the set is closed
 
 
-#: Documented defaults; stage schemas reference these by name.
+#: Every config option, per command; "global" holds the keys all commands share.
 SCHEMAS: dict[str, tuple[Option, ...]] = {
     "global": (
-        Option("seed", "int", 0, "root seed; stage seeds derive from it"),
-        Option("workers", "int", 0, "worker threads; 0 = available parallelism"),
+        Option("seed", "int", 0, "Root seed; stage seeds derive from it."),
+        Option("workers", "int", 0, "Worker threads; 0 = all cores."),
     ),
     "ingest": (
-        Option("dim", "int", 768, "embedding dimension"),
+        Option("dim", "int", 768, "Embedding dimension."),
     ),
     "cluster": (
-        Option("levels", "levels", [25000, 5000, 1000], "hierarchy sizes, finest first"),
-        Option("tol", "float", 1e-4, "relative inertia improvement threshold"),
-        Option("max_iter", "int", 100, "Lloyd iteration cap per level"),
-        Option("chunk_size", "int", 4096, "points per work chunk (fixed for reproducibility)"),
-        Option("normalize", "bool", True, "unit-normalize rows before clustering"),
+        Option("levels", "levels", [25000, 5000, 1000], "Hierarchy sizes, finest first."),
+        Option("tol", "float", 1e-4, "Relative inertia improvement threshold."),
+        Option("max_iter", "int", 100, "Lloyd iteration cap per level."),
+        Option("chunk_size", "int", 4096, "Points per work chunk (fixed for reproducibility)."),
+        Option("normalize", "bool", True, "Unit-normalize rows first."),
     ),
     "curate": (
-        Option("fraction", "str", "0.10", "sampling budget as a fraction of the pool"),
-        Option("mode", "str", "equal", "budget split: equal or proportional"),
+        Option("fraction", "str", "0.10", "Sampling budget as a fraction of the pool."),
+        Option("mode", "str", "equal", "Budget split mode.", ("equal", "proportional")),
     ),
     "sample": (
-        Option("p_pure", "str", "0.15", "probability of a pure clinical batch"),
-        Option("mix", "str", "0.70", "unlabeled share of a mixed batch"),
-        Option("batch", "int", 64, "batch size"),
-        Option("n", "int", 1000, "number of batches"),
-        Option("interleave", "bool", False, "deterministic schedule instead of i.i.d. draws"),
+        Option("p_pure", "str", "0.15", "Probability of a pure clinical batch."),
+        Option("mix", "str", "0.70", "Unlabeled share of a mixed batch."),
+        Option("batch", "int", 64, "Batch size."),
+        Option("n", "int", 1000, "Number of batches."),
+        Option("interleave", "bool", False, "Deterministic schedule instead of i.i.d. draws."),
     ),
     "split": (
-        Option("ratios", "str", "7:2:1", "train:val:test ratio"),
+        Option("ratios", "str", "7:2:1", "Train:val:test ratio for tier-Ours splits."),
     ),
     "evaluate": (),
     "report": (
-        Option("format", "str", "markdown", "markdown or csv"),
+        Option("format", "str", "markdown", "Report format.", ("markdown", "csv")),
     ),
     "stats": (
-        Option("scale_comparison", "bool", False, "append the shipped scale comparison"),
+        Option("scale_comparison", "bool", False, "Append the shipped scale-comparison table."),
     ),
 }
 
@@ -98,11 +103,14 @@ def _coerce(option: Option, raw: Any, origin: str) -> Any:
     if raw is None:
         return option.default
     if not isinstance(raw, str):
-        return raw  # flags arrive already typed from the CLI layer
+        return raw  # --x/--no-x flags arrive as bools
     try:
-        return _PARSERS[option.kind](raw)
+        value = _PARSERS[option.kind](raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad value for {option.name!r}: {exc}") from exc
+    if option.choices and value not in option.choices:
+        raise ConfigError(f"{origin}: bad value for {option.name!r}: {raw!r} is not one of {', '.join(option.choices)}")
+    return value
 
 
 def resolve_config(

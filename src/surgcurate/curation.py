@@ -105,6 +105,15 @@ class CuratedSet:
         return ids
 
 
+def read_pool_ids(path: str | Path) -> list[str]:
+    """Clip ids from a curated JSON-lines file or a plain one-per-line list."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+    if first.startswith("{"):
+        return CuratedSet.read_ids(path)
+    return [ln.strip() for ln in Path(path).read_text("utf-8").splitlines() if ln.strip()]
+
+
 def allocate_budget(tree: ClusterTree, fraction, mode: str = "equal") -> BudgetPlan:
     """Integer quotas for every node such that each level sums exactly to
     round(fraction * n_points) and no node exceeds its reachable points."""

@@ -13,15 +13,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from importlib import metadata
 from pathlib import Path
 
-
-def tool_version() -> str:
-    try:
-        return metadata.version("surgcurate")
-    except metadata.PackageNotFoundError:
-        return "0.1.0"
+from . import __version__
 
 
 def fingerprint_file(path: str | Path) -> str:
@@ -43,7 +37,7 @@ class RunManifest:
     seeds: dict[str, int] = field(default_factory=dict)
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
-    tool_version: str = field(default_factory=tool_version)
+    tool_version: str = __version__
     started_at: str = ""
     finished_at: str = ""
 

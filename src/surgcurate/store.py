@@ -60,6 +60,10 @@ class DuplicateRowId(StoreError):
     pass
 
 
+class BadRowId(StoreError):
+    """A row id in the id table is not valid UTF-8."""
+
+
 @dataclass
 class EmbeddingMatrix:
     """Dense row-major f32 matrix with one clip id per row."""
@@ -151,7 +155,10 @@ def read_store(path: str | Path) -> EmbeddingMatrix:
         offset += 4
         if len(body) < offset + length:
             raise SizeMismatch(f"{path}: id table truncated")
-        row_ids.append(body[offset : offset + length].decode("utf-8"))
+        try:
+            row_ids.append(body[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadRowId(f"{path}: id of row {len(row_ids)} is not UTF-8 ({exc.reason})") from exc
         offset += length
     if offset != len(body):
         raise SizeMismatch(f"{path}: {len(body) - offset} unexpected trailing bytes")

@@ -243,6 +243,24 @@ class TestHierarchy:
         with pytest.raises(BadTreeFile, match="header"):
             ClusterTree.from_bytes(body + hashlib.sha256(body).digest())
 
+    @pytest.mark.parametrize(
+        "breaks",
+        [
+            lambda t: np.put(t.levels[0].assignments, 3, 40),  # past level size 8
+            lambda t: setattr(t.levels[1], "centroids", t.levels[1].centroids[:-1]),  # 3 rows for size 4
+            lambda t: setattr(t.levels[1], "assignments", t.levels[1].assignments[:-1]),  # 7 for 8 clusters
+            lambda t: setattr(t.levels[1], "centroids", t.levels[1].centroids[:, :-1]),  # narrower than level 0
+            lambda t: (t.levels.clear(), t.level_sizes.clear()),
+        ],
+        ids=["assignment-past-size", "centroid-rows", "assignment-count", "dimension", "no-levels"],
+    )
+    def test_bad_structure_rejected(self, four_blobs, breaks):
+        matrix, _ = four_blobs
+        tree = build_hierarchy(matrix, [8, 4], seed=1)
+        breaks(tree)
+        with pytest.raises(BadTreeFile, match="level"):
+            ClusterTree.from_bytes(tree.to_bytes())  # to_bytes re-signs the broken tree
+
     def test_children_group_points_and_clusters(self, four_blobs):
         matrix, _ = four_blobs
         tree = build_hierarchy(matrix, [8, 4, 2], seed=1)

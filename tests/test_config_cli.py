@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from surgcurate import __version__
 from surgcurate.cli import main
-from surgcurate.clustering import TREE_MAGIC
+from surgcurate.clustering import TREE_MAGIC, build_hierarchy
 from surgcurate.config import ConfigError, SCHEMAS, resolve_config
 from surgcurate.manifest import RunManifest
 from surgcurate.splits import SplitManifest
@@ -97,15 +98,64 @@ class TestHelp:
             assert flag in result.output
 
     def test_defaults_shown_in_help(self):
-        result = CliRunner().invoke(main, ["sample", "--help"], env={})
-        plain = " ".join(result.output.split())
+        # every schema option shows its default next to its help text, on
+        # its own command and on each command that takes a global key as a flag
+        helps = {}
+        for command in (c for c in SCHEMAS if c != "global"):
+            result = CliRunner().invoke(main, [command, "--help"], env={})
+            assert result.exit_code == 0
+            plain = helps[command] = " ".join(result.output.split())
+            for opt in SCHEMAS[command] + SCHEMAS["global"]:
+                flag = opt.name.replace("_", "-")
+                if opt in SCHEMAS["global"] and f"--{flag} " not in plain:
+                    continue  # config-only key for this command
+                if opt.kind == "bool":
+                    shown = flag if opt.default else f"no-{flag}"
+                elif opt.kind == "levels":
+                    shown = ",".join(str(size) for size in opt.default)
+                else:
+                    shown = str(opt.default)
+                assert f"{opt.help} [default: {shown}]" in plain, (command, opt.name)
         for needle in ("0.15", "0.70", "64", "1000"):
-            assert f"[default: ({needle})]" in plain
-        result = CliRunner().invoke(main, ["split", "--help"], env={})
-        assert "7:2:1" in result.output
+            assert f"[default: {needle}]" in helps["sample"]
+        assert "[default: 7:2:1]" in helps["split"]
+
+    def test_version_from_source_checkout(self):
+        result = CliRunner().invoke(main, ["--version"], env={})
+        assert result.exit_code == 0, result.output
+        assert __version__ in result.output
+        assert RunManifest(command="x", config={}).tool_version == __version__
+
+
+# one bad value per parser path: int, float, and the two closed choice sets
+_BAD_VALUES = [
+    (["curate", "--store", "s", "--tree", "t", "--out", "o"], "seed", "abc"),
+    (["cluster", "--store", "s", "--out", "o"], "tol", "x"),
+    (["curate", "--store", "s", "--tree", "t", "--out", "o"], "mode", "bogus"),
+    (["report", "--reference"], "format", "html"),
+]
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("origin", ["flag", "env", "ini"])
+    @pytest.mark.parametrize("argv,key,value", _BAD_VALUES, ids=[key for _, key, _ in _BAD_VALUES])
+    def test_bad_value_is_one_config_error_record_exit_2(self, tmp_path, origin, argv, key, value):
+        env = {}
+        if origin == "flag":
+            argv = [*argv, f"--{key}", value]
+        elif origin == "env":
+            env = {f"SURGCURATE_{key.upper()}": value}
+        else:
+            ini = tmp_path / "surg.ini"
+            ini.write_text(f"[{argv[0]}]\n{key} = {value}\n", encoding="utf-8")
+            argv = [*argv, "--config", str(ini)]
+        result = CliRunner().invoke(main, argv, env=env)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == "ConfigError"
+        assert key in record["message"]
+
     def test_missing_store_is_input_missing_exit_2(self, tmp_path):
         result = CliRunner().invoke(
             main,
@@ -148,6 +198,22 @@ class TestErrorContract:
         result = CliRunner().invoke(
             main,
             ["curate", "--store", str(store), "--tree", str(tree), "--out", str(tmp_path / "c.jsonl")],
+            env={},
+        )
+        assert result.exit_code == 1
+        record = json.loads(result.output.strip().splitlines()[-1])
+        assert record["error"] == "BadTreeFile"
+
+    def test_bad_tree_structure_is_a_json_error_exit_1(self, tmp_path):
+        rng = np.random.default_rng(0)
+        matrix = EmbeddingMatrix(rng.standard_normal((40, 3)).astype(np.float32), [f"c{i:02d}" for i in range(40)])
+        store = write_store(matrix, tmp_path / "s.semb")
+        tree = build_hierarchy(matrix, [8, 2], seed=0)
+        tree.levels[0].assignments[5] = 40  # past level size 8; to_bytes re-signs
+        (tmp_path / "t.sctree").write_bytes(tree.to_bytes())
+        result = CliRunner().invoke(
+            main,
+            ["curate", "--store", str(store), "--tree", str(tmp_path / "t.sctree"), "--out", str(tmp_path / "c.jsonl")],
             env={},
         )
         assert result.exit_code == 1
@@ -239,6 +305,10 @@ class TestFullPipeline:
         manifest = RunManifest.load(root / "tree.sctree.run.json")
         assert manifest.command == "cluster"
         assert manifest.config["levels"] == [16, 4]
+        schema_keys = {o.name for o in SCHEMAS["global"] + SCHEMAS["cluster"]}
+        assert set(manifest.config) == schema_keys | {"workers_effective"}
+        assert set(manifest.seeds) == {"root", "cluster"}
+        assert manifest.seeds["root"] == 11
         assert manifest.verify_inputs() == []
         assert str(tree) in manifest.outputs
 
@@ -296,7 +366,7 @@ class TestFullPipeline:
         result = CliRunner().invoke(
             main,
             ["split", "verify", "--manifest", str(bad_path), "--corpus", str(paths["corpus"])],
-            env={},
+            env={"SURGCURATE_SEED": "abc"},  # verify resolves no config, so this bad value is never read
         )
         assert result.exit_code == 1
         assert "unassigned video" in result.output

@@ -12,6 +12,7 @@ from surgcurate.curation import (
     QuotaExceedsMembers,
     allocate_budget,
     curate,
+    read_pool_ids,
     select_nearest,
 )
 from surgcurate.store import EmbeddingMatrix
@@ -200,6 +201,10 @@ class TestCurate:
         p2 = curate(tree, matrix, Fraction(1, 4)).to_jsonl(tmp_path / "b.jsonl")
         assert p1.read_bytes() == p2.read_bytes()
         assert CuratedSet.read_ids(p1) == curated.selected
+        assert read_pool_ids(p1) == curated.selected
+        plain = tmp_path / "ids.txt"
+        plain.write_text("\n".join(curated.selected) + "\n", encoding="utf-8")
+        assert read_pool_ids(plain) == curated.selected
 
     @settings(max_examples=20, deadline=None)
     @given(

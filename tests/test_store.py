@@ -9,11 +9,13 @@ from hypothesis.extra import numpy as hnp
 
 from surgcurate.store import (
     BadMagic,
+    BadRowId,
     ChecksumMismatch,
     DuplicateRowId,
     EmbeddingMatrix,
     NonFiniteValue,
     SizeMismatch,
+    StoreError,
     ZeroRow,
     ingest_raw_blobs,
     l2_normalize,
@@ -119,6 +121,17 @@ class TestCorruption:
         _rebuild_with_payload(path, inflate)
         with pytest.raises(SizeMismatch):
             read_store(path)
+
+    def test_id_table_not_utf8(self, tmp_path):
+        path = write_store(_matrix(4, 3), tmp_path / "s.semb")
+
+        def garble(body):
+            body[-1] = 0xFF  # last byte of the last id; never valid UTF-8
+
+        _rebuild_with_payload(path, garble)
+        with pytest.raises(BadRowId, match="row 3") as err:
+            read_store(path)
+        assert isinstance(err.value, StoreError)
 
     def test_write_rejects_nonfinite(self, tmp_path):
         data = np.zeros((2, 2), dtype=np.float32)

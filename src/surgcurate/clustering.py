@@ -10,7 +10,11 @@ Design constraints that shape this module:
   are combined in chunk order, so results are bit-identical for a fixed
   chunk size no matter how many worker threads run the chunks;
 * K-means++ seeding walks points in sorted row-id order when row ids are
-  available, so ingest order cannot change which points seed the run.
+  available, so ingest order cannot change which points seed the run;
+* seeding casts each level's rows to f64 and takes their squared norms
+  once, so a pick costs one matrix-vector product and one draw; the f64
+  copy holds at most 65,536 rows (one seeding chunk), and rows past it
+  are cast again on every pick.
 """
 
 from __future__ import annotations
@@ -203,14 +207,7 @@ def lloyd_step(
     return assign, new_centroids, inertia
 
 
-def _min_update_sq_dists(Xc: np.ndarray, centroid64: np.ndarray, d2: np.ndarray, chunk: int = 65536) -> None:
-    """d2 <- min(d2, squared distance to centroid), f64 math per chunk."""
-    c = centroid64[None, :]
-    c2 = np.einsum("ij,ij->i", c, c)
-    for s in range(0, len(Xc), chunk):
-        xb = Xc[s : s + chunk].astype(np.float64)
-        dn = _pairwise_sq_dists(xb, np.einsum("ij,ij->i", xb, xb), c, c2)[:, 0]
-        np.minimum(d2[s : s + chunk], dn, out=d2[s : s + chunk])
+_SEED_CHUNK = 65536  # rows per K-means++ distance pass; the f64 copy holds the first one
 
 
 def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -> np.ndarray:
@@ -218,6 +215,9 @@ def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -
 
     When row ids are given, candidates are walked in sorted-row-id order so
     permuting ingest order picks the same points. Returns (k, dim) f32.
+    The first _SEED_CHUNK canonical rows are cast to f64 once and held;
+    rows past that cap are read from `points` and cast again on every pick,
+    into one reused chunk.
     """
     X, ids = _as_points(points)
     if row_ids is None:
@@ -233,24 +233,52 @@ def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -
         canon = np.argsort(np.asarray(row_ids, dtype=object), kind="stable")
     else:
         canon = np.arange(n)
-    Xc = X[canon]
+
+    spans = _chunks(n, _SEED_CHUNK)
+    head = X[canon[:_SEED_CHUNK]].astype(np.float64)
+    tail = np.empty((min(n - len(head), _SEED_CHUNK), X.shape[1]), dtype=np.float64)
+
+    def rows64(s: int, e: int) -> np.ndarray:
+        """Canonical rows s:e (one span of `spans`) in f64."""
+        if s == 0:
+            return head
+        tail[: e - s] = X[canon[s:e]]
+        return tail[: e - s]
+
+    x2 = np.empty(n, dtype=np.float64)
+    for s, e in spans:
+        xb = rows64(s, e)
+        x2[s:e] = np.einsum("ij,ij->i", xb, xb)
+
+    def min_update(row: int) -> None:
+        """d2 <- min(d2, squared distance to canonical row `row`)."""
+        c = X[canon[row]].astype(np.float64)[None, :]
+        c2 = np.einsum("ij,ij->i", c, c)
+        for s, e in spans:
+            dn = _pairwise_sq_dists(rows64(s, e), x2[s:e], c, c2)[:, 0]
+            np.minimum(d2[s:e], dn, out=d2[s:e])
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(0, n))
     d2 = np.full(n, np.inf, dtype=np.float64)
-    _min_update_sq_dists(Xc, Xc[chosen[0]].astype(np.float64), d2)
+    min_update(chosen[0])
     d2[chosen[0]] = 0.0
     for j in range(1, k):
         total = float(d2.sum())
+        if not math.isfinite(total):
+            raise ValueError(f"K-means++ distances sum to {total}; the points must be finite")
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            # the draw rng.choice(n, p=d2 / total) makes, from the same single double
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         else:
             candidates = np.setdiff1d(np.arange(n), chosen[:j])
             idx = int(candidates[rng.integers(0, len(candidates))])
         chosen[j] = idx
-        _min_update_sq_dists(Xc, Xc[idx].astype(np.float64), d2)
+        min_update(idx)
         d2[chosen[: j + 1]] = 0.0
-    return Xc[chosen].copy()
+    return X[canon[chosen]]
 
 
 def kmeans(

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from .apportion import as_fraction
+from .splits import parse_ratios
+
 ENV_PREFIX = "SURGCURATE_"
 
 
@@ -41,12 +44,25 @@ def _parse_levels(text: str) -> list[int]:
     return sizes
 
 
+def _checked_text(parse: Callable[[str], Any]) -> Callable[[str], str]:
+    """A parser that rejects what `parse` rejects and keeps the text as
+    written, so the run manifest records the value the user gave."""
+
+    def check(text: str) -> str:
+        parse(text)
+        return text
+
+    return check
+
+
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "int": int,
     "float": float,
     "str": str,
     "bool": _parse_bool,
     "levels": _parse_levels,
+    "fraction": _checked_text(as_fraction),
+    "ratios": _checked_text(parse_ratios),
 }
 
 
@@ -76,18 +92,18 @@ SCHEMAS: dict[str, tuple[Option, ...]] = {
         Option("normalize", "bool", True, "Unit-normalize rows first."),
     ),
     "curate": (
-        Option("fraction", "str", "0.10", "Sampling budget as a fraction of the pool."),
+        Option("fraction", "fraction", "0.10", "Sampling budget as a fraction of the pool."),
         Option("mode", "str", "equal", "Budget split mode.", ("equal", "proportional")),
     ),
     "sample": (
-        Option("p_pure", "str", "0.15", "Probability of a pure clinical batch."),
-        Option("mix", "str", "0.70", "Unlabeled share of a mixed batch."),
+        Option("p_pure", "fraction", "0.15", "Probability of a pure clinical batch."),
+        Option("mix", "fraction", "0.70", "Unlabeled share of a mixed batch."),
         Option("batch", "int", 64, "Batch size."),
         Option("n", "int", 1000, "Number of batches."),
         Option("interleave", "bool", False, "Deterministic schedule instead of i.i.d. draws."),
     ),
     "split": (
-        Option("ratios", "str", "7:2:1", "Train:val:test ratio for tier-Ours splits."),
+        Option("ratios", "ratios", "7:2:1", "Train:val:test ratio for tier-Ours splits."),
     ),
     "evaluate": (),
     "report": (
@@ -106,7 +122,7 @@ def _coerce(option: Option, raw: Any, origin: str) -> Any:
         return raw  # --x/--no-x flags arrive as bools
     try:
         value = _PARSERS[option.kind](raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"{origin}: bad value for {option.name!r}: {exc}") from exc
     if option.choices and value not in option.choices:
         raise ConfigError(f"{origin}: bad value for {option.name!r}: {raw!r} is not one of {', '.join(option.choices)}")

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
-from .clustering import ClusterTree
+from .clustering import ClusterTree, DimensionMismatch
 from .store import EmbeddingMatrix
 
 
@@ -197,9 +197,11 @@ def curate(
         raise CurationError(
             f"tree was built over {tree.n_points} points, store has {points.n_rows}"
         )
+    centroids = tree.levels[0].centroids
+    if centroids.shape[1] != points.dim:
+        raise DimensionMismatch(f"tree centroids have dimension {centroids.shape[1]}, store rows have {points.dim}")
     plan = allocate_budget(tree, fraction, mode=mode)
     members = tree.children(0)
-    centroids = tree.levels[0].centroids
 
     def job(leaf: int) -> list[tuple[str, float]]:
         return _select_leaf(points, centroids[leaf], members[leaf], plan.quota(0, leaf))

@@ -285,6 +285,12 @@ def test_store_roundtrip_and_corruption(tmp_path):
         read_store(flipped)
 
 
+# ClusterTree.fingerprint() of the criterion-9 tree; the only tier-1 input
+# above the 65,536-row K-means++ chunk, so it pins the seeding of rows
+# past the cached f64 copy. Bump it only on purpose.
+GOLDEN_SCALE_SMOKE_FINGERPRINT = "7e0f81401e8d22b61d66b44cd83d766b496c1b916f54a1491a1d4ae453bc5d36"
+
+
 @criterion(9, "scale smoke: 100k x 768 hierarchy [256, 64, 16] under 10 minutes", budget_s=600)
 def test_scale_smoke():
     sizes = [100_000 // 64] * 64
@@ -305,3 +311,4 @@ def test_scale_smoke():
     assert top.shape == (100_000,)
     assert 0 <= top.min() and top.max() < 16
     assert tree.reachable_counts(2).sum() == 100_000
+    assert tree.fingerprint() == GOLDEN_SCALE_SMOKE_FINGERPRINT, "tree differs from the pinned golden fingerprint"

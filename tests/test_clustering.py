@@ -1,9 +1,13 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surgcurate import clustering
 from surgcurate.clustering import (
     BadTreeFile,
     ClusterTree,
@@ -18,7 +22,7 @@ from surgcurate.clustering import (
 from surgcurate.store import EmbeddingMatrix
 from surgcurate.synthetic import make_blobs
 
-from .oracles import brute_force_best_lloyd, nearest_assignments
+from .oracles import brute_force_best_lloyd, kmeanspp_init_reference, nearest_assignments
 
 
 class TestKmeansPlusPlus:
@@ -55,6 +59,98 @@ class TestKmeansPlusPlus:
         a = kmeanspp_init(data, 5, seed=9, row_ids=ids)
         b = kmeanspp_init(data[perm], 5, seed=9, row_ids=[ids[i] for i in perm])
         assert np.array_equal(a, b)
+
+
+def _seeding_points(seed: int, n: int, dim: int, distinct: int | None = None) -> np.ndarray:
+    """n f32 rows at a random scale; with `distinct`, only that many
+    different rows, repeated."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((distinct or n, dim)) * 10.0 ** rng.uniform(-3, 3)
+    rows = rng.integers(0, len(base), n) if distinct else np.arange(n)
+    return base[rows].astype(np.float32)
+
+
+def _same_seeds(points, k, seed, row_ids=None, cap=clustering._SEED_CHUNK) -> None:
+    """kmeanspp_init with seeding chunk `cap` returns the reference's bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_SEED_CHUNK", cap)
+        ours = kmeanspp_init(points, k, seed, row_ids=row_ids)
+    ref = kmeanspp_init_reference(points, k, seed, row_ids=row_ids, chunk=cap)
+    assert ours.dtype == ref.dtype == np.float32
+    assert ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+class TestKmeansPlusPlusReference:
+    """The cached-cast seeding picks exactly what the per-pick reference
+    (tests/oracles.py) picks: the same rows from the same generator draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12), st.data())
+    def test_random_shapes_and_seeds(self, seed, n, dim, data):
+        k = data.draw(st.integers(1, n))
+        _same_seeds(_seeding_points(seed, n, dim), k, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 40), st.data())
+    def test_duplicate_rows_take_the_zero_total_branch(self, seed, distinct, n, data):
+        # more centroids than distinct rows: once each distinct row is picked, d2 is all zero
+        k = data.draw(st.integers(min(distinct + 1, n), n))
+        _same_seeds(_seeding_points(seed, n, 3, distinct=distinct), k, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 50), st.data())
+    def test_permuted_ingest_order_with_row_ids(self, seed, n, data):
+        points = _seeding_points(seed, n, 4)
+        ids = [f"clip{i:03d}" for i in range(n)]
+        perm = np.random.default_rng(seed).permutation(n)
+        k = data.draw(st.integers(1, n))
+        _same_seeds(points[perm], k, seed, row_ids=[ids[i] for i in perm])
+        cap = data.draw(st.integers(1, n))
+        _same_seeds(points[perm], k, seed, row_ids=[ids[i] for i in perm], cap=cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(2, 70), st.booleans(), st.data())
+    def test_rows_past_the_f64_cap(self, seed, cap, n, with_ids, data):
+        # a small cap makes both the cached f64 chunk and cast-per-pick chunks run
+        k = data.draw(st.integers(1, n))
+        ids = [f"r{i:03d}" for i in np.random.default_rng(seed).permutation(n)] if with_ids else None
+        _same_seeds(_seeding_points(seed, n, 5), k, seed, row_ids=ids, cap=cap)
+
+    @pytest.mark.parametrize("cap", [65536, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_raise(self, cap, bad):
+        # the reference raised (from rng.choice) on an infinite total only;
+        # a NaN total failed its `total > 0` test and drew uniformly
+        points = _seeding_points(1, 12, 3)
+        points[7, 1] = bad
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="finite"):
+            mp.setattr(clustering, "_SEED_CHUNK", cap)
+            kmeanspp_init(points, 2, seed=0)
+
+    @staticmethod
+    def _peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [100, 256, 300, 512, 700, 1500])
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_peak_memory_no_higher_than_reference(self, n, with_ids):
+        # the f64 copy takes the place of the reference's f32 canonical copy;
+        # a cap of 256 rows puts n = 100 and 256 below it, the rest above
+        cap, dim = 256, 48
+        points = _seeding_points(n, n, dim)
+        ids = [f"r{i:05d}" for i in np.random.default_rng(n).permutation(n)] if with_ids else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_SEED_CHUNK", cap)
+            ours = self._peak_bytes(lambda: kmeanspp_init(points, 6, seed=2, row_ids=ids))
+        ref = self._peak_bytes(lambda: kmeanspp_init_reference(points, 6, seed=2, row_ids=ids, chunk=cap))
+        assert ours <= ref, (ours, ref)
 
 
 class TestLloydStep:

@@ -65,6 +65,20 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             resolve_config("cluster", config_file=ini, env={})
 
+    @pytest.mark.parametrize(
+        "command,key,good,bad",
+        [
+            ("curate", "fraction", "3/20", "1/0"),
+            ("sample", "p_pure", "0.25", "x"),
+            ("sample", "mix", "1", "-"),
+            ("split", "ratios", "8:1:1", "7:2:x"),
+        ],
+    )
+    def test_fraction_and_ratio_values_are_checked_and_kept_as_written(self, command, key, good, bad):
+        assert resolve_config(command, flags={key: good}, env={})[key] == good
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(command, flags={key: bad}, env={})
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             resolve_config("cluster", config_file="/nonexistent.ini", env={})
@@ -127,12 +141,17 @@ class TestHelp:
         assert RunManifest(command="x", config={}).tool_version == __version__
 
 
-# one bad value per parser path: int, float, and the two closed choice sets
+# one bad value per parser path: int, float, the two closed choice sets,
+# the three fractions and the split ratios
 _BAD_VALUES = [
     (["curate", "--store", "s", "--tree", "t", "--out", "o"], "seed", "abc"),
     (["cluster", "--store", "s", "--out", "o"], "tol", "x"),
     (["curate", "--store", "s", "--tree", "t", "--out", "o"], "mode", "bogus"),
     (["report", "--reference"], "format", "html"),
+    (["curate", "--store", "s", "--tree", "t", "--out", "o"], "fraction", "abc"),
+    (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "p_pure", "x"),
+    (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "mix", "x"),
+    (["split", "--dataset", "d", "--videos", "v", "--out", "o"], "ratios", "7:2"),
 ]
 
 
@@ -142,7 +161,7 @@ class TestErrorContract:
     def test_bad_value_is_one_config_error_record_exit_2(self, tmp_path, origin, argv, key, value):
         env = {}
         if origin == "flag":
-            argv = [*argv, f"--{key}", value]
+            argv = [*argv, f"--{key.replace('_', '-')}", value]
         elif origin == "env":
             env = {f"SURGCURATE_{key.upper()}": value}
         else:
@@ -219,6 +238,23 @@ class TestErrorContract:
         assert result.exit_code == 1
         record = json.loads(result.output.strip().splitlines()[-1])
         assert record["error"] == "BadTreeFile"
+
+    def test_store_and_tree_dimension_mismatch_is_a_json_error_exit_1(self, tmp_path):
+        rng = np.random.default_rng(0)
+        ids = [f"c{i:02d}" for i in range(10)]
+        store = write_store(EmbeddingMatrix(rng.standard_normal((10, 5)).astype(np.float32), ids), tmp_path / "s.semb")
+        tree = build_hierarchy(EmbeddingMatrix(rng.standard_normal((10, 3)).astype(np.float32), ids), [4], seed=0)
+        tree.save(tmp_path / "t.sctree")
+        result = CliRunner().invoke(
+            main,
+            ["curate", "--store", str(store), "--tree", str(tmp_path / "t.sctree"), "--out", str(tmp_path / "c.jsonl")],
+            env={},
+        )
+        assert result.exit_code == 1
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == "DimensionMismatch"
+        assert "dimension 3" in record["message"] and "5" in record["message"]
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_report_with_mixed_domain_dataset(self, tmp_path):
         scores = tmp_path / "s.csv"

@@ -20,7 +20,8 @@ def as_fraction(value: Rational) -> Fraction:
 
     Floats are interpreted through their shortest decimal repr, so
     ``as_fraction(0.15) == Fraction(3, 20)`` rather than the binary float
-    expansion. Strings may be decimal ("0.15") or ratio ("3/20") literals.
+    expansion. Strings may be decimal ("0.15") or ratio ("3/20") literals;
+    a zero denominator ("1/0") is a ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -31,7 +32,10 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 

@@ -1,0 +1,72 @@
+"""Artifact I/O: the one path by which the package writes a file, and the
+one decoder for the JSON and plain-text inputs it reads.
+
+write_atomic streams chunks into a temporary file next to the target and
+then renames it over the target, so a reader sees the old file or the new
+one, never a torn one. The temporary file is created with mode 0o666 and
+the umask applies, as with open(). Writes are not fsynced: an artifact
+survives a killed process, not a power loss.
+
+read_json and iter_jsonl turn malformed input (bad JSON, text that is not
+UTF-8, a missing key, or a value of the wrong type or range) into the
+caller's typed error, with a message naming the file and line.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+#: What malformed input raises inside json.loads or a parse function.
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes | str]) -> Path:
+    """Write the chunks (bytes, or text encoded as UTF-8) to `path` as one
+    atomic replacement. If anything raises, including the chunk iterator,
+    the target keeps its old bytes and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], T]) -> T:
+    """parse(document) for a UTF-8 JSON file; malformed input, or `error`
+    raised by parse, raises `error` naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_bytes().decode("utf-8")))
+    except (error, *_MALFORMED) as exc:
+        raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def iter_jsonl(path: str | Path, error: type[Exception], parse: Callable[[Any], T]) -> Iterator[T]:
+    """parse(document) for every non-blank line of a UTF-8 JSON-lines file;
+    malformed input, or `error` raised by parse, raises `error` naming
+    path:line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                value = parse(json.loads(line.decode("utf-8")))
+            except (error, *_MALFORMED) as exc:
+                raise error(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+            yield value
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The stripped, non-blank lines of a UTF-8 text file: one id per line."""
+    return [ln.strip() for ln in Path(path).read_text("utf-8").splitlines() if ln.strip()]

@@ -22,6 +22,7 @@ import click
 
 from . import __version__
 from .apportion import as_fraction, format_points
+from .artifact import read_json, read_lines, write_atomic
 from .clustering import ClusteringError, ClusterTree, build_hierarchy
 from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
@@ -76,6 +77,7 @@ _OPERATIONAL_ERRORS = (
     SplitError,
     MetricsError,
     ValueError,
+    OSError,
 )
 
 
@@ -272,9 +274,9 @@ def sample(cfg, unlabeled, clinical, out):
     return Provenance(out, [unlabeled_file, clinical_file], {"sample": stage_seed})
 
 
-def _load_external_assignment(path: Path) -> dict[str, Split]:
-    doc = json.loads(path.read_text("utf-8"))
-    return {vid: Split(split) for vid, split in doc.items()}
+def _read_video_map(path: Path, value) -> dict:
+    """A JSON object mapping video id to value(v); SplitError when malformed."""
+    return read_json(path, SplitError, lambda doc: {vid: value(v) for vid, v in doc.items()})
 
 
 @_command(main, "split", ("seed",), cls=click.Group, invoke_without_command=True)
@@ -298,12 +300,12 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
     if tier is not SplitTier.OURS:
         path = _require(official if tier is SplitTier.OFFICIAL else community, f"{tier.value.lower()} split")
         inputs.append(path)
-        manifest = make_manifest(dataset, _load_external_assignment(path), tier, created_at=created_at)
+        manifest = make_manifest(dataset, _read_video_map(path, Split), tier, created_at=created_at)
     else:
         if videos is not None:
             video_file = _require(videos, "video list")
             inputs.append(video_file)
-            video_ids = [ln.strip() for ln in video_file.read_text("utf-8").splitlines() if ln.strip()]
+            video_ids = read_lines(video_file)
         elif corpus_path is not None:
             corpus_file = _require(corpus_path, "corpus manifest")
             inputs.append(corpus_file)
@@ -315,7 +317,7 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
         if stratify_by is not None:
             strata_file = _require(stratify_by, "strata map")
             inputs.append(strata_file)
-            strata = json.loads(strata_file.read_text("utf-8"))
+            strata = _read_video_map(strata_file, str)
         stage_seed = derive_seed(cfg["seed"], f"split-{dataset}")
         manifest = generate_split_manifest(
             dataset,
@@ -363,7 +365,7 @@ def split_verify(_cfg, manifest_path, corpus_path):
 @click.option("--dataset", type=str, required=True, help="Dataset id for the emitted score row.")
 @click.option("--model", type=str, required=True, help="Model id for the emitted score row.")
 @click.option("--variant", type=str, default=None, help="Variant tag (e.g. P1/P2).")
-@click.option("--out", type=click.Path(), default=None, help="Write a scores CSV row here.")
+@click.option("--out", type=click.Path(), default=None, help="Write a scores CSV (header and this row) here.")
 def evaluate(cfg, predictions, dataset, model, variant, out):
     """Score a predictions file (Acc@1) and optionally emit a scores row."""
     pred_file = _require(predictions, "predictions file")
@@ -372,11 +374,7 @@ def evaluate(cfg, predictions, dataset, model, variant, out):
     click.echo(f"{dataset}/{model}" + (f"/{variant}" if variant else "") + f": Acc@1 {format_points(acc)} ({len(records)} samples)")
     if not out:
         return None
-    header_needed = not Path(out).exists()
-    with open(out, "a", encoding="utf-8", newline="") as fh:
-        if header_needed:
-            fh.write("dataset,model,variant,acc\n")
-        fh.write(f"{dataset},{model},{variant or ''},{format_points(acc)}\n")
+    write_atomic(out, [f"dataset,model,variant,acc\n{dataset},{model},{variant or ''},{format_points(acc)}\n"])
     return Provenance(out, [pred_file])
 
 
@@ -402,7 +400,7 @@ def report(cfg, scores_paths, domain_map_path, reference, out):
     if not out:
         click.echo(text, nl=False)
         return None
-    Path(out).write_text(text, encoding="utf-8")
+    write_atomic(out, [text])
     click.echo(f"report -> {out}")
     return Provenance(out, inputs)
 
@@ -424,7 +422,7 @@ def stats(cfg, corpus_path, out):
     if not out:
         click.echo(text, nl=False)
         return None
-    Path(out).write_text(text, encoding="utf-8")
+    write_atomic(out, [text])
     click.echo(f"stats -> {out}")
     return Provenance(out, [corpus_file])
 

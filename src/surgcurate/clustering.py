@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import write_atomic
 from .seeding import derive_seed
 from .store import EmbeddingMatrix
 
@@ -249,6 +250,8 @@ def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -
     for s, e in spans:
         xb = rows64(s, e)
         x2[s:e] = np.einsum("ij,ij->i", xb, xb)
+    if not np.isfinite(x2).all():
+        raise ValueError("K-means++ needs finite points; a squared row norm is not finite")
 
     def min_update(row: int) -> None:
         """d2 <- min(d2, squared distance to canonical row `row`)."""
@@ -265,8 +268,6 @@ def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -
     d2[chosen[0]] = 0.0
     for j in range(1, k):
         total = float(d2.sum())
-        if not math.isfinite(total):
-            raise ValueError(f"K-means++ distances sum to {total}; the points must be finite")
         if total > 0.0:
             # the draw rng.choice(n, p=d2 / total) makes, from the same single double
             cdf = np.cumsum(d2 / total)
@@ -414,9 +415,7 @@ class ClusterTree:
         return self.to_bytes()[-32:].hex()
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_bytes(self.to_bytes())
-        return path
+        return write_atomic(path, [self.to_bytes()])
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ClusterTree":
@@ -450,6 +449,9 @@ class ClusterTree:
         centroid_mats = []
         for _ in range(n_levels):
             rows, dim = u64(), u64()
+            # a written level has no more rows than u32 assignments beneath it, and rows * dim * 4 bytes
+            if max(rows, dim) * 4 > len(body):
+                raise BadTreeFile(f"level {len(centroid_mats)}: {rows}x{dim} centroids cannot fit a {len(body)}-byte body")
             mat = np.frombuffer(body, dtype="<f4", count=rows * dim, offset=take(rows * dim * 4))
             centroid_mats.append(mat.reshape(rows, dim).copy())
         assigns = []

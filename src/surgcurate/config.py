@@ -122,7 +122,7 @@ def _coerce(option: Option, raw: Any, origin: str) -> Any:
         return raw  # --x/--no-x flags arrive as bools
     try:
         value = _PARSERS[option.kind](raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad value for {option.name!r}: {exc}") from exc
     if option.choices and value not in option.choices:
         raise ConfigError(f"{origin}: bad value for {option.name!r}: {raw!r} is not one of {', '.join(option.choices)}")

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .apportion import as_fraction, round_half_away_from_zero
+from .artifact import iter_jsonl, read_json, write_atomic
 
 
 class CorpusError(Exception):
@@ -142,17 +143,12 @@ class DomainMap:
 
     @classmethod
     def default(cls) -> "DomainMap":
-        text = resources.files("surgcurate.data").joinpath("domain_map.json").read_text("utf-8")
-        return cls.from_json_text(text)
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "DomainMap":
-        doc = json.loads(text)
-        return cls(doc["datasets"])
+        return cls.from_file(resources.files("surgcurate.data").joinpath("domain_map.json"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DomainMap":
-        return cls.from_json_text(Path(path).read_text("utf-8"))
+        """A {"datasets": {dataset id: domain}} JSON file; CorpusError when malformed."""
+        return read_json(path, CorpusError, lambda doc: cls(doc["datasets"]))
 
     def __contains__(self, dataset_id: str) -> bool:
         return normalize_dataset_id(dataset_id) in self._table
@@ -467,21 +463,8 @@ def record_from_json(doc: Mapping) -> Record:
 
 
 def read_corpus_manifest(path: str | Path) -> list[Record]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestParseError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            records.append(record_from_json(doc))
-    return records
+    return list(iter_jsonl(path, ManifestParseError, record_from_json))
 
 
 def write_corpus_manifest(records: Iterable[Record], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_json(rec), sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(record_to_json(rec), sort_keys=True) + "\n" for rec in records))

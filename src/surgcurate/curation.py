@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
+from .artifact import iter_jsonl, read_lines, write_atomic
 from .clustering import ClusterTree, DimensionMismatch
 from .store import EmbeddingMatrix
 
@@ -72,7 +73,6 @@ class CuratedSet:
         return len(self.selected)
 
     def to_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
         header = {
             "kind": "header",
             "total_budget": self.plan.total_budget,
@@ -80,38 +80,27 @@ class CuratedSet:
             "mode": self.plan.mode,
             "tree_fingerprint": self.tree_fingerprint,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+
+        def lines():
+            yield json.dumps(header, sort_keys=True) + "\n"
             for cid in self.selected:
                 rec = self.provenance[cid]
-                fh.write(
-                    json.dumps(
-                        {"clip_id": rec.clip_id, "leaf": rec.leaf, "rank": rec.rank, "distance": rec.distance},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        return path
+                yield json.dumps(
+                    {"clip_id": rec.clip_id, "leaf": rec.leaf, "rank": rec.rank, "distance": rec.distance},
+                    sort_keys=True,
+                ) + "\n"
 
-    @classmethod
-    def read_ids(cls, path: str | Path) -> list[str]:
-        ids = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                doc = json.loads(line)
-                if doc.get("kind") == "header":
-                    continue
-                ids.append(doc["clip_id"])
-        return ids
+        return write_atomic(path, lines())
 
 
 def read_pool_ids(path: str | Path) -> list[str]:
-    """Clip ids from a curated JSON-lines file or a plain one-per-line list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first.startswith("{"):
-        return CuratedSet.read_ids(path)
-    return [ln.strip() for ln in Path(path).read_text("utf-8").splitlines() if ln.strip()]
+    """Clip ids from a curated JSON-lines file or a plain one-per-line list;
+    CurationError for a curated line that is malformed."""
+    ids = read_lines(path)
+    if not ids or not ids[0].startswith("{"):
+        return ids
+    curated = iter_jsonl(path, CurationError, lambda doc: None if doc.get("kind") == "header" else doc["clip_id"])
+    return [cid for cid in curated if cid is not None]
 
 
 def allocate_budget(tree: ClusterTree, fraction, mode: str = "equal") -> BudgetPlan:

@@ -16,6 +16,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .artifact import read_json, write_atomic
+
+
+class RunManifestError(Exception):
+    """A run manifest file could not be decoded."""
 
 
 def fingerprint_file(path: str | Path) -> str:
@@ -59,14 +64,11 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json_text() + "\n", encoding="utf-8")
-        return path
+        return write_atomic(path, [self.to_json_text() + "\n"])
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        doc = json.loads(Path(path).read_text("utf-8"))
-        return cls(**doc)
+        return read_json(path, RunManifestError, lambda doc: cls(**doc))
 
 
 def manifest_path_for(output: str | Path) -> Path:

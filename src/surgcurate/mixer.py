@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .apportion import as_fraction, largest_remainder
+from .artifact import write_atomic
 from .seeding import derive_seed
 
 
@@ -200,7 +201,6 @@ def write_batch_manifest(
 ) -> Path:
     """Materialize a stream as JSON-lines: a header with the policy and
     seed, then one line per batch."""
-    path = Path(path)
     header = {
         "kind": "header",
         "policy": policy.to_json(),
@@ -208,15 +208,11 @@ def write_batch_manifest(
         "interleave": interleave,
         "expected_clinical_fraction": str(expected_clinical_fraction(policy)),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+
+    def lines():
+        yield json.dumps(header, sort_keys=True) + "\n"
         stream = sample_stream(unlabeled_pool, clinical_pool, policy, n_batches, interleave=interleave)
         for index, (spec, clip_ids) in enumerate(stream):
-            fh.write(
-                json.dumps(
-                    {"index": index, "mode": spec.mode.value, "clip_ids": clip_ids},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    return path
+            yield json.dumps({"index": index, "mode": spec.mode.value, "clip_ids": clip_ids}, sort_keys=True) + "\n"
+
+    return write_atomic(path, lines())

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .apportion import as_fraction, largest_remainder
+from .artifact import read_json, write_atomic
 from .corpus import ClipRecord, CorpusIndex
 from .manifest import utc_now
 from .seeding import derive_seed
@@ -171,13 +172,10 @@ class SplitManifest:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json_text() + "\n", encoding="utf-8")
-        return path
+        return write_atomic(path, [self.to_json_text() + "\n"])
 
     @classmethod
-    def from_json_text(cls, text: str) -> "SplitManifest":
-        doc = json.loads(text)
+    def from_json(cls, doc: Mapping) -> "SplitManifest":
         assignment = {vid: Split(s) for vid, s in doc["assignment"].items()}
         manifest = cls(
             dataset_id=doc["dataset_id"],
@@ -197,7 +195,8 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
-        return cls.from_json_text(Path(path).read_text("utf-8"))
+        """Read and check a manifest; SplitError when malformed or tampered with."""
+        return read_json(path, SplitError, cls.from_json)
 
 
 def make_manifest(

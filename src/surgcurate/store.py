@@ -16,14 +16,18 @@ produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifact import read_lines, write_atomic
+
 MAGIC = b"SURGEMB1"
 CHECKSUM_BYTES = 32
 DEFAULT_DIM = 768
+_MAX_AXIS = np.iinfo(np.intp).max // 4  # the longest f32 axis numpy can shape
 
 
 class StoreError(Exception):
@@ -103,25 +107,18 @@ class EmbeddingMatrix:
 def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
     """Serialize a validated matrix; byte-identical for identical input."""
     matrix.validate_finite()
-    path = Path(path)
-    hasher = hashlib.sha256()
-    with open(path, "wb") as fh:
 
-        def put(chunk: bytes) -> None:
+    def chunks():
+        """Header, payload, then one chunk per id; the checksum is taken as they stream."""
+        hasher = hashlib.sha256()
+        header = MAGIC + matrix.n_rows.to_bytes(8, "little") + matrix.dim.to_bytes(8, "little")
+        ids = (len(raw).to_bytes(4, "little") + raw for raw in (rid.encode("utf-8") for rid in matrix.row_ids))
+        for chunk in itertools.chain([header, matrix.data.astype("<f4", copy=False).tobytes(order="C")], ids):
             hasher.update(chunk)
-            fh.write(chunk)
+            yield chunk
+        yield hasher.digest()
 
-        put(MAGIC)
-        put(matrix.n_rows.to_bytes(8, "little"))
-        put(matrix.dim.to_bytes(8, "little"))
-        payload = matrix.data.astype("<f4", copy=False)
-        put(payload.tobytes(order="C"))
-        for rid in matrix.row_ids:
-            raw = rid.encode("utf-8")
-            put(len(raw).to_bytes(4, "little"))
-            put(raw)
-        fh.write(hasher.digest())
-    return path
+    return write_atomic(path, chunks())
 
 
 def read_store(path: str | Path) -> EmbeddingMatrix:
@@ -142,6 +139,9 @@ def read_store(path: str | Path) -> EmbeddingMatrix:
 
     if hashlib.sha256(body).digest() != checksum:
         raise ChecksumMismatch(f"{path}: checksum does not match file contents")
+    # every row has a 4-byte id length; a store without rows may claim any dim numpy can shape
+    if len(body) < offset + payload_len + 4 * n_rows or dim > _MAX_AXIS:
+        raise SizeMismatch(f"{path}: header claims {n_rows} rows of dim {dim}, more than the file holds")
 
     data = np.frombuffer(body, dtype="<f4", count=n_rows * dim, offset=offset)
     data = data.reshape(n_rows, dim).copy()
@@ -202,7 +202,7 @@ def ingest_raw_blobs(
             raise SizeMismatch(f"{p}: size {len(raw)} is not a multiple of {4 * dim}")
         parts.append(np.frombuffer(raw, dtype="<f4").reshape(-1, dim))
     data = np.vstack(parts)
-    row_ids = [ln.strip() for ln in Path(id_file).read_text("utf-8").splitlines() if ln.strip()]
+    row_ids = read_lines(id_file)
     if len(row_ids) != data.shape[0]:
         raise SizeMismatch(f"{len(row_ids)} ids for {data.shape[0]} embedding rows")
     matrix = EmbeddingMatrix(data, row_ids)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import write_atomic
 from .corpus import ClipRecord, Domain, Record, SourceStream, VideoRecord, write_corpus_manifest
 from .store import EmbeddingMatrix, write_store
 
@@ -213,15 +214,14 @@ def write_fixture_corpus(
     }
     write_corpus_manifest(fixture.records, paths["corpus"])
     write_store(fixture.embeddings, paths["store"])
-    paths["clinical_ids"].write_text("\n".join(fixture.clinical_clip_ids) + "\n", encoding="utf-8")
+    write_atomic(paths["clinical_ids"], ["\n".join(fixture.clinical_clip_ids) + "\n"])
     if raw_blobs:
         blob_dir = out_dir / "raw_blobs"
         blob_dir.mkdir(exist_ok=True)
         half = fixture.embeddings.n_rows // 2
-        (blob_dir / "part0.f32").write_bytes(fixture.embeddings.data[:half].astype("<f4").tobytes())
-        (blob_dir / "part1.f32").write_bytes(fixture.embeddings.data[half:].astype("<f4").tobytes())
-        ids_path = out_dir / "raw_ids.txt"
-        ids_path.write_text("\n".join(fixture.embeddings.row_ids) + "\n", encoding="utf-8")
+        write_atomic(blob_dir / "part0.f32", [fixture.embeddings.data[:half].astype("<f4").tobytes()])
+        write_atomic(blob_dir / "part1.f32", [fixture.embeddings.data[half:].astype("<f4").tobytes()])
+        ids_path = write_atomic(out_dir / "raw_ids.txt", ["\n".join(fixture.embeddings.row_ids) + "\n"])
         paths["raw_blobs"] = blob_dir
         paths["raw_ids"] = ids_path
     return paths

@@ -24,6 +24,8 @@ class TestAsFraction:
     def test_strings(self):
         assert as_fraction("0.10") == Fraction(1, 10)
         assert as_fraction("3/20") == Fraction(3, 20)
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction("1/0")
 
     def test_rejects_bool(self):
         with pytest.raises(TypeError):

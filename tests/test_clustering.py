@@ -121,12 +121,17 @@ class TestKmeansPlusPlusReference:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_raise(self, cap, bad):
         # the reference raised (from rng.choice) on an infinite total only;
-        # a NaN total failed its `total > 0` test and drew uniformly
+        # a NaN total failed its `total > 0` test and drew uniformly, and
+        # k = 1 makes no draw at all
         points = _seeding_points(1, 12, 3)
         points[7, 1] = bad
-        with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="finite"):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_SEED_CHUNK", cap)
-            kmeanspp_init(points, 2, seed=0)
+            for k in (1, 2):
+                with pytest.raises(ValueError, match="finite"):
+                    kmeanspp_init(points, k, seed=0)
+            with pytest.raises(ValueError, match="finite"):
+                kmeans(points, 1, seed=0)
 
     @staticmethod
     def _peak_bytes(fn) -> int:

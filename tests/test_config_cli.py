@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -10,7 +12,7 @@ from surgcurate import __version__
 from surgcurate.cli import main
 from surgcurate.clustering import TREE_MAGIC, build_hierarchy
 from surgcurate.config import ConfigError, SCHEMAS, resolve_config
-from surgcurate.manifest import RunManifest
+from surgcurate.manifest import RunManifest, manifest_path_for
 from surgcurate.splits import SplitManifest
 from surgcurate.store import EmbeddingMatrix, write_store
 from surgcurate.synthetic import write_fixture_corpus
@@ -155,7 +157,93 @@ _BAD_VALUES = [
 ]
 
 
+_GOOD_VIDEO = {
+    "kind": "video", "video_id": "v1", "source": "PublicClinical", "dataset_id": "cholec80",
+    "domain": "Laparoscopy", "frame_count": 30, "fps": 30, "duration_s": 1.0,
+}
+
+#: case -> (files staged in the working directory, argv, the typed error, text its message names)
+_MALFORMED_INPUTS = {
+    "curated-line-without-clip-id": (
+        {"pool.jsonl": '{"kind": "header"}\n{"leaf": 0}\n'},
+        ["sample", "--unlabeled", "pool.jsonl", "--clinical", "pool.jsonl", "--out", "b.jsonl"],
+        "CurationError", "pool.jsonl:2",
+    ),
+    "split-manifest-without-assignment": (
+        {"m.json": '{"dataset_id": "d", "tier": "Ours", "version": "", "created_at": ""}', "c.jsonl": ""},
+        ["split", "verify", "--manifest", "m.json", "--corpus", "c.jsonl"],
+        "SplitError", "m.json",
+    ),
+    "split-manifest-is-a-list": (
+        {"m.json": "[]", "c.jsonl": ""},
+        ["split", "verify", "--manifest", "m.json", "--corpus", "c.jsonl"],
+        "SplitError", "m.json",
+    ),
+    "official-split-is-a-list": (
+        {"o.json": '["v1"]'},
+        ["split", "--dataset", "d", "--official", "o.json", "--out", "m.json"],
+        "SplitError", "o.json",
+    ),
+    "strata-map-is-a-list": (
+        {"v.txt": "v1\nv2\nv3\n", "s.json": '["v1"]'},
+        ["split", "--dataset", "d", "--videos", "v.txt", "--stratify-by", "s.json", "--out", "m.json"],
+        "SplitError", "s.json",
+    ),
+    "domain-map-without-datasets": (
+        {"dm.json": '{"domains": {}}'},
+        ["report", "--reference", "--domain-map", "dm.json"],
+        "CorpusError", "dm.json",
+    ),
+    "corpus-fps-zero-denominator": (
+        {"c.jsonl": json.dumps({**_GOOD_VIDEO, "fps": "1/0"})},
+        ["stats", "--corpus", "c.jsonl"],
+        "ManifestParseError", "c.jsonl:1",
+    ),
+    "stats-out-in-missing-dir": (
+        {"c.jsonl": json.dumps(_GOOD_VIDEO)},
+        ["stats", "--corpus", "c.jsonl", "--out", "nodir/x.md"],
+        "FileNotFoundError", "nodir",
+    ),
+    "evaluate-out-in-missing-dir": (
+        {"p.csv": "sample_id,predicted,label\ns1,x,x\n"},
+        ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m", "--out", "nodir/x.csv"],
+        "FileNotFoundError", "nodir",
+    ),
+}
+
+
 class TestErrorContract:
+    @pytest.mark.parametrize("case", _MALFORMED_INPUTS)
+    def test_malformed_input_is_one_typed_error_record_exit_1(self, tmp_path, monkeypatch, case):
+        files, argv, error, where = _MALFORMED_INPUTS[case]
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, argv, env={})
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == error
+        assert where in record["message"]
+
+    def test_failed_sample_keeps_the_old_output(self, tmp_path):
+        pool = tmp_path / "pool.txt"
+        pool.write_text("a\nb\nc\n", encoding="utf-8")
+        (tmp_path / "empty.txt").write_text("\n", encoding="utf-8")
+        out = tmp_path / "batches.jsonl"
+        argv = ["sample", "--unlabeled", str(pool), "--batch", "2", "--n", "3", "--out", str(out), "--clinical"]
+        umask = os.umask(0o022)
+        try:
+            assert CliRunner().invoke(main, [*argv, str(pool)], env={}).exit_code == 0
+            before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            result = CliRunner().invoke(main, [*argv, str(tmp_path / "empty.txt")], env={})
+        finally:
+            os.umask(umask)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "EmptyPool"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # same bytes, no temp file
+        assert {stat.S_IMODE(p.stat().st_mode) for p in (out, manifest_path_for(out))} == {0o644}
+
     @pytest.mark.parametrize("origin", ["flag", "env", "ini"])
     @pytest.mark.parametrize("argv,key,value", _BAD_VALUES, ids=[key for _, key, _ in _BAD_VALUES])
     def test_bad_value_is_one_config_error_record_exit_2(self, tmp_path, origin, argv, key, value):

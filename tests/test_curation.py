@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from surgcurate.clustering import ClusterModel, ClusterTree, build_hierarchy
 from surgcurate.curation import (
-    CuratedSet,
     FractionOutOfRange,
     QuotaExceedsMembers,
     allocate_budget,
@@ -200,7 +199,6 @@ class TestCurate:
         p1 = curated.to_jsonl(tmp_path / "a.jsonl")
         p2 = curate(tree, matrix, Fraction(1, 4)).to_jsonl(tmp_path / "b.jsonl")
         assert p1.read_bytes() == p2.read_bytes()
-        assert CuratedSet.read_ids(p1) == curated.selected
         assert read_pool_ids(p1) == curated.selected
         plain = tmp_path / "ids.txt"
         plain.write_text("\n".join(curated.selected) + "\n", encoding="utf-8")

@@ -67,6 +67,14 @@ def iter_jsonl(path: str | Path, error: type[Exception], parse: Callable[[Any], 
             yield value
 
 
+def text_field(doc: Any, key: str, error: type[Exception]) -> str:
+    """doc[key] when it is a string; `error` naming the key otherwise."""
+    value = doc[key]
+    if not isinstance(value, str):
+        raise error(f"{key} must be a string, got {type(value).__name__} {value!r}")
+    return value
+
+
 def read_lines(path: str | Path) -> list[str]:
     """The stripped, non-blank lines of a UTF-8 text file: one id per line."""
     return [ln.strip() for ln in Path(path).read_text("utf-8").splitlines() if ln.strip()]

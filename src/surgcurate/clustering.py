@@ -13,8 +13,9 @@ Design constraints that shape this module:
   available, so ingest order cannot change which points seed the run;
 * seeding casts each level's rows to f64 and takes their squared norms
   once, so a pick costs one matrix-vector product and one draw; the f64
-  copy holds at most 65,536 rows (one seeding chunk), and rows past it
-  are cast again on every pick.
+  copy (the seeding head) holds at most 65,536 rows (one seeding chunk),
+  is filled in store.ROW_BLOCK-row blocks so no f32 copy of it is built
+  on the way, and rows past it are cast again on every pick.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .artifact import write_atomic
 from .seeding import derive_seed
-from .store import EmbeddingMatrix
+from .store import EmbeddingMatrix, row_blocks
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -236,7 +237,9 @@ def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -
         canon = np.arange(n)
 
     spans = _chunks(n, _SEED_CHUNK)
-    head = X[canon[:_SEED_CHUNK]].astype(np.float64)
+    head = np.empty((min(n, _SEED_CHUNK), X.shape[1]), dtype=np.float64)
+    for s, e in row_blocks(len(head)):
+        head[s:e] = X[canon[s:e]]
     tail = np.empty((min(n - len(head), _SEED_CHUNK), X.shape[1]), dtype=np.float64)
 
     def rows64(s: int, e: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .apportion import as_fraction, round_half_away_from_zero
-from .artifact import iter_jsonl, read_json, write_atomic
+from .artifact import iter_jsonl, read_json, text_field, write_atomic
 
 
 class CorpusError(Exception):
@@ -440,9 +440,9 @@ def record_from_json(doc: Mapping) -> Record:
         kind = doc["kind"]
         if kind == "video":
             return VideoRecord(
-                video_id=doc["video_id"],
+                video_id=text_field(doc, "video_id", ManifestParseError),
                 source=SourceStream(doc["source"]),
-                dataset_id=doc["dataset_id"],
+                dataset_id=text_field(doc, "dataset_id", ManifestParseError),
                 domain=Domain(doc["domain"]),
                 frame_count=int(doc["frame_count"]),
                 fps=_fps_from_json(doc["fps"]),
@@ -451,8 +451,8 @@ def record_from_json(doc: Mapping) -> Record:
         if kind == "clip":
             row = doc.get("embedding_row")
             return ClipRecord(
-                clip_id=doc["clip_id"],
-                video_id=doc["video_id"],
+                clip_id=text_field(doc, "clip_id", ManifestParseError),
+                video_id=text_field(doc, "video_id", ManifestParseError),
                 start_frame=int(doc["start_frame"]),
                 end_frame=int(doc["end_frame"]),
                 embedding_row=None if row is None else int(row),

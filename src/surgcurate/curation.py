@@ -19,9 +19,9 @@ from typing import Iterable
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
-from .artifact import iter_jsonl, read_lines, write_atomic
+from .artifact import iter_jsonl, read_lines, text_field, write_atomic
 from .clustering import ClusterTree, DimensionMismatch
-from .store import EmbeddingMatrix
+from .store import EmbeddingMatrix, row_blocks
 
 
 class CurationError(Exception):
@@ -99,7 +99,9 @@ def read_pool_ids(path: str | Path) -> list[str]:
     ids = read_lines(path)
     if not ids or not ids[0].startswith("{"):
         return ids
-    curated = iter_jsonl(path, CurationError, lambda doc: None if doc.get("kind") == "header" else doc["clip_id"])
+    curated = iter_jsonl(
+        path, CurationError, lambda doc: None if doc.get("kind") == "header" else text_field(doc, "clip_id", CurationError)
+    )
     return [cid for cid in curated if cid is not None]
 
 
@@ -155,17 +157,31 @@ def select_nearest(points: EmbeddingMatrix, leaf_centroid, member_ids: Iterable[
 
 def _select_leaf(points: EmbeddingMatrix, centroid, member_rows: np.ndarray, quota: int) -> list[tuple[str, float]]:
     """The select_nearest rule over store rows: (clip_id, squared distance)
-    pairs sorted by (distance, clip_id), linear in the leaf size."""
+    pairs sorted by (distance, clip_id), linear in the leaf size. Members
+    are cast to f64 one row block at a time."""
     if quota == 0:
         return []
     ids = np.asarray([points.row_ids[r] for r in member_rows])
     c = np.asarray(centroid, dtype=np.float64)
-    diff = points.data[member_rows].astype(np.float64) - c[None, :]
-    dists = np.einsum("ij,ij->i", diff, diff)
+
+    def ranked(rows: np.ndarray) -> np.ndarray:
+        """Ranking distances of one row block; its f64 copy dies on return."""
+        diff = points.data[rows].astype(np.float64)
+        diff -= c
+        return np.einsum("ij,ij->i", diff, diff)
+
+    dists = np.empty(len(member_rows), dtype=np.float64)
+    for s, e in row_blocks(len(member_rows)):
+        dists[s:e] = ranked(member_rows[s:e])
     order = np.lexsort((ids, dists))  # distance first, then clip id
-    # the recorded distance is the 1-D dot product, which can differ from the
-    # einsum ranking value in the last ulp; curated.jsonl carries this one
-    return [(str(ids[i]), float(diff[i] @ diff[i])) for i in order[:quota]]
+
+    def recorded(i: int) -> float:
+        # the recorded distance is the 1-D dot product, which can differ from the
+        # einsum ranking value in the last ulp; curated.jsonl carries this one
+        d = points.data[member_rows[i]].astype(np.float64) - c
+        return float(d @ d)
+
+    return [(str(ids[i]), recorded(i)) for i in order[:quota]]
 
 
 def curate(

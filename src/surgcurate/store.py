@@ -11,23 +11,41 @@ File layout (all integers little-endian):
 
 Stores are write-once and then shared read-only. Identical matrices
 produce byte-identical files.
+
+Reading, ingesting and normalising hold one f32 copy of the payload plus
+bounded temporaries: files are read straight into the one array, and
+whole-matrix passes walk the rows in blocks of ROW_BLOCK rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .artifact import read_lines, write_atomic
 
 MAGIC = b"SURGEMB1"
+HEADER_BYTES = len(MAGIC) + 16
 CHECKSUM_BYTES = 32
 DEFAULT_DIM = 768
 _MAX_AXIS = np.iinfo(np.intp).max // 4  # the longest f32 axis numpy can shape
+_READ_BLOCK = 1 << 22  # bytes hashed per payload read
+#: Rows per block of a whole-matrix pass (1.5 MiB of f64 at d = 768). Kept
+#: small: freeing much larger blocks raises glibc's mmap threshold, after
+#: which other large temporaries stay resident in the heap.
+ROW_BLOCK = 256
+
+
+def row_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """(start, end) spans of ROW_BLOCK rows covering range(n), in order."""
+    for s in range(0, n, ROW_BLOCK):
+        yield s, min(s + ROW_BLOCK, n)
 
 
 class StoreError(Exception):
@@ -95,10 +113,11 @@ class EmbeddingMatrix:
         return int(self.data.shape[1])
 
     def validate_finite(self) -> None:
-        bad = ~np.isfinite(self.data).all(axis=1)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise NonFiniteValue(row, self.row_ids[row])
+        for s, e in row_blocks(self.n_rows):
+            bad = ~np.isfinite(self.data[s:e]).all(axis=1)
+            if bad.any():
+                row = s + int(np.argmax(bad))
+                raise NonFiniteValue(row, self.row_ids[row])
 
     def row_index(self) -> dict[str, int]:
         return {rid: i for i, rid in enumerate(self.row_ids)}
@@ -113,7 +132,8 @@ def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
         hasher = hashlib.sha256()
         header = MAGIC + matrix.n_rows.to_bytes(8, "little") + matrix.dim.to_bytes(8, "little")
         ids = (len(raw).to_bytes(4, "little") + raw for raw in (rid.encode("utf-8") for rid in matrix.row_ids))
-        for chunk in itertools.chain([header, matrix.data.astype("<f4", copy=False).tobytes(order="C")], ids):
+        payload = np.ascontiguousarray(matrix.data, dtype="<f4").reshape(-1).view(np.uint8)
+        for chunk in itertools.chain([header, payload], ids):
             hasher.update(chunk)
             yield chunk
         yield hasher.digest()
@@ -122,64 +142,90 @@ def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
 
 
 def read_store(path: str | Path) -> EmbeddingMatrix:
-    """Parse and fully validate a store file (magic, sizes, checksum, finiteness)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 16 + CHECKSUM_BYTES:
-        raise SizeMismatch(f"{path}: file shorter than the fixed header")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
+    """Parse and fully validate a store file (magic, sizes, checksum, finiteness).
 
-    body, checksum = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
-    n_rows = int.from_bytes(body[8:16], "little")
-    dim = int.from_bytes(body[16:24], "little")
-    payload_len = n_rows * dim * 4
-    offset = 24
-    if len(body) < offset + payload_len:
-        raise SizeMismatch(f"{path}: payload truncated ({len(body) - offset} of {payload_len} bytes)")
+    The payload is read once, straight into the returned array, and hashed
+    block by block as it lands; the bytes hashed are the bytes used.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < HEADER_BYTES + CHECKSUM_BYTES:
+            raise SizeMismatch(f"{path}: file shorter than the fixed header")
+        header = _read_exact(fh, HEADER_BYTES, path)
+        if header[: len(MAGIC)] != MAGIC:
+            raise BadMagic(f"{path}: bad magic {header[:len(MAGIC)]!r}")
 
-    if hashlib.sha256(body).digest() != checksum:
-        raise ChecksumMismatch(f"{path}: checksum does not match file contents")
+        n_rows = int.from_bytes(header[8:16], "little")
+        dim = int.from_bytes(header[16:24], "little")
+        payload_len = n_rows * dim * 4
+        table_len = size - HEADER_BYTES - payload_len - CHECKSUM_BYTES
+        if table_len < 0:
+            raise SizeMismatch(f"{path}: payload truncated ({table_len + payload_len} of {payload_len} bytes)")
+
+        hasher = hashlib.sha256(header)
+        flat = np.empty(n_rows * dim, dtype="<f4")  # bounded by the file size, checked above
+        raw = flat.view(np.uint8)
+        for s in range(0, payload_len, _READ_BLOCK):
+            block = raw[s : s + _READ_BLOCK]
+            if fh.readinto(block) != len(block):
+                raise SizeMismatch(f"{path}: payload ended early")
+            hasher.update(block)
+        table = _read_exact(fh, table_len, path)
+        hasher.update(table)
+        if hasher.digest() != _read_exact(fh, CHECKSUM_BYTES, path):
+            raise ChecksumMismatch(f"{path}: checksum does not match file contents")
     # every row has a 4-byte id length; a store without rows may claim any dim numpy can shape
-    if len(body) < offset + payload_len + 4 * n_rows or dim > _MAX_AXIS:
+    if len(table) < 4 * n_rows or dim > _MAX_AXIS:
         raise SizeMismatch(f"{path}: header claims {n_rows} rows of dim {dim}, more than the file holds")
-
-    data = np.frombuffer(body, dtype="<f4", count=n_rows * dim, offset=offset)
-    data = data.reshape(n_rows, dim).copy()
-    offset += payload_len
+    data = flat.reshape(n_rows, dim)
 
     row_ids: list[str] = []
+    offset = 0
     for _ in range(n_rows):
-        if len(body) < offset + 4:
+        if len(table) < offset + 4:
             raise SizeMismatch(f"{path}: id table truncated")
-        length = int.from_bytes(body[offset : offset + 4], "little")
+        length = int.from_bytes(table[offset : offset + 4], "little")
         offset += 4
-        if len(body) < offset + length:
+        if len(table) < offset + length:
             raise SizeMismatch(f"{path}: id table truncated")
         try:
-            row_ids.append(body[offset : offset + length].decode("utf-8"))
+            row_ids.append(table[offset : offset + length].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise BadRowId(f"{path}: id of row {len(row_ids)} is not UTF-8 ({exc.reason})") from exc
         offset += length
-    if offset != len(body):
-        raise SizeMismatch(f"{path}: {len(body) - offset} unexpected trailing bytes")
+    if offset != len(table):
+        raise SizeMismatch(f"{path}: {len(table) - offset} unexpected trailing bytes")
 
     matrix = EmbeddingMatrix(data, row_ids)
     matrix.validate_finite()
     return matrix
 
 
+def _read_exact(fh, nbytes: int, path: str | Path) -> bytes:
+    """The next nbytes of fh; SizeMismatch if the file ends first."""
+    chunk = fh.read(nbytes)
+    if len(chunk) != nbytes:
+        raise SizeMismatch(f"{path}: file ended early ({len(chunk)} of {nbytes} bytes)")
+    return chunk
+
+
 def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """Rescale every row to unit Euclidean norm (f64 norms, f32 result).
 
     Idempotent within float precision and order-preserving for cosine
-    nearest-neighbor structure. All-zero rows are an error.
+    nearest-neighbor structure. All-zero rows are an error. Returns a new
+    matrix; rows are cast to f64 one block at a time.
     """
-    norms = np.linalg.norm(matrix.data.astype(np.float64), axis=1)
-    zero = norms == 0.0
-    if zero.any():
-        raise ZeroRow(int(np.argmax(zero)))
-    data = (matrix.data.astype(np.float64) / norms[:, None]).astype(np.float32)
-    return EmbeddingMatrix(data, list(matrix.row_ids))
+    out = np.empty_like(matrix.data)
+    for s, e in row_blocks(matrix.n_rows):
+        block = matrix.data[s:e].astype(np.float64)
+        norms = np.linalg.norm(block, axis=1)
+        zero = norms == 0.0
+        if zero.any():
+            raise ZeroRow(s + int(np.argmax(zero)))
+        block /= norms[:, None]
+        out[s:e] = block
+    return EmbeddingMatrix(out, list(matrix.row_ids))
 
 
 def ingest_raw_blobs(
@@ -195,13 +241,18 @@ def ingest_raw_blobs(
     files = sorted(p for p in blob_dir.iterdir() if p.is_file())
     if not files:
         raise SizeMismatch(f"{blob_dir}: no blob files found")
-    parts = []
-    for p in files:
-        raw = p.read_bytes()
-        if len(raw) % (4 * dim) != 0:
-            raise SizeMismatch(f"{p}: size {len(raw)} is not a multiple of {4 * dim}")
-        parts.append(np.frombuffer(raw, dtype="<f4").reshape(-1, dim))
-    data = np.vstack(parts)
+    sizes = [p.stat().st_size for p in files]
+    for p, size in zip(files, sizes):
+        if size % (4 * dim) != 0:
+            raise SizeMismatch(f"{p}: size {size} is not a multiple of {4 * dim}")
+    data = np.empty((sum(sizes) // (4 * dim), dim), dtype="<f4")
+    raw = data.reshape(-1).view(np.uint8)
+    offset = 0
+    for p, size in zip(files, sizes):
+        with open(p, "rb") as fh:
+            if fh.readinto(raw[offset : offset + size]) != size:
+                raise SizeMismatch(f"{p}: changed size while it was read")
+        offset += size
     row_ids = read_lines(id_file)
     if len(row_ids) != data.shape[0]:
         raise SizeMismatch(f"{len(row_ids)} ids for {data.shape[0]} embedding rows")

@@ -133,3 +133,28 @@ def kmeanspp_init_reference(points, k, seed, row_ids=None, chunk=65536):
         min_update_sq_dists(Xc, Xc[idx].astype(np.float64), d2)
         d2[chosen[: j + 1]] = 0.0
     return Xc[chosen].copy()
+
+
+def l2_normalize_reference(data):
+    """Whole-matrix L2 normalisation as the package did it before row blocks:
+    f64 norms of the whole matrix, one f64 quotient, cast back to f32.
+    Raises ValueError(row) naming the first all-zero row."""
+    norms = np.linalg.norm(data.astype(np.float64), axis=1)
+    zero = norms == 0.0
+    if zero.any():
+        raise ValueError(int(np.argmax(zero)))
+    return (data.astype(np.float64) / norms[:, None]).astype(np.float32)
+
+
+def select_leaf_reference(data, row_ids, centroid, member_rows, quota):
+    """Leaf selection as the package did it before row blocks: one f64
+    difference matrix over the whole leaf, ranked by einsum, and each
+    recorded distance the 1-D dot product of that difference row."""
+    if quota == 0:
+        return []
+    ids = np.asarray([row_ids[r] for r in member_rows])
+    c = np.asarray(centroid, dtype=np.float64)
+    diff = data[member_rows].astype(np.float64) - c[None, :]
+    dists = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((ids, dists))
+    return [(str(ids[i]), float(diff[i] @ diff[i])) for i in order[:quota]]

@@ -169,6 +169,11 @@ _MALFORMED_INPUTS = {
         ["sample", "--unlabeled", "pool.jsonl", "--clinical", "pool.jsonl", "--out", "b.jsonl"],
         "CurationError", "pool.jsonl:2",
     ),
+    "curated-clip-id-not-a-string": (
+        {"pool.jsonl": '{"kind": "header"}\n{"clip_id": 5}\n', "clinical.txt": "c1\n"},
+        ["sample", "--unlabeled", "pool.jsonl", "--clinical", "clinical.txt", "--out", "b.jsonl"],
+        "CurationError", "pool.jsonl:2",
+    ),
     "split-manifest-without-assignment": (
         {"m.json": '{"dataset_id": "d", "tier": "Ours", "version": "", "created_at": ""}', "c.jsonl": ""},
         ["split", "verify", "--manifest", "m.json", "--corpus", "c.jsonl"],
@@ -198,6 +203,11 @@ _MALFORMED_INPUTS = {
         {"c.jsonl": json.dumps({**_GOOD_VIDEO, "fps": "1/0"})},
         ["stats", "--corpus", "c.jsonl"],
         "ManifestParseError", "c.jsonl:1",
+    ),
+    "corpus-video-id-not-a-string": (
+        {"c.jsonl": json.dumps(_GOOD_VIDEO) + "\n" + json.dumps({**_GOOD_VIDEO, "video_id": 2})},
+        ["stats", "--corpus", "c.jsonl"],
+        "ManifestParseError", "c.jsonl:2",
     ),
     "stats-out-in-missing-dir": (
         {"c.jsonl": json.dumps(_GOOD_VIDEO)},

@@ -237,6 +237,20 @@ class TestManifestIO:
         with pytest.raises(ManifestParseError):
             record_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "kind,key",
+        [("video", "video_id"), ("video", "dataset_id"), ("clip", "clip_id"), ("clip", "video_id")],
+    )
+    def test_non_string_id_rejected(self, kind, key):
+        docs = {
+            "video": {"kind": "video", "video_id": "v", "source": "Private", "dataset_id": "cholec80",
+                      "domain": "Laparoscopy", "frame_count": 1, "fps": 30, "duration_s": 0.03},
+            "clip": {"kind": "clip", "clip_id": "c", "video_id": "v", "start_frame": 0, "end_frame": 1},
+        }
+        record_from_json(docs[kind])
+        with pytest.raises(ManifestParseError, match=f"{key} must be a string, got int"):
+            record_from_json({**docs[kind], key: 5})
+
     def test_fractional_fps_roundtrip(self, tmp_path):
         video = VideoRecord("v1", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY,
                             frame_count=2997, fps=Fraction(30000, 1001), duration_s=100.0)

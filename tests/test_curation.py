@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra import numpy as hnp
+
+from surgcurate import store
 from surgcurate.clustering import ClusterModel, ClusterTree, build_hierarchy
 from surgcurate.curation import (
     FractionOutOfRange,
@@ -12,11 +15,12 @@ from surgcurate.curation import (
     allocate_budget,
     curate,
     read_pool_ids,
+    _select_leaf,
     select_nearest,
 )
 from surgcurate.store import EmbeddingMatrix
 
-from .oracles import simulate_equal_split_allocation
+from .oracles import select_leaf_reference, simulate_equal_split_allocation
 
 
 def manual_tree(level_assignments, dim=2):
@@ -226,3 +230,25 @@ class TestCurate:
             expected += 1
         assert len(curated) == expected
         assert curated.plan.level_total(0) == expected
+
+
+class TestSelectLeafBlocks:
+    B = 4  # ROW_BLOCK while the test runs, so small leaves span several blocks
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_blocks_match_the_whole_leaf(self, data):
+        n = data.draw(st.sampled_from([0, 1, self.B - 1, self.B, self.B + 1, 3 * self.B + 7]))
+        dim = data.draw(st.integers(1, 5))
+        total = n + data.draw(st.integers(0, 5))  # rows outside the leaf
+        values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3, width=32))
+        arr = data.draw(hnp.arrays(np.float32, (total, dim), elements=values))  # repeated values make ties
+        ids = [f"id{p:03d}" for p in data.draw(st.permutations(range(total)))]
+        rows = np.asarray(data.draw(st.permutations(range(total)))[:n], dtype=np.int64)
+        centroid = data.draw(hnp.arrays(np.float32, (dim,), elements=st.floats(-1e3, 1e3, width=32)))
+        quota = data.draw(st.integers(0, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "ROW_BLOCK", self.B)
+            got = _select_leaf(EmbeddingMatrix(arr, ids), centroid, rows, quota)
+        expected = select_leaf_reference(arr, ids, centroid, rows, quota)
+        assert [(cid, d.hex()) for cid, d in got] == [(cid, d.hex()) for cid, d in expected]

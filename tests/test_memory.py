@@ -1,0 +1,58 @@
+"""Peak traced memory of the store-layer passes on a 2,000x768 store.
+
+numpy reports its buffers to tracemalloc, so a peak counts every array a
+call allocates. Each bound is one f32 payload copy (where the call returns
+one) plus a few row blocks.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from surgcurate.curation import _select_leaf
+from surgcurate.store import EmbeddingMatrix, l2_normalize, read_store, write_store
+
+N, DIM = 2000, 768
+PAYLOAD = N * DIM * 4
+MiB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    matrix = EmbeddingMatrix(rng.standard_normal((N, DIM)).astype(np.float32), [f"clip{i:05d}" for i in range(N)])
+    return write_store(matrix, tmp_path_factory.mktemp("memory") / "s.semb"), matrix
+
+
+def _peak(fn, *args):
+    """fn(*args) and its peak traced bytes above the baseline just before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_store_holds_one_payload_copy(stored):
+    path, matrix = stored
+    id_table = sum(4 + len(rid.encode()) for rid in matrix.row_ids)
+    back, peak = _peak(read_store, path)
+    assert back.data.tobytes() == matrix.data.tobytes()
+    assert peak <= PAYLOAD + id_table + MiB, peak / PAYLOAD
+
+
+def test_l2_normalize_holds_one_payload_copy(stored):
+    _, matrix = stored
+    _, peak = _peak(l2_normalize, matrix)
+    assert peak <= PAYLOAD + 4 * MiB, peak / PAYLOAD
+
+
+def test_select_leaf_holds_row_blocks_only(stored):
+    _, matrix = stored
+    picked, peak = _peak(_select_leaf, matrix, matrix.data.mean(axis=0), np.arange(N), N)
+    assert len(picked) == N
+    assert peak <= 4 * MiB, peak / MiB

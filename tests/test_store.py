@@ -1,4 +1,5 @@
 import hashlib
+import io
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from surgcurate import store
 from surgcurate.store import (
     BadMagic,
     BadRowId,
@@ -22,6 +24,11 @@ from surgcurate.store import (
     read_store,
     write_store,
 )
+
+from .oracles import l2_normalize_reference
+
+B = 4  # ROW_BLOCK while a test runs, so small matrices span several blocks
+BLOCK_SIZES = [0, 1, B - 1, B, B + 1, 3 * B + 7]
 
 
 def _matrix(n=4, dim=3, seed=0):
@@ -133,6 +140,17 @@ class TestCorruption:
             read_store(path)
         assert isinstance(err.value, StoreError)
 
+    def test_short_read_is_a_size_mismatch(self, tmp_path, monkeypatch):
+        path = write_store(_matrix(5, 4), tmp_path / "s.semb")
+
+        class ShortReader(io.BufferedReader):
+            def readinto(self, buffer):
+                return max(super().readinto(buffer) - 1, 0)
+
+        monkeypatch.setattr(store, "open", lambda p, mode: ShortReader(io.FileIO(p, mode)), raising=False)
+        with pytest.raises(SizeMismatch, match="ended early"):
+            read_store(path)
+
     def test_write_rejects_nonfinite(self, tmp_path):
         data = np.zeros((2, 2), dtype=np.float32)
         data[1, 0] = np.inf
@@ -170,6 +188,34 @@ class TestNormalize:
         with pytest.raises(ZeroRow) as err:
             l2_normalize(EmbeddingMatrix(data, ["a", "b", "c"]))
         assert err.value.row == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_blocks_match_the_whole_matrix(self, data):
+        n = data.draw(st.sampled_from(BLOCK_SIZES))
+        dim = data.draw(st.integers(1, 6))
+        values = st.one_of(st.sampled_from([1.0, -2.5]), st.floats(width=32, allow_nan=False, allow_infinity=False))
+        arr = data.draw(hnp.arrays(np.float32, (n, dim), elements=values.filter(bool)))
+        arr[sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else [])] = 0.0
+        m = EmbeddingMatrix(arr, [f"r{i}" for i in range(n)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "ROW_BLOCK", B)
+            try:
+                expected = l2_normalize_reference(arr)
+            except ValueError as exc:  # the reference names the first all-zero row
+                with pytest.raises(ZeroRow) as err:
+                    l2_normalize(m)
+                assert err.value.row == exc.args[0]
+            else:
+                assert l2_normalize(m).data.tobytes() == expected.tobytes()
+
+    def test_zero_row_in_a_later_block_names_its_global_row(self, monkeypatch, rng):
+        monkeypatch.setattr(store, "ROW_BLOCK", B)
+        data = rng.standard_normal((3 * B + 7, 3)).astype(np.float32)
+        data[[2 * B + 1, 3 * B + 2]] = 0.0
+        with pytest.raises(ZeroRow) as err:
+            l2_normalize(EmbeddingMatrix(data, [f"r{i}" for i in range(len(data))]))
+        assert err.value.row == 2 * B + 1
 
     def test_preserves_argmax_cosine_neighbor(self, rng):
         data = rng.standard_normal((30, 8)).astype(np.float32)

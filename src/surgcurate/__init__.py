@@ -25,27 +25,21 @@ from .clustering import (
     build_hierarchy,
     kmeans,
     kmeanspp_init,
-    lloyd_step,
 )
 from .corpus import (
     CLINICAL_DOMAINS,
     ClipRecord,
     CorpusIndex,
     CorpusStats,
-    CropRect,
     Domain,
     DomainMap,
-    FrameTooSmall,
     SourceStream,
     UnknownDataset,
     VideoRecord,
-    ZeroDimension,
     corpus_stats,
     domain_of,
     inventory_report,
-    random_crop_rect,
     read_corpus_manifest,
-    resize_shortest_side,
     validate_corpus,
     validate_record,
     write_corpus_manifest,
@@ -54,10 +48,8 @@ from .curation import (
     BudgetPlan,
     CuratedSet,
     FractionOutOfRange,
-    QuotaExceedsMembers,
     allocate_budget,
     curate,
-    select_nearest,
 )
 from .metrics import (
     DomainReport,
@@ -85,7 +77,7 @@ from .mixer import (
     sample_stream,
     write_batch_manifest,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 from .splits import (
     EmptyDataset,
     Split,

@@ -6,6 +6,10 @@ Design constraints that shape this module:
 * nearest-centroid ties go to the lowest cluster index;
 * empty clusters are repaired by stealing the point farthest from its
   centroid out of the largest cluster;
+* every Lloyd pass runs through one step helper, _lloyd_step (assign,
+  repair empties, take means), both in the main loop and in the final
+  alignment against the stored f32 centroids; the alignment repeats until
+  a pass leaves no cluster empty before repair;
 * points are processed in fixed-size chunks and per-chunk partial sums
   are combined in chunk order, so results are bit-identical for a fixed
   chunk size no matter how many worker threads run the chunks;
@@ -187,26 +191,17 @@ def _mean_update(sums: np.ndarray, counts: np.ndarray, previous: np.ndarray) -> 
     return out
 
 
-def lloyd_step(
-    points,
-    centroids,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: int | None = None,
-):
+def _lloyd_step(points: np.ndarray, centroids64: np.ndarray, chunk_size: int, workers: int | None):
     """One Lloyd iteration: assign, repair empties, recompute means.
 
-    Returns (assignments, new_centroids, inertia) where inertia is the
-    cost of the assignment against the *input* centroids.
+    Returns (assignments, new f64 means, inertia, empty) where inertia is
+    the cost of the assignment against the *input* centroids and empty is
+    the number of clusters the assignment left empty before repair.
     """
-    X, _ = _as_points(points)
-    C = np.asarray(centroids, dtype=np.float32)
-    if C.ndim != 2 or C.shape[1] != X.shape[1]:
-        raise DimensionMismatch(f"centroids {C.shape} do not match points {X.shape}")
-    C64 = C.astype(np.float64)
-    assign, mind, sums, counts, inertia = _assignment_pass(X, C64, chunk_size, workers)
-    _repair_empty(X, assign, mind, sums, counts)
-    new_centroids = _mean_update(sums, counts, C64).astype(np.float32)
-    return assign, new_centroids, inertia
+    assign, mind, sums, counts, inertia = _assignment_pass(points, centroids64, chunk_size, workers)
+    empty = int(np.count_nonzero(counts == 0))
+    _repair_empty(points, assign, mind, sums, counts)
+    return assign, _mean_update(sums, counts, centroids64), inertia, empty
 
 
 _SEED_CHUNK = 65536  # rows per K-means++ distance pass; the f64 copy holds the first one
@@ -309,20 +304,21 @@ def kmeans(
     n = len(X)
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} with {n} points")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
 
     centroids64 = kmeanspp_init(X, k, seed, row_ids).astype(np.float64)
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0
     for _ in range(max_iter):
-        assign, mind, sums, counts, inertia = _assignment_pass(X, centroids64, chunk_size, workers)
-        _repair_empty(X, assign, mind, sums, counts)
+        assign, means64, inertia, _ = _lloyd_step(X, centroids64, chunk_size, workers)
         iterations += 1
         if history and inertia > history[-1]:
             # float wobble at convergence; the exact sequence cannot increase
             break
         history.append(inertia)
-        centroids64 = _mean_update(sums, counts, centroids64)
+        centroids64 = means64
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         if len(history) >= 2:
@@ -334,13 +330,10 @@ def kmeans(
     centroids = centroids64.astype(np.float32)
     # final alignment: assignments and inertia against the stored centroids
     for _ in range(k):
-        assign, mind, sums, counts, inertia = _assignment_pass(
-            X, centroids.astype(np.float64), chunk_size, workers
-        )
-        if (counts != 0).all():
+        assign, means64, inertia, empty = _lloyd_step(X, centroids.astype(np.float64), chunk_size, workers)
+        if empty == 0:
             break
-        _repair_empty(X, assign, mind, sums, counts)
-        centroids = _mean_update(sums, counts, centroids.astype(np.float64)).astype(np.float32)
+        centroids = means64.astype(np.float32)
     return ClusterModel(
         k=k,
         centroids=centroids,

@@ -37,10 +37,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_levels(text: str) -> list[int]:
     sizes = [int(p) for p in str(text).split(",") if p.strip()]
     if not sizes:
         raise ValueError("levels must be a comma list of sizes")
+    if min(sizes) < 1 or any(b >= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"levels must be sizes >= 1, finest first and strictly decreasing, got {text}")
     return sizes
 
 
@@ -57,6 +66,7 @@ def _checked_text(parse: Callable[[str], Any]) -> Callable[[str], str]:
 
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "int": int,
+    "count": _parse_count,
     "float": float,
     "str": str,
     "bool": _parse_bool,
@@ -82,13 +92,13 @@ SCHEMAS: dict[str, tuple[Option, ...]] = {
         Option("workers", "int", 0, "Worker threads; 0 = all cores."),
     ),
     "ingest": (
-        Option("dim", "int", 768, "Embedding dimension."),
+        Option("dim", "count", 768, "Embedding dimension."),
     ),
     "cluster": (
         Option("levels", "levels", [25000, 5000, 1000], "Hierarchy sizes, finest first."),
         Option("tol", "float", 1e-4, "Relative inertia improvement threshold."),
         Option("max_iter", "int", 100, "Lloyd iteration cap per level."),
-        Option("chunk_size", "int", 4096, "Points per work chunk (fixed for reproducibility)."),
+        Option("chunk_size", "count", 4096, "Points per work chunk (fixed for reproducibility)."),
         Option("normalize", "bool", True, "Unit-normalize rows first."),
     ),
     "curate": (
@@ -98,8 +108,8 @@ SCHEMAS: dict[str, tuple[Option, ...]] = {
     "sample": (
         Option("p_pure", "fraction", "0.15", "Probability of a pure clinical batch."),
         Option("mix", "fraction", "0.70", "Unlabeled share of a mixed batch."),
-        Option("batch", "int", 64, "Batch size."),
-        Option("n", "int", 1000, "Number of batches."),
+        Option("batch", "count", 64, "Batch size."),
+        Option("n", "count", 1000, "Number of batches."),
         Option("interleave", "bool", False, "Deterministic schedule instead of i.i.d. draws."),
     ),
     "split": (

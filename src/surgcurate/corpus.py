@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,9 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
-import numpy as np
-
-from .apportion import as_fraction, round_half_away_from_zero
+from .apportion import as_fraction
 from .artifact import iter_jsonl, read_json, text_field, write_atomic
 
 
@@ -34,14 +33,6 @@ class ManifestParseError(CorpusError):
 
 class UnknownDataset(CorpusError):
     """Dataset id missing from the domain mapping; never silently defaulted."""
-
-
-class ZeroDimension(CorpusError):
-    """Frame geometry with a zero or negative side."""
-
-
-class FrameTooSmall(CorpusError):
-    """Frame smaller than the requested crop size."""
 
 
 class SourceStream(str, Enum):
@@ -359,43 +350,6 @@ def scale_comparison_report(stats: CorpusStats, ours_label: str = "Ours") -> str
     return "\n".join(lines) + "\n"
 
 
-# -- preprocessing geometry --------------------------------------------------
-
-
-def resize_shortest_side(width: int, height: int, target: int = 320) -> tuple[int, int]:
-    """Scale a frame so its shortest side equals `target`, keeping aspect.
-
-    The long side rounds half away from zero; idempotent when the short
-    side already equals the target.
-    """
-    if width < 1 or height < 1:
-        raise ZeroDimension(f"frame {width}x{height} has an empty side")
-    if target < 1:
-        raise ZeroDimension(f"target {target} must be >= 1")
-    if width <= height:
-        return target, round_half_away_from_zero(Fraction(height * target, width))
-    return round_half_away_from_zero(Fraction(width * target, height)), target
-
-
-@dataclass(frozen=True)
-class CropRect:
-    x: int
-    y: int
-    size: int
-
-
-def random_crop_rect(
-    width: int, height: int, size: int = 224, rng: np.random.Generator | None = None
-) -> CropRect:
-    """Uniform random crop offset, x drawn before y; geometry only."""
-    if width < size or height < size:
-        raise FrameTooSmall(f"frame {width}x{height} cannot fit a {size}x{size} crop")
-    rng = rng if rng is not None else np.random.default_rng()
-    x = int(rng.integers(0, width - size + 1))
-    y = int(rng.integers(0, height - size + 1))
-    return CropRect(x, y, size)
-
-
 # -- manifest I/O -------------------------------------------------------------
 
 
@@ -435,6 +389,22 @@ def record_to_json(record: Record) -> dict:
     }
 
 
+def _int_field(doc: Mapping, key: str) -> int:
+    """doc[key] when it is a JSON integer, not a bool, float or string."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ManifestParseError(f"{key} must be an integer, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _finite_field(doc: Mapping, key: str) -> float:
+    """doc[key] as a float when it is a finite JSON number, not a bool or string."""
+    value = doc[key]
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ManifestParseError(f"{key} must be a finite number, got {type(value).__name__} {value!r}")
+    return float(value)
+
+
 def record_from_json(doc: Mapping) -> Record:
     try:
         kind = doc["kind"]
@@ -444,20 +414,19 @@ def record_from_json(doc: Mapping) -> Record:
                 source=SourceStream(doc["source"]),
                 dataset_id=text_field(doc, "dataset_id", ManifestParseError),
                 domain=Domain(doc["domain"]),
-                frame_count=int(doc["frame_count"]),
+                frame_count=_int_field(doc, "frame_count"),
                 fps=_fps_from_json(doc["fps"]),
-                duration_s=float(doc["duration_s"]),
+                duration_s=_finite_field(doc, "duration_s"),
             )
         if kind == "clip":
-            row = doc.get("embedding_row")
             return ClipRecord(
                 clip_id=text_field(doc, "clip_id", ManifestParseError),
                 video_id=text_field(doc, "video_id", ManifestParseError),
-                start_frame=int(doc["start_frame"]),
-                end_frame=int(doc["end_frame"]),
-                embedding_row=None if row is None else int(row),
+                start_frame=_int_field(doc, "start_frame"),
+                end_frame=_int_field(doc, "end_frame"),
+                embedding_row=None if doc.get("embedding_row") is None else _int_field(doc, "embedding_row"),
             )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ManifestParseError(f"bad corpus record: {exc}") from exc
     raise ManifestParseError(f"unknown record kind {doc.get('kind')!r}")
 

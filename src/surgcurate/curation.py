@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -29,10 +28,6 @@ class CurationError(Exception):
 
 
 class FractionOutOfRange(CurationError):
-    pass
-
-
-class QuotaExceedsMembers(CurationError):
     pass
 
 
@@ -137,28 +132,11 @@ def allocate_budget(tree: ClusterTree, fraction, mode: str = "equal") -> BudgetP
     return BudgetPlan(total_budget=total_budget, fraction=frac, quotas=quotas, mode=mode)
 
 
-def select_nearest(points: EmbeddingMatrix, leaf_centroid, member_ids: Iterable[str], quota: int) -> list[str]:
-    """The quota members closest (squared Euclidean) to the leaf centroid.
-
-    Ties go to the lexicographically smaller clip id; the result is sorted
-    by (distance, clip_id).
-    """
-    member_ids = list(member_ids)
-    if quota > len(member_ids):
-        raise QuotaExceedsMembers(f"quota {quota} > {len(member_ids)} members")
-    if quota < 0:
-        raise ValueError("quota must be non-negative")
-    if quota == 0:
-        return []
-    index = points.row_index()
-    rows = np.asarray([index[cid] for cid in member_ids], dtype=np.int64)
-    return [cid for cid, _ in _select_leaf(points, leaf_centroid, rows, quota)]
-
-
 def _select_leaf(points: EmbeddingMatrix, centroid, member_rows: np.ndarray, quota: int) -> list[tuple[str, float]]:
-    """The select_nearest rule over store rows: (clip_id, squared distance)
-    pairs sorted by (distance, clip_id), linear in the leaf size. Members
-    are cast to f64 one row block at a time."""
+    """The `quota` member rows closest (squared Euclidean) to the centroid:
+    (clip_id, squared distance) pairs sorted by (distance, clip_id), so ties
+    go to the smaller clip id; linear in the leaf size. Members are cast to
+    f64 one row block at a time."""
     if quota == 0:
         return []
     ids = np.asarray([points.row_ids[r] for r in member_rows])

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -22,7 +20,3 @@ def derive_seed(root_seed: int, label: str) -> int:
     ).digest()
     return int.from_bytes(digest[:8], "little")
 
-
-def rng_for(root_seed: int, label: str) -> np.random.Generator:
-    """Seeded generator for one stage of a run."""
-    return np.random.default_rng(derive_seed(root_seed, label))

@@ -119,9 +119,6 @@ class EmbeddingMatrix:
                 row = s + int(np.argmax(bad))
                 raise NonFiniteValue(row, self.row_ids[row])
 
-    def row_index(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.row_ids)}
-
 
 def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
     """Serialize a validated matrix; byte-identical for identical input."""

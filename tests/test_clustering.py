@@ -11,13 +11,11 @@ from surgcurate import clustering
 from surgcurate.clustering import (
     BadTreeFile,
     ClusterTree,
-    DimensionMismatch,
     KTooLarge,
     TREE_MAGIC,
     build_hierarchy,
     kmeans,
     kmeanspp_init,
-    lloyd_step,
 )
 from surgcurate.store import EmbeddingMatrix
 from surgcurate.synthetic import make_blobs
@@ -159,19 +157,27 @@ class TestKmeansPlusPlusReference:
 
 
 class TestLloydStep:
+    @staticmethod
+    def step(points, centroids):
+        return clustering._lloyd_step(
+            np.asarray(points, dtype=np.float32), np.asarray(centroids, dtype=np.float64), 4096, None
+        )
+
     def test_fixed_point(self):
         pts = np.array([[0.0, 0.0], [4.0, 4.0]], dtype=np.float32)
-        assign, cents, inertia = lloyd_step(pts, pts.copy())
+        assign, means, inertia, empty = self.step(pts, pts)
         assert inertia == 0.0
-        assert np.array_equal(cents, pts)
+        assert np.array_equal(means, pts)
         assert assign.tolist() == [0, 1]
+        assert empty == 0
 
     def test_hand_example(self):
         pts = np.array([[0.0], [2.0], [10.0], [12.0]], dtype=np.float32)
-        assign, cents, inertia = lloyd_step(pts, np.array([[1.0], [11.0]], dtype=np.float32))
+        assign, means, inertia, empty = self.step(pts, [[1.0], [11.0]])
         assert assign.tolist() == [0, 0, 1, 1]
-        assert cents.ravel().tolist() == [1.0, 11.0]
+        assert means.ravel().tolist() == [1.0, 11.0]
         assert inertia == 4.0
+        assert empty == 0
         # independently: every point is 1 away from its centroid
         _, dists = nearest_assignments(pts, [[1.0], [11.0]])
         assert dists.sum() == 4.0
@@ -179,19 +185,15 @@ class TestLloydStep:
     def test_empty_cluster_is_repaired(self):
         pts = np.array([[0.0], [0.5], [1.0], [10.0]], dtype=np.float32)
         far = np.array([[0.5], [100.0]], dtype=np.float32)  # nobody picks 100
-        assign, cents, _ = lloyd_step(pts, far)
+        assign, _, _, empty = self.step(pts, far)
+        assert empty == 1
         counts = np.bincount(assign, minlength=2)
         assert (counts > 0).all()
 
     def test_tie_goes_to_lowest_index(self):
         pts = np.array([[0.0]], dtype=np.float32)
-        cents = np.array([[1.0], [-1.0]], dtype=np.float32)
-        assign, _, _ = lloyd_step(pts, cents)
+        assign, _, _, _ = self.step(pts, [[1.0], [-1.0]])
         assert assign.tolist() == [0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            lloyd_step(np.zeros((3, 2), dtype=np.float32), np.zeros((2, 3), dtype=np.float32))
 
 
 class TestKmeans:
@@ -275,6 +277,14 @@ class TestKmeans:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             kmeans(np.zeros((3, 2), dtype=np.float32), 5, seed=0)
+
+    def test_chunk_size_below_one_rejected(self):
+        pts = np.zeros((4, 2), dtype=np.float32)
+        for chunk_size in (0, -5):
+            with pytest.raises(ValueError, match="chunk_size"):
+                kmeans(pts, 2, chunk_size=chunk_size)
+            with pytest.raises(ValueError, match="chunk_size"):
+                build_hierarchy(pts, [2], chunk_size=chunk_size)
 
 
 class TestHierarchy:

@@ -144,7 +144,8 @@ class TestHelp:
 
 
 # one bad value per parser path: int, float, the two closed choice sets,
-# the three fractions and the split ratios
+# the three fractions and the split ratios; then every count below 1 and
+# the levels that are not strictly decreasing sizes >= 1
 _BAD_VALUES = [
     (["curate", "--store", "s", "--tree", "t", "--out", "o"], "seed", "abc"),
     (["cluster", "--store", "s", "--out", "o"], "tol", "x"),
@@ -154,6 +155,13 @@ _BAD_VALUES = [
     (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "p_pure", "x"),
     (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "mix", "x"),
     (["split", "--dataset", "d", "--videos", "v", "--out", "o"], "ratios", "7:2"),
+    (["cluster", "--store", "s", "--out", "o"], "chunk_size", "-5"),
+    (["cluster", "--store", "s", "--out", "o"], "chunk_size", "0"),
+    (["ingest", "--blobs", "b", "--ids", "i", "--out", "o"], "dim", "0"),
+    (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "n", "-1"),
+    (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "batch", "0"),
+    (["cluster", "--store", "s", "--out", "o"], "levels", "8,16"),
+    (["cluster", "--store", "s", "--out", "o"], "levels", "0"),
 ]
 
 
@@ -161,6 +169,14 @@ _GOOD_VIDEO = {
     "kind": "video", "video_id": "v1", "source": "PublicClinical", "dataset_id": "cholec80",
     "domain": "Laparoscopy", "frame_count": 30, "fps": 30, "duration_s": 1.0,
 }
+_GOOD_CLIP = {"kind": "clip", "clip_id": "c1", "video_id": "v1", "start_frame": 0, "end_frame": 10, "embedding_row": 0}
+
+
+def _corpus_with(video=None, clip=None) -> dict:
+    """A one-video, one-clip corpus manifest with fields of either record replaced."""
+    lines = [{**_GOOD_VIDEO, **(video or {})}, {**_GOOD_CLIP, **(clip or {})}]
+    return {"c.jsonl": "\n".join(json.dumps(doc) for doc in lines) + "\n"}
+
 
 #: case -> (files staged in the working directory, argv, the typed error, text its message names)
 _MALFORMED_INPUTS = {
@@ -208,6 +224,24 @@ _MALFORMED_INPUTS = {
         {"c.jsonl": json.dumps(_GOOD_VIDEO) + "\n" + json.dumps({**_GOOD_VIDEO, "video_id": 2})},
         ["stats", "--corpus", "c.jsonl"],
         "ManifestParseError", "c.jsonl:2",
+    ),
+    "corpus-frame-count-is-a-float": (
+        _corpus_with(video={"frame_count": 30.5}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:1",
+    ),
+    "corpus-start-frame-is-a-float": (
+        _corpus_with(clip={"start_frame": 1.9}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:2",
+    ),
+    "corpus-end-frame-is-a-bool": (
+        _corpus_with(clip={"end_frame": True}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:2",
+    ),
+    "corpus-embedding-row-is-a-string": (
+        _corpus_with(clip={"embedding_row": "7"}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:2",
+    ),
+    "corpus-duration-is-the-string-nan": (
+        _corpus_with(video={"duration_s": "nan"}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:1",
+    ),
+    "corpus-duration-is-infinite": (
+        _corpus_with(video={"duration_s": float("inf")}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:1",
     ),
     "stats-out-in-missing-dir": (
         {"c.jsonl": json.dumps(_GOOD_VIDEO)},

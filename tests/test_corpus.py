@@ -1,28 +1,21 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from surgcurate.corpus import (
     ClipRecord,
     CorpusIndex,
     Domain,
     DomainMap,
-    FrameTooSmall,
     ManifestParseError,
     SourceStream,
     UnknownDataset,
     VideoRecord,
-    ZeroDimension,
     corpus_stats,
     domain_of,
     inventory_report,
-    random_crop_rect,
     read_corpus_manifest,
     record_from_json,
-    resize_shortest_side,
     scale_comparison_report,
     validate_corpus,
     validate_record,
@@ -150,74 +143,6 @@ class TestCorpusStats:
         assert "Ours" in comparison and "videos" in comparison
 
 
-class TestResize:
-    def test_identity_when_short_side_matches(self):
-        assert resize_shortest_side(320, 320) == (320, 320)
-
-    def test_derived_examples(self):
-        assert resize_shortest_side(640, 480) == (427, 320)
-        assert resize_shortest_side(1920, 1080) == (569, 320)
-
-    def test_portrait(self):
-        assert resize_shortest_side(480, 640) == (320, 427)
-
-    def test_zero_dimension(self):
-        with pytest.raises(ZeroDimension):
-            resize_shortest_side(0, 480)
-
-    @given(st.integers(1, 4000), st.integers(1, 4000))
-    def test_short_side_is_target_and_idempotent(self, w, h):
-        w1, h1 = resize_shortest_side(w, h)
-        assert min(w1, h1) == 320
-        assert resize_shortest_side(w1, h1) == (w1, h1)
-
-    @given(st.integers(321, 4000), st.integers(321, 4000))
-    def test_rounding_matches_exact_rational(self, w, h):
-        w1, h1 = resize_shortest_side(w, h)
-        short, long = min(w, h), max(w, h)
-        exact = Fraction(long * 320, short)
-        long_out = max(w1, h1)
-        assert abs(Fraction(long_out) - exact) <= Fraction(1, 2)
-
-
-class TestRandomCrop:
-    def test_exact_fit_is_forced(self, rng):
-        rect = random_crop_rect(224, 224, rng=rng)
-        assert (rect.x, rect.y, rect.size) == (0, 0, 224)
-
-    def test_y_forced_when_height_matches(self, rng):
-        for _ in range(50):
-            rect = random_crop_rect(324, 224, rng=rng)
-            assert rect.y == 0
-            assert 0 <= rect.x <= 100
-
-    def test_too_small(self, rng):
-        with pytest.raises(FrameTooSmall):
-            random_crop_rect(200, 320, rng=rng)
-
-    def test_monte_carlo_moments_and_uniformity(self):
-        # 427x320 after resize: x in [0, 203], y in [0, 96]
-        rng = np.random.default_rng(99)
-        n = 100_000
-        xs = np.empty(n, dtype=np.int64)
-        ys = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            rect = random_crop_rect(427, 320, rng=rng)
-            xs[i], ys[i] = rect.x, rect.y
-        assert abs(xs.mean() - 101.5) < 2.0
-        assert abs(ys.mean() - 48.0) < 1.0
-        assert xs.min() >= 0 and xs.max() <= 203
-        assert ys.min() >= 0 and ys.max() <= 96
-        # chi-square against uniform; critical values frozen from the
-        # inverse chi-square CDF at alpha=0.01 for df=203 and df=96
-        x_counts = np.bincount(xs, minlength=204)
-        y_counts = np.bincount(ys, minlength=97)
-        chi_x = float(((x_counts - n / 204) ** 2 / (n / 204)).sum())
-        chi_y = float(((y_counts - n / 97) ** 2 / (n / 97)).sum())
-        assert chi_x < 252.79
-        assert chi_y < 131.14
-
-
 class TestManifestIO:
     def test_roundtrip(self, tmp_path, fixture_corpus):
         path = tmp_path / "corpus.jsonl"
@@ -250,6 +175,32 @@ class TestManifestIO:
         record_from_json(docs[kind])
         with pytest.raises(ManifestParseError, match=f"{key} must be a string, got int"):
             record_from_json({**docs[kind], key: 5})
+
+    @pytest.mark.parametrize(
+        "kind,key,value,message",
+        [
+            ("video", "frame_count", 1.9, "frame_count must be an integer, got float"),
+            ("video", "frame_count", "30", "frame_count must be an integer, got str"),
+            ("clip", "start_frame", 1.9, "start_frame must be an integer, got float"),
+            ("clip", "end_frame", True, "end_frame must be an integer, got bool"),
+            ("clip", "embedding_row", "7", "embedding_row must be an integer, got str"),
+            ("video", "duration_s", "nan", "duration_s must be a finite number, got str"),
+            ("video", "duration_s", float("nan"), "duration_s must be a finite number, got float nan"),
+            ("video", "duration_s", float("inf"), "duration_s must be a finite number, got float inf"),
+            ("video", "duration_s", False, "duration_s must be a finite number, got bool"),
+            pytest.param("video", "duration_s", 10**400, "too large", id="duration_s-beyond-float"),
+        ],
+    )
+    def test_non_numeric_field_rejected(self, kind, key, value, message):
+        docs = {
+            "video": {"kind": "video", "video_id": "v", "source": "Private", "dataset_id": "cholec80",
+                      "domain": "Laparoscopy", "frame_count": 1, "fps": 30, "duration_s": 0.03},
+            "clip": {"kind": "clip", "clip_id": "c", "video_id": "v", "start_frame": 0, "end_frame": 1,
+                     "embedding_row": 7},
+        }
+        record_from_json(docs[kind])
+        with pytest.raises(ManifestParseError, match=message):
+            record_from_json({**docs[kind], key: value})
 
     def test_fractional_fps_roundtrip(self, tmp_path):
         video = VideoRecord("v1", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY,

@@ -11,12 +11,10 @@ from surgcurate import store
 from surgcurate.clustering import ClusterModel, ClusterTree, build_hierarchy
 from surgcurate.curation import (
     FractionOutOfRange,
-    QuotaExceedsMembers,
     allocate_budget,
     curate,
     read_pool_ids,
     _select_leaf,
-    select_nearest,
 )
 from surgcurate.store import EmbeddingMatrix
 
@@ -118,22 +116,25 @@ class TestAllocateBudget:
         assert plan.quotas[0].tolist() == [9, 1]
 
 
-class TestSelectNearest:
+def picked(matrix, centroid, rows, quota):
+    return [cid for cid, _ in _select_leaf(matrix, centroid, np.asarray(rows, dtype=np.int64), quota)]
+
+
+class TestSelectLeaf:
     def test_quota_equals_members(self):
         m = EmbeddingMatrix(np.array([[0.0], [1.0], [2.0]], dtype=np.float32), ["a", "b", "c"])
-        out = select_nearest(m, [0.0], ["a", "b", "c"], 3)
-        assert out == ["a", "b", "c"]
+        assert picked(m, [0.0], [0, 1, 2], 3) == ["a", "b", "c"]
 
     def test_forced_ordering(self):
         m = EmbeddingMatrix(np.array([[0.1], [0.5], [2.0]], dtype=np.float32), ["p", "q", "r"])
-        assert select_nearest(m, [0.0], ["p", "q", "r"], 2) == ["p", "q"]
+        assert picked(m, [0.0], [2, 0, 1], 2) == ["p", "q"]
 
     def test_matches_full_sort_oracle(self, rng):
         data = rng.standard_normal((50, 4)).astype(np.float32)
         ids = [f"m{i:02d}" for i in range(50)]
         m = EmbeddingMatrix(data, ids)
         centroid = rng.standard_normal(4)
-        got = select_nearest(m, centroid, ids, 7)
+        got = picked(m, centroid, range(50), 7)
         dists = ((data.astype(np.float64) - centroid) ** 2).sum(axis=1)
         expected = [ids[i] for i in sorted(range(50), key=lambda i: (dists[i], ids[i]))[:7]]
         assert got == expected
@@ -141,12 +142,7 @@ class TestSelectNearest:
     def test_tie_prefers_smaller_clip_id(self):
         data = np.array([[1.0], [1.0], [0.0]], dtype=np.float32)
         m = EmbeddingMatrix(data, ["zz", "aa", "mm"])
-        assert select_nearest(m, [1.0], ["zz", "aa", "mm"], 1) == ["aa"]
-
-    def test_quota_exceeds_members(self):
-        m = EmbeddingMatrix(np.zeros((2, 1), dtype=np.float32), ["a", "b"])
-        with pytest.raises(QuotaExceedsMembers):
-            select_nearest(m, [0.0], ["a", "b"], 3)
+        assert picked(m, [1.0], [0, 1, 2], 1) == ["aa"]
 
 
 class TestCurate:

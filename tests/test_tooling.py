@@ -1,10 +1,13 @@
-"""Guards for the benchmark tooling that reaches into the package by name."""
+"""Guards on the names the package exposes: the benchmark tooling reaches
+into the package by name, and every export needs a user outside the tests."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+PACKAGE = ROOT / "src" / "surgcurate"
 
 
 def _resolve(module: str, member: str):
@@ -32,3 +35,37 @@ def test_traced_rebinding_table_names_existing_attributes():
     assert len(rows) >= 18
     missing = [f"{name}.{attr}" for name, attr in rows if not hasattr(_resolve(*imported[name]), attr)]
     assert missing == []
+
+
+def _references(path: Path):
+    """Identifiers a file uses: loaded names, attributes, and string
+    constants that are identifiers (perfbench rebinds attributes by name).
+    A top-level def or class does not reference itself."""
+    for stmt in ast.parse(path.read_text("utf-8")).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                name = node.value
+            else:
+                continue
+            if name != own:
+                yield name
+
+
+def test_every_export_is_reached_outside_the_tests():
+    """Each name the package exports is used by package code other than its
+    definition, by a demo or by perfbench; test-only API is dead code."""
+    init = PACKAGE / "__init__.py"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text("utf-8")).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    readers = [p for p in PACKAGE.glob("*.py") if p != init] + [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    used = {name for path in readers for name in _references(path)}
+    assert len(exported) >= 70
+    assert [name for name in exported if name not in used] == []

@@ -11,9 +11,9 @@ from collections import Counter
 from surgcurate import generate_split_manifest, ratio_split, resolve_tier, verify_disjoint, version_manifest
 from surgcurate.corpus import ClipRecord
 
-print("official available  ->", resolve_tier("multibypass140", official=True, community=True).value)
-print("community only      ->", resolve_tier("cholec80", official=False, community=True).value)
-print("neither             ->", resolve_tier("web-edu", official=False, community=False).value)
+print("official available  ->", resolve_tier(official=True, community=True).value)
+print("community only      ->", resolve_tier(official=False, community=True).value)
+print("neither             ->", resolve_tier(official=False, community=False).value)
 
 videos = [f"video{i:03d}" for i in range(15)]
 assignment = ratio_split(videos, seed=21)

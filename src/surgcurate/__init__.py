@@ -37,7 +37,6 @@ from .corpus import (
     UnknownDataset,
     VideoRecord,
     corpus_stats,
-    domain_of,
     inventory_report,
     read_corpus_manifest,
     validate_corpus,

@@ -219,7 +219,6 @@ def cluster(cfg, store_path, out):
         seed=stage_seed,
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
-        chunk_size=cfg["chunk_size"],
         workers=eff_workers,
         normalized=cfg["normalize"],
     )
@@ -296,7 +295,7 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
         raise ConfigError("--out is required")
 
     inputs: list[Path] = []
-    tier = resolve_tier(dataset, official is not None, community is not None)
+    tier = resolve_tier(official is not None, community is not None)
     if tier is not SplitTier.OURS:
         path = _require(official if tier is SplitTier.OFFICIAL else community, f"{tier.value.lower()} split")
         inputs.append(path)

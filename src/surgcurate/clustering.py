@@ -10,11 +10,13 @@ Design constraints that shape this module:
   repair empties, take means), both in the main loop and in the final
   alignment against the stored f32 centroids; the alignment repeats until
   a pass leaves no cluster empty before repair;
-* points are processed in fixed-size chunks and per-chunk partial sums
-  are combined in chunk order, so results are bit-identical for a fixed
-  chunk size no matter how many worker threads run the chunks;
-* K-means++ seeding walks points in sorted row-id order when row ids are
-  available, so ingest order cannot change which points seed the run;
+* points are processed in chunks of CHUNK_ROWS = 4,096 rows, fixed in code,
+  and per-chunk partial sums are combined in chunk order, so results are
+  bit-identical for a fixed seed no matter how many worker threads run
+  the chunks;
+* K-means++ seeding walks points in sorted row-id order when the points
+  come as an EmbeddingMatrix, so ingest order cannot change which points
+  seed the run;
 * seeding casts each level's rows to f64 and takes their squared norms
   once, so a pick costs one matrix-vector product and one draw; the f64
   copy (the seeding head) holds at most 65,536 rows (one seeding chunk),
@@ -39,7 +41,7 @@ from .store import EmbeddingMatrix, row_blocks
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
-DEFAULT_CHUNK_SIZE = 4096
+CHUNK_ROWS = 4096  # rows per Lloyd assignment chunk; the chunk-order sums set the tree's bits
 
 TREE_MAGIC = b"SURGTRE1"
 
@@ -109,17 +111,22 @@ def _assign_chunk(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2:
     return assign.astype(np.uint32), mind, uniq, sums, counts, inertia
 
 
-def _chunks(n: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
+def _chunks(n: int, rows: int) -> list[tuple[int, int]]:
+    return [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
-def _assignment_pass(
-    points: np.ndarray,
-    centroids64: np.ndarray,
-    chunk_size: int,
-    workers: int | None,
-):
-    """One full assignment over all points.
+def ordered_map(fn, items, workers: int | None) -> list:
+    """[fn(x) for x in items]; on a pool of `workers` threads when there are
+    more than one worker and more than one item. Results keep item order."""
+    items = list(items)
+    if workers is None or workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _assignment_pass(points: np.ndarray, centroids64: np.ndarray, workers: int | None):
+    """One full assignment over all points, in CHUNK_ROWS-row chunks.
 
     Returns assignments, per-point min distances, per-cluster f64 sums and
     counts, and the total inertia. Partial results are merged in chunk
@@ -128,18 +135,13 @@ def _assignment_pass(
     n = len(points)
     k = len(centroids64)
     c2 = np.einsum("ij,ij->i", centroids64, centroids64)
-    spans = _chunks(n, chunk_size)
+    spans = _chunks(n, CHUNK_ROWS)
 
     def job(span: tuple[int, int]):
         xb = points[span[0] : span[1]].astype(np.float64)
         return _assign_chunk(xb, np.einsum("ij,ij->i", xb, xb), centroids64, c2)
 
-    if workers is None or workers <= 1 or len(spans) <= 1:
-        results = [job(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, spans))
-
+    results = ordered_map(job, spans, workers)
     assign = np.empty(n, dtype=np.uint32)
     mind = np.empty(n, dtype=np.float64)
     sums = np.zeros((k, points.shape[1]), dtype=np.float64)
@@ -191,14 +193,14 @@ def _mean_update(sums: np.ndarray, counts: np.ndarray, previous: np.ndarray) -> 
     return out
 
 
-def _lloyd_step(points: np.ndarray, centroids64: np.ndarray, chunk_size: int, workers: int | None):
+def _lloyd_step(points: np.ndarray, centroids64: np.ndarray, workers: int | None):
     """One Lloyd iteration: assign, repair empties, recompute means.
 
     Returns (assignments, new f64 means, inertia, empty) where inertia is
     the cost of the assignment against the *input* centroids and empty is
     the number of clusters the assignment left empty before repair.
     """
-    assign, mind, sums, counts, inertia = _assignment_pass(points, centroids64, chunk_size, workers)
+    assign, mind, sums, counts, inertia = _assignment_pass(points, centroids64, workers)
     empty = int(np.count_nonzero(counts == 0))
     _repair_empty(points, assign, mind, sums, counts)
     return assign, _mean_update(sums, counts, centroids64), inertia, empty
@@ -207,26 +209,23 @@ def _lloyd_step(points: np.ndarray, centroids64: np.ndarray, chunk_size: int, wo
 _SEED_CHUNK = 65536  # rows per K-means++ distance pass; the f64 copy holds the first one
 
 
-def kmeanspp_init(points, k: int, seed: int, row_ids: list[str] | None = None) -> np.ndarray:
+def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
     """K-means++ (D^2-weighted) seeding over a canonical point order.
 
-    When row ids are given, candidates are walked in sorted-row-id order so
-    permuting ingest order picks the same points. Returns (k, dim) f32.
+    When `points` is an EmbeddingMatrix, candidates are walked in
+    sorted-row-id order so permuting ingest order picks the same points;
+    a bare array is walked in index order. Returns (k, dim) f32.
     The first _SEED_CHUNK canonical rows are cast to f64 once and held;
     rows past that cap are read from `points` and cast again on every pick,
     into one reused chunk.
     """
-    X, ids = _as_points(points)
-    if row_ids is None:
-        row_ids = ids
+    X, row_ids = _as_points(points)
     n = len(X)
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} with {n} points")
     rng = np.random.default_rng(seed)
 
     if row_ids is not None:
-        if len(row_ids) != n:
-            raise DimensionMismatch(f"{len(row_ids)} row ids for {n} points")
         canon = np.argsort(np.asarray(row_ids, dtype=object), kind="stable")
     else:
         canon = np.arange(n)
@@ -286,33 +285,23 @@ def kmeans(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int | None = None,
-    row_ids: list[str] | None = None,
 ) -> ClusterModel:
-    """Lloyd K-means with K-means++ seeding, deterministic for a fixed
-    (seed, chunk_size) regardless of worker count.
+    """Lloyd K-means with K-means++ seeding, deterministic for a fixed seed
+    regardless of worker count.
 
     Iterates until the relative inertia improvement drops below `tol`,
     the assignment stabilizes exactly, or `max_iter` is hit. The returned
     assignments are re-derived against the final (f32) centroids, so every
     point is assigned to its true nearest centroid (ties -> lowest index).
     """
-    X, ids = _as_points(points)
-    if row_ids is None:
-        row_ids = ids
-    n = len(X)
-    if not 1 <= k <= n:
-        raise KTooLarge(f"k={k} with {n} points")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    centroids64 = kmeanspp_init(X, k, seed, row_ids).astype(np.float64)
+    X, _ = _as_points(points)
+    centroids64 = kmeanspp_init(points, k, seed).astype(np.float64)
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0
     for _ in range(max_iter):
-        assign, means64, inertia, _ = _lloyd_step(X, centroids64, chunk_size, workers)
+        assign, means64, inertia, _ = _lloyd_step(X, centroids64, workers)
         iterations += 1
         if history and inertia > history[-1]:
             # float wobble at convergence; the exact sequence cannot increase
@@ -330,7 +319,7 @@ def kmeans(
     centroids = centroids64.astype(np.float32)
     # final alignment: assignments and inertia against the stored centroids
     for _ in range(k):
-        assign, means64, inertia, empty = _lloyd_step(X, centroids.astype(np.float64), chunk_size, workers)
+        assign, means64, inertia, empty = _lloyd_step(X, centroids.astype(np.float64), workers)
         if empty == 0:
             break
         centroids = means64.astype(np.float32)
@@ -489,33 +478,20 @@ def build_hierarchy(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int | None = None,
     normalized: bool = False,
 ) -> ClusterTree:
     """Cluster points at level_sizes[0], then recursively cluster the
     resulting centroids at each coarser size."""
-    X, row_ids = _as_points(points)
     if not level_sizes:
         raise ValueError("level_sizes must be non-empty")
     if any(b >= a for a, b in zip(level_sizes, level_sizes[1:])):
         raise ValueError(f"level_sizes must be strictly decreasing, got {level_sizes}")
 
     levels: list[ClusterModel] = []
-    data = X
-    ids = row_ids
+    data = points
     for lvl, k in enumerate(level_sizes):
-        model = kmeans(
-            data,
-            k,
-            tol=tol,
-            max_iter=max_iter,
-            seed=derive_seed(seed, f"kmeans-level-{lvl}"),
-            chunk_size=chunk_size,
-            workers=workers,
-            row_ids=ids,
-        )
+        model = kmeans(data, k, tol=tol, max_iter=max_iter, seed=derive_seed(seed, f"kmeans-level-{lvl}"), workers=workers)
         levels.append(model)
-        data = model.centroids
-        ids = None  # upper levels cluster centroids; index order is canonical
+        data = model.centroids  # upper levels cluster centroids; index order is canonical
     return ClusterTree(levels=levels, level_sizes=list(level_sizes), seed=seed, tol=tol, normalized=normalized)

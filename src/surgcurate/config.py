@@ -13,6 +13,7 @@ resolved config is fully explicit: no unset fields survive.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,21 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_tolerance(text: str) -> float:
+    value = float(text)
+    # -0.0 too: the tree header stores the sign, so "-0" would fork the tree bytes from "0"
+    if not math.isfinite(value) or math.copysign(1.0, value) < 0:
+        raise ValueError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _parse_workers(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0 (0 = all cores), got {value}")
+    return value
+
+
 def _parse_levels(text: str) -> list[int]:
     sizes = [int(p) for p in str(text).split(",") if p.strip()]
     if not sizes:
@@ -67,7 +83,8 @@ def _checked_text(parse: Callable[[str], Any]) -> Callable[[str], str]:
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "int": int,
     "count": _parse_count,
-    "float": float,
+    "tolerance": _parse_tolerance,
+    "workers": _parse_workers,
     "str": str,
     "bool": _parse_bool,
     "levels": _parse_levels,
@@ -89,16 +106,15 @@ class Option:
 SCHEMAS: dict[str, tuple[Option, ...]] = {
     "global": (
         Option("seed", "int", 0, "Root seed; stage seeds derive from it."),
-        Option("workers", "int", 0, "Worker threads; 0 = all cores."),
+        Option("workers", "workers", 0, "Worker threads; 0 = all cores."),
     ),
     "ingest": (
         Option("dim", "count", 768, "Embedding dimension."),
     ),
     "cluster": (
         Option("levels", "levels", [25000, 5000, 1000], "Hierarchy sizes, finest first."),
-        Option("tol", "float", 1e-4, "Relative inertia improvement threshold."),
-        Option("max_iter", "int", 100, "Lloyd iteration cap per level."),
-        Option("chunk_size", "count", 4096, "Points per work chunk (fixed for reproducibility)."),
+        Option("tol", "tolerance", 1e-4, "Relative inertia improvement threshold."),
+        Option("max_iter", "count", 100, "Lloyd iteration cap per level."),
         Option("normalize", "bool", True, "Unit-normalize rows first."),
     ),
     "curate": (

@@ -161,11 +161,6 @@ class DomainMap:
         return iter(sorted(self._table.items()))
 
 
-def domain_of(dataset_id: str, mapping: DomainMap | None = None) -> Domain:
-    """Deterministic dataset-to-domain lookup; unknown ids are an error."""
-    return (mapping or DomainMap.default()).domain_of(dataset_id)
-
-
 class CorpusIndex:
     """Read-shared index of a validated record set."""
 

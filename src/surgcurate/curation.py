@@ -10,7 +10,6 @@ distribution and therefore does not balance anything.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
 from .artifact import iter_jsonl, read_lines, text_field, write_atomic
-from .clustering import ClusterTree, DimensionMismatch
+from .clustering import ClusterTree, DimensionMismatch, ordered_map
 from .store import EmbeddingMatrix, row_blocks
 
 
@@ -189,13 +188,7 @@ def curate(
     def job(leaf: int) -> list[tuple[str, float]]:
         return _select_leaf(points, centroids[leaf], members[leaf], plan.quota(0, leaf))
 
-    leaves = range(tree.level_sizes[0])
-    if workers is None or workers <= 1:
-        per_leaf = [job(leaf) for leaf in leaves]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_leaf = list(pool.map(job, leaves))
-
+    per_leaf = ordered_map(job, range(tree.level_sizes[0]), workers)
     provenance: dict[str, SelectionRecord] = {}
     for leaf, picked in enumerate(per_leaf):
         for rank, (cid, distance) in enumerate(picked):

@@ -188,11 +188,6 @@ class DomainReport:
             member_map=members,
         )
 
-    @classmethod
-    def from_domain_scores(cls, domain_scores: Mapping) -> "DomainReport":
-        scores = _score_map(domain_scores)
-        return cls(domain_scores=scores, overall=overall_macro(scores), worst=worst_domain(scores))
-
 
 # -- report rendering ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .apportion import as_fraction, largest_remainder
+from .apportion import largest_remainder
 from .artifact import read_json, write_atomic
 from .corpus import ClipRecord, CorpusIndex
 from .manifest import utc_now
@@ -54,7 +54,7 @@ class Split(str, Enum):
 DEFAULT_RATIOS: tuple[int, int, int] = (7, 2, 1)
 
 
-def resolve_tier(dataset_id: str, official: bool, community: bool) -> SplitTier:
+def resolve_tier(official: bool, community: bool) -> SplitTier:
     """Official beats community beats ours; adding a community split never
     changes the outcome once an official one exists."""
     if official:
@@ -112,10 +112,8 @@ def ratio_split(
         warnings.warn(
             f"only {len(ids)} video(s): some splits will be empty", SplitSizeWarning, stacklevel=2
         )
-    total = sum(ratios)
     n = len(ids)
-    quotas = [Fraction(r, total) * n for r in ratios]
-    n_train, n_val, n_test = largest_remainder(quotas, n)
+    n_train, n_val, _ = split_counts_for(n, ratios)
 
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(n)]
@@ -301,6 +299,5 @@ def generate_split_manifest(
 def split_counts_for(n: int, ratios: Sequence[int] = DEFAULT_RATIOS) -> tuple[int, int, int]:
     """Largest-remainder target counts for n videos (Train > Val > Test ties)."""
     total = sum(ratios)
-    quotas = [as_fraction(Fraction(r, total)) * n for r in ratios]
-    train, val, test = largest_remainder(quotas, n)
+    train, val, test = largest_remainder([Fraction(r, total) * n for r in ratios], n)
     return train, val, test

@@ -54,8 +54,8 @@ class TestKmeansPlusPlus:
         data = rng.standard_normal((40, 3)).astype(np.float32)
         ids = [f"r{i:02d}" for i in range(40)]
         perm = rng.permutation(40)
-        a = kmeanspp_init(data, 5, seed=9, row_ids=ids)
-        b = kmeanspp_init(data[perm], 5, seed=9, row_ids=[ids[i] for i in perm])
+        a = kmeanspp_init(EmbeddingMatrix(data, ids), 5, seed=9)
+        b = kmeanspp_init(EmbeddingMatrix(data[perm], [ids[i] for i in perm]), 5, seed=9)
         assert np.array_equal(a, b)
 
 
@@ -68,11 +68,16 @@ def _seeding_points(seed: int, n: int, dim: int, distinct: int | None = None) ->
     return base[rows].astype(np.float32)
 
 
+def _with_ids(points, row_ids):
+    """The points as kmeanspp_init takes them: with row ids, an EmbeddingMatrix."""
+    return points if row_ids is None else EmbeddingMatrix(points, row_ids)
+
+
 def _same_seeds(points, k, seed, row_ids=None, cap=clustering._SEED_CHUNK) -> None:
     """kmeanspp_init with seeding chunk `cap` returns the reference's bytes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "_SEED_CHUNK", cap)
-        ours = kmeanspp_init(points, k, seed, row_ids=row_ids)
+        ours = kmeanspp_init(_with_ids(points, row_ids), k, seed)
     ref = kmeanspp_init_reference(points, k, seed, row_ids=row_ids, chunk=cap)
     assert ours.dtype == ref.dtype == np.float32
     assert ours.shape == ref.shape
@@ -149,9 +154,10 @@ class TestKmeansPlusPlusReference:
         cap, dim = 256, 48
         points = _seeding_points(n, n, dim)
         ids = [f"r{i:05d}" for i in np.random.default_rng(n).permutation(n)] if with_ids else None
+        given = _with_ids(points, ids)  # wraps `points` without a copy
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_SEED_CHUNK", cap)
-            ours = self._peak_bytes(lambda: kmeanspp_init(points, 6, seed=2, row_ids=ids))
+            ours = self._peak_bytes(lambda: kmeanspp_init(given, 6, seed=2))
         ref = self._peak_bytes(lambda: kmeanspp_init_reference(points, 6, seed=2, row_ids=ids, chunk=cap))
         assert ours <= ref, (ours, ref)
 
@@ -159,9 +165,7 @@ class TestKmeansPlusPlusReference:
 class TestLloydStep:
     @staticmethod
     def step(points, centroids):
-        return clustering._lloyd_step(
-            np.asarray(points, dtype=np.float32), np.asarray(centroids, dtype=np.float64), 4096, None
-        )
+        return clustering._lloyd_step(np.asarray(points, dtype=np.float32), np.asarray(centroids, dtype=np.float64), None)
 
     def test_fixed_point(self):
         pts = np.array([[0.0, 0.0], [4.0, 4.0]], dtype=np.float32)
@@ -248,15 +252,16 @@ class TestKmeans:
             best = brute_force_best_lloyd(pts, k)
             assert ours <= best * 1.05 + 1e-9
 
-    def test_bit_identical_across_workers_and_reruns(self):
+    def test_bit_identical_across_workers_and_reruns(self, monkeypatch):
+        monkeypatch.setattr(clustering, "CHUNK_ROWS", 32)  # 150 points -> 5 chunks on the pool
         data, _ = make_blobs([50, 50, 50], dim=6, seed=30)
-        runs = [
-            kmeans(data, 5, seed=7, chunk_size=32, workers=w) for w in (1, 8, 1)
-        ]
+        runs = [kmeans(data, 5, seed=7, workers=w) for w in (1, 8, 1)]
         for other in runs[1:]:
             assert runs[0].centroids.tobytes() == other.centroids.tobytes()
             assert np.array_equal(runs[0].assignments, other.assignments)
             assert runs[0].inertia == other.inertia
+        trees = [build_hierarchy(data, [12, 4], seed=7, workers=w).fingerprint() for w in (1, 8)]
+        assert trees[0] == trees[1]
 
     def test_permutation_equivariance(self):
         data, _ = make_blobs([30, 30, 30], dim=4, seed=12)
@@ -277,14 +282,6 @@ class TestKmeans:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             kmeans(np.zeros((3, 2), dtype=np.float32), 5, seed=0)
-
-    def test_chunk_size_below_one_rejected(self):
-        pts = np.zeros((4, 2), dtype=np.float32)
-        for chunk_size in (0, -5):
-            with pytest.raises(ValueError, match="chunk_size"):
-                kmeans(pts, 2, chunk_size=chunk_size)
-            with pytest.raises(ValueError, match="chunk_size"):
-                build_hierarchy(pts, [2], chunk_size=chunk_size)
 
 
 class TestHierarchy:

@@ -81,6 +81,11 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=key):
             resolve_config(command, flags={key: bad}, env={})
 
+    def test_zero_tolerance_and_zero_workers_stay_valid(self):
+        # wide scans run a fixed number of Lloyd passes with --tol 0; workers 0 means all cores
+        cfg = resolve_config("cluster", flags={"tol": "0", "workers": "0", "max_iter": "1"}, env={})
+        assert (cfg["tol"], cfg["workers"], cfg["max_iter"]) == (0.0, 0, 1)
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             resolve_config("cluster", config_file="/nonexistent.ini", env={})
@@ -97,7 +102,7 @@ class TestHelp:
         "command,flags",
         [
             (["ingest"], ["--blobs", "--ids", "--out", "--dim", "--config"]),
-            (["cluster"], ["--store", "--out", "--levels", "--tol", "--max-iter", "--chunk-size", "--normalize", "--seed", "--workers"]),
+            (["cluster"], ["--store", "--out", "--levels", "--tol", "--max-iter", "--normalize", "--seed", "--workers"]),
             (["curate"], ["--store", "--tree", "--out", "--fraction", "--mode"]),
             (["sample"], ["--unlabeled", "--clinical", "--out", "--p-pure", "--mix", "--batch", "--n", "--interleave", "--seed"]),
             (["split"], ["--dataset", "--videos", "--corpus", "--official", "--community", "--ratios", "--stratify-by", "--seed", "--out"]),
@@ -143,20 +148,25 @@ class TestHelp:
         assert RunManifest(command="x", config={}).tool_version == __version__
 
 
-# one bad value per parser path: int, float, the two closed choice sets,
-# the three fractions and the split ratios; then every count below 1 and
-# the levels that are not strictly decreasing sizes >= 1
+# one bad value per parser path: int, the two closed choice sets, the three
+# fractions and the split ratios; then every tolerance that is not a finite
+# number >= 0, every count below 1, a negative worker count and the levels
+# that are not strictly decreasing sizes >= 1
 _BAD_VALUES = [
     (["curate", "--store", "s", "--tree", "t", "--out", "o"], "seed", "abc"),
     (["cluster", "--store", "s", "--out", "o"], "tol", "x"),
+    (["cluster", "--store", "s", "--out", "o"], "tol", "nan"),
+    (["cluster", "--store", "s", "--out", "o"], "tol", "-1"),
+    (["cluster", "--store", "s", "--out", "o"], "tol", "-0"),
+    (["cluster", "--store", "s", "--out", "o"], "max_iter", "-3"),
+    (["cluster", "--store", "s", "--out", "o"], "max_iter", "0"),
+    (["cluster", "--store", "s", "--out", "o"], "workers", "-2"),
     (["curate", "--store", "s", "--tree", "t", "--out", "o"], "mode", "bogus"),
     (["report", "--reference"], "format", "html"),
     (["curate", "--store", "s", "--tree", "t", "--out", "o"], "fraction", "abc"),
     (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "p_pure", "x"),
     (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "mix", "x"),
     (["split", "--dataset", "d", "--videos", "v", "--out", "o"], "ratios", "7:2"),
-    (["cluster", "--store", "s", "--out", "o"], "chunk_size", "-5"),
-    (["cluster", "--store", "s", "--out", "o"], "chunk_size", "0"),
     (["ingest", "--blobs", "b", "--ids", "i", "--out", "o"], "dim", "0"),
     (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "n", "-1"),
     (["sample", "--unlabeled", "u", "--clinical", "c", "--out", "o"], "batch", "0"),
@@ -328,6 +338,17 @@ class TestErrorContract:
         assert result.exit_code == 2
         record = json.loads(result.output.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
+
+    def test_chunk_size_is_not_an_option(self, tmp_path):
+        # the Lloyd chunk is fixed in code, so a tree is a function of the seed alone
+        ini = tmp_path / "surg.ini"
+        ini.write_text("[cluster]\nchunk_size = 8\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["cluster", "--store", "x", "--out", "y", "--config", str(ini)], env={})
+        assert result.exit_code == 2
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == "ConfigError"
+        assert "chunk_size" in record["message"]
+        assert "--chunk-size" not in CliRunner().invoke(main, ["cluster", "--help"], env={}).output
 
     def test_operational_error_exit_1(self, tmp_path):
         bad = tmp_path / "bad.semb"

@@ -12,7 +12,6 @@ from surgcurate.corpus import (
     UnknownDataset,
     VideoRecord,
     corpus_stats,
-    domain_of,
     inventory_report,
     read_corpus_manifest,
     record_from_json,
@@ -38,18 +37,18 @@ def _video(video_id="v1", frame_count=3000, dataset="cholec80", domain=Domain.LA
 
 class TestDomainMap:
     def test_known_lookups(self):
-        assert domain_of("cholec80") is Domain.LAPAROSCOPY
-        assert domain_of("jigsaws") is Domain.ROBOTIC
-        assert domain_of("avos") is Domain.MIXED
+        assert DomainMap.default().domain_of("cholec80") is Domain.LAPAROSCOPY
+        assert DomainMap.default().domain_of("jigsaws") is Domain.ROBOTIC
+        assert DomainMap.default().domain_of("avos") is Domain.MIXED
 
     def test_normalization(self):
-        assert domain_of("Cholec80") is Domain.LAPAROSCOPY
-        assert domain_of("SAR-RARP50") is Domain.ROBOTIC
-        assert domain_of("CATARACTS-1k") is Domain.CATARACT
+        assert DomainMap.default().domain_of("Cholec80") is Domain.LAPAROSCOPY
+        assert DomainMap.default().domain_of("SAR-RARP50") is Domain.ROBOTIC
+        assert DomainMap.default().domain_of("CATARACTS-1k") is Domain.CATARACT
 
     def test_unknown_is_an_error(self):
         with pytest.raises(UnknownDataset):
-            domain_of("not-a-dataset")
+            DomainMap.default().domain_of("not-a-dataset")
 
     def test_every_benchmark_dataset_resolves(self):
         benchmark = [

@@ -32,17 +32,17 @@ def _counts(assignment):
 
 class TestResolveTier:
     def test_official_wins(self):
-        assert resolve_tier("multibypass140", official=True, community=False) is SplitTier.OFFICIAL
+        assert resolve_tier(official=True, community=False) is SplitTier.OFFICIAL
 
     def test_community_when_no_official(self):
-        assert resolve_tier("d", official=False, community=True) is SplitTier.COMMUNITY
+        assert resolve_tier(official=False, community=True) is SplitTier.COMMUNITY
 
     def test_ours_when_neither(self):
-        assert resolve_tier("d", official=False, community=False) is SplitTier.OURS
+        assert resolve_tier(official=False, community=False) is SplitTier.OURS
 
     def test_tier_monotonicity(self):
         # adding a community split never changes the outcome under official
-        assert resolve_tier("d", True, False) == resolve_tier("d", True, True)
+        assert resolve_tier(True, False) == resolve_tier(True, True)
 
 
 class TestRatioSplit:

@@ -37,16 +37,31 @@ def test_traced_rebinding_table_names_existing_attributes():
     assert missing == []
 
 
+def _module_names(tree: ast.Module) -> set[str]:
+    """Names a file binds to a module: `import m`, and a package module taken
+    by `from surgcurate import m` or `from . import m`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("surgcurate", 0), (None, 1)):
+            names |= {alias.asname or alias.name for alias in node.names if (PACKAGE / f"{alias.name}.py").exists()}
+    return names
+
+
 def _references(path: Path):
-    """Identifiers a file uses: loaded names, attributes, and string
+    """Identifiers a file uses: loaded names, attributes of a module the
+    file imported (`cli.read_store`, not `mapping.domain_of`), and string
     constants that are identifiers (perfbench rebinds attributes by name).
     A top-level def or class does not reference itself."""
-    for stmt in ast.parse(path.read_text("utf-8")).body:
+    tree = ast.parse(path.read_text("utf-8"))
+    modules = _module_names(tree)
+    for stmt in tree.body:
         own = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                 name = node.attr
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
                 name = node.value

@@ -10,10 +10,10 @@ Design constraints that shape this module:
   repair empties, take means), both in the main loop and in the final
   alignment against the stored f32 centroids; the alignment repeats until
   a pass leaves no cluster empty before repair;
-* points are processed in chunks of CHUNK_ROWS = 4,096 rows, fixed in code,
-  and per-chunk partial sums are combined in chunk order, so results are
-  bit-identical for a fixed seed no matter how many worker threads run
-  the chunks;
+* points are processed in chunks of CHUNK_ROWS = 4,096 rows, fixed in code;
+  within a chunk each cluster's f64 sum adds its member rows in row order,
+  and the per-chunk sums merge in chunk order, so results are bit-identical
+  for a fixed seed no matter how many worker threads run the chunks;
 * K-means++ seeding walks points in sorted row-id order when the points
   come as an EmbeddingMatrix, so ingest order cannot change which points
   seed the run;
@@ -104,10 +104,13 @@ def _assign_chunk(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2:
     # snap that noise to exact zero so fixed points report inertia 0
     mind[mind <= 1e-12 * (x2 + c2[assign])] = 0.0
     inertia = float(np.sum(mind))
-    order = np.argsort(assign, kind="stable")
+    order = np.argsort(assign, kind="stable")  # each cluster's rows, in row order
     uniq, starts = np.unique(assign[order], return_index=True)
-    sums = np.add.reduceat(xb64[order], starts, axis=0)
     counts = np.diff(np.concatenate([starts, [len(assign)]]))
+    sums = np.empty((len(uniq), xb64.shape[1]), dtype=np.float64)
+    for j, (s, c) in enumerate(zip(starts, counts)):
+        # a reduce over axis 0 of a C-order block adds row by row (acc += row)
+        np.add.reduce(xb64[order[s : s + c]], axis=0, out=sums[j])
     return assign.astype(np.uint32), mind, uniq, sums, counts, inertia
 
 

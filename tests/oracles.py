@@ -158,3 +158,16 @@ def select_leaf_reference(data, row_ids, centroid, member_rows, quota):
     dists = np.einsum("ij,ij->i", diff, diff)
     order = np.lexsort((ids, dists))
     return [(str(ids[i]), float(diff[i] @ diff[i])) for i in order[:quota]]
+
+
+def cluster_sums_row_order(points64, assign):
+    """Per-cluster sums of f64 rows, each taken as a plain loop in row order:
+    the cluster's first row, then `acc += row` for each later member.
+    Returns {cluster: sum} for every cluster that has a member."""
+    sums = {}
+    for row, cluster in zip(points64, np.asarray(assign).tolist()):
+        if cluster in sums:
+            sums[cluster] += row
+        else:
+            sums[cluster] = row.copy()
+    return sums

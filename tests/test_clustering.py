@@ -20,7 +20,12 @@ from surgcurate.clustering import (
 from surgcurate.store import EmbeddingMatrix
 from surgcurate.synthetic import make_blobs
 
-from .oracles import brute_force_best_lloyd, kmeanspp_init_reference, nearest_assignments
+from .oracles import (
+    brute_force_best_lloyd,
+    cluster_sums_row_order,
+    kmeanspp_init_reference,
+    nearest_assignments,
+)
 
 
 class TestKmeansPlusPlus:
@@ -198,6 +203,49 @@ class TestLloydStep:
         pts = np.array([[0.0]], dtype=np.float32)
         assign, _, _, _ = self.step(pts, [[1.0], [-1.0]])
         assert assign.tolist() == [0]
+
+
+def _chunk_sums(rows32: np.ndarray, k: int, seed: int):
+    """_assign_chunk over f32 rows (cast to f64), with k of the rows as centroids."""
+    xb = rows32.astype(np.float64)
+    c = xb[np.random.default_rng(seed).choice(len(xb), k, replace=False)]
+    assign, _, uniq, sums, counts, _ = clustering._assign_chunk(
+        xb, np.einsum("ij,ij->i", xb, xb), c, np.einsum("ij,ij->i", c, c)
+    )
+    return xb, assign, uniq, sums, counts
+
+
+class TestChunkSums:
+    """A chunk's per-cluster f64 sums add each cluster's rows in row order.
+    At d = 1 numpy's own 1-D reduction decides the order, so d >= 2 only."""
+
+    @pytest.mark.parametrize("dim", [2, 768])
+    @pytest.mark.parametrize("k", [1, 8, 256])
+    def test_sums_add_rows_in_row_order(self, dim, k):
+        # magnitudes spread over ~48 binades per element, so the sum order shows in the bits
+        rng = np.random.default_rng(1000 * dim + k)
+        shape = (clustering.CHUNK_ROWS, dim)
+        rows = (rng.standard_normal(shape) * np.exp(rng.uniform(-30, 3, shape))).astype(np.float32)
+        xb, assign, uniq, sums, counts = _chunk_sums(rows, k, seed=k)
+        want = cluster_sums_row_order(xb, assign)
+        assert uniq.tolist() == sorted(want)
+        assert counts.tolist() == np.bincount(assign)[uniq].tolist()
+        for cluster, got in zip(uniq.tolist(), sums):
+            assert np.array_equal(got, want[cluster]), cluster
+
+    @pytest.mark.parametrize("dim", [2, 768])
+    @pytest.mark.parametrize("k", [1, 8, 256])
+    def test_exact_sums_equal_the_sorted_reduceat(self, dim, k):
+        """With magnitudes in [2^-8, 2^4), every f64 sum of f32 members is
+        exact, so any order gives the same bits: the row-order sums equal
+        np.add.reduceat over the cluster-sorted copy, the form used before."""
+        rng = np.random.default_rng(1000 * dim + k)
+        shape = (clustering.CHUNK_ROWS, dim)
+        rows = (rng.choice([-1.0, 1.0], shape) * np.exp2(rng.uniform(-8, 4, shape))).astype(np.float32)
+        xb, assign, uniq, sums, _ = _chunk_sums(rows, k, seed=k)
+        order = np.argsort(assign, kind="stable")
+        _, starts = np.unique(assign[order], return_index=True)
+        assert np.array_equal(sums, np.add.reduceat(xb[order], starts, axis=0))
 
 
 class TestKmeans:

@@ -299,7 +299,7 @@ class TestErrorContract:
         assert {stat.S_IMODE(p.stat().st_mode) for p in (out, manifest_path_for(out))} == {0o644}
 
     @pytest.mark.parametrize("origin", ["flag", "env", "ini"])
-    @pytest.mark.parametrize("argv,key,value", _BAD_VALUES, ids=[key for _, key, _ in _BAD_VALUES])
+    @pytest.mark.parametrize("argv,key,value", _BAD_VALUES, ids=[f"{key}={value}" for _, key, value in _BAD_VALUES])
     def test_bad_value_is_one_config_error_record_exit_2(self, tmp_path, origin, argv, key, value):
         env = {}
         if origin == "flag":

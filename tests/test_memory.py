@@ -1,8 +1,10 @@
-"""Peak traced memory of the store-layer passes on a 2,000x768 store.
+"""Peak traced memory of the store-layer passes and of one Lloyd
+assignment pass on a 2,000x768 store.
 
 numpy reports its buffers to tracemalloc, so a peak counts every array a
-call allocates. Each bound is one f32 payload copy (where the call returns
-one) plus a few row blocks.
+call allocates. Each store bound is one f32 payload copy (where the call
+returns one) plus a few row blocks; the Lloyd bound is the pass's one f64
+chunk plus a quarter of it.
 """
 
 import tracemalloc
@@ -10,8 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from surgcurate.clustering import _assignment_pass
 from surgcurate.curation import _select_leaf
 from surgcurate.store import EmbeddingMatrix, l2_normalize, read_store, write_store
+from surgcurate.synthetic import make_blobs
 
 N, DIM = 2000, 768
 PAYLOAD = N * DIM * 4
@@ -56,3 +60,13 @@ def test_select_leaf_holds_row_blocks_only(stored):
     picked, peak = _peak(_select_leaf, matrix, matrix.data.mean(axis=0), np.arange(N), N)
     assert len(picked) == N
     assert peak <= 4 * MiB, peak / MiB
+
+
+def test_assignment_pass_holds_one_f64_chunk():
+    """k = 8 balanced clusters, one worker: the 2,000 rows are one chunk."""
+    points, labels = make_blobs([N // 8] * 8, dim=DIM, seed=3)
+    centroids64 = np.stack([points[labels == j].mean(axis=0, dtype=np.float64) for j in range(8)])
+    (assign, *_), peak = _peak(_assignment_pass, points, centroids64, 1)
+    assert np.array_equal(assign, labels)
+    chunk64 = N * DIM * 8
+    assert peak <= 1.25 * chunk64 + MiB, peak / chunk64

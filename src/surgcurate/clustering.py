@@ -14,6 +14,13 @@ Design constraints that shape this module:
   within a chunk each cluster's f64 sum adds its member rows in row order,
   and the per-chunk sums merge in chunk order, so results are bit-identical
   for a fixed seed no matter how many worker threads run the chunks;
+* each K-means takes its rows' f64 squared norms once, chunk by chunk, and
+  every Lloyd pass reads them;
+* while a worker pool runs, the OpenBLAS that numpy loaded is held to one
+  thread, so each worker's matrix products stay on its own core; OpenBLAS
+  splits a product's output between threads, not its inner sums, so the
+  bits do not depend on the thread count; seeding and serial passes keep
+  the default count;
 * K-means++ seeding walks points in sorted row-id order when the points
   come as an EmbeddingMatrix, so ingest order cannot change which points
   seed the run;
@@ -26,10 +33,14 @@ Design constraints that shape this module:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,18 +129,66 @@ def _chunks(n: int, rows: int) -> list[tuple[int, int]]:
     return [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS that numpy's matrix
+    products call, or None when there is none. The symbols are looked up
+    through numpy's loaded core extension, which reaches the BLAS it links."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):  # numpy 2, numpy 1
+        try:
+            lib = ctypes.CDLL(sys.modules[module].__file__)
+        except (KeyError, OSError):
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the body; restore the count after.
+    The count is process-wide, so only one thread at a time may enter."""
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def ordered_map(fn, items, workers: int | None) -> list:
     """[fn(x) for x in items]; on a pool of `workers` threads when there are
-    more than one worker and more than one item. Results keep item order."""
+    more than one worker and more than one item. Results keep item order.
+    While the pool runs, BLAS runs on one thread per call, so the workers
+    do not share their cores with BLAS threads."""
     items = list(items)
     if workers is None or workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
-def _assignment_pass(points: np.ndarray, centroids64: np.ndarray, workers: int | None):
-    """One full assignment over all points, in CHUNK_ROWS-row chunks.
+def _row_sq_norms(points: np.ndarray) -> np.ndarray:
+    """f64 squared norms of the f32 rows, cast one CHUNK_ROWS chunk at a time."""
+    x2 = np.empty(len(points), dtype=np.float64)
+    for s, e in _chunks(len(points), CHUNK_ROWS):
+        xb = points[s:e].astype(np.float64)
+        x2[s:e] = np.einsum("ij,ij->i", xb, xb)
+    return x2
+
+
+def _assignment_pass(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, workers: int | None):
+    """One full assignment over all points, in CHUNK_ROWS-row chunks;
+    x2 holds the points' squared norms (_row_sq_norms).
 
     Returns assignments, per-point min distances, per-cluster f64 sums and
     counts, and the total inertia. Partial results are merged in chunk
@@ -141,8 +200,8 @@ def _assignment_pass(points: np.ndarray, centroids64: np.ndarray, workers: int |
     spans = _chunks(n, CHUNK_ROWS)
 
     def job(span: tuple[int, int]):
-        xb = points[span[0] : span[1]].astype(np.float64)
-        return _assign_chunk(xb, np.einsum("ij,ij->i", xb, xb), centroids64, c2)
+        s, e = span
+        return _assign_chunk(points[s:e].astype(np.float64), x2[s:e], centroids64, c2)
 
     results = ordered_map(job, spans, workers)
     assign = np.empty(n, dtype=np.uint32)
@@ -196,14 +255,15 @@ def _mean_update(sums: np.ndarray, counts: np.ndarray, previous: np.ndarray) -> 
     return out
 
 
-def _lloyd_step(points: np.ndarray, centroids64: np.ndarray, workers: int | None):
-    """One Lloyd iteration: assign, repair empties, recompute means.
+def _lloyd_step(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, workers: int | None):
+    """One Lloyd iteration: assign, repair empties, recompute means; x2
+    holds the points' squared norms.
 
     Returns (assignments, new f64 means, inertia, empty) where inertia is
     the cost of the assignment against the *input* centroids and empty is
     the number of clusters the assignment left empty before repair.
     """
-    assign, mind, sums, counts, inertia = _assignment_pass(points, centroids64, workers)
+    assign, mind, sums, counts, inertia = _assignment_pass(points, x2, centroids64, workers)
     empty = int(np.count_nonzero(counts == 0))
     _repair_empty(points, assign, mind, sums, counts)
     return assign, _mean_update(sums, counts, centroids64), inertia, empty
@@ -300,11 +360,12 @@ def kmeans(
     """
     X, _ = _as_points(points)
     centroids64 = kmeanspp_init(points, k, seed).astype(np.float64)
+    x2 = _row_sq_norms(X)
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0
     for _ in range(max_iter):
-        assign, means64, inertia, _ = _lloyd_step(X, centroids64, workers)
+        assign, means64, inertia, _ = _lloyd_step(X, x2, centroids64, workers)
         iterations += 1
         if history and inertia > history[-1]:
             # float wobble at convergence; the exact sequence cannot increase
@@ -322,7 +383,7 @@ def kmeans(
     centroids = centroids64.astype(np.float32)
     # final alignment: assignments and inertia against the stored centroids
     for _ in range(k):
-        assign, means64, inertia, empty = _lloyd_step(X, centroids.astype(np.float64), workers)
+        assign, means64, inertia, empty = _lloyd_step(X, x2, centroids.astype(np.float64), workers)
         if empty == 0:
             break
         centroids = means64.astype(np.float32)

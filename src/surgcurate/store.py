@@ -13,8 +13,9 @@ Stores are write-once and then shared read-only. Identical matrices
 produce byte-identical files.
 
 Reading, ingesting and normalising hold one f32 copy of the payload plus
-bounded temporaries: files are read straight into the one array, and
-whole-matrix passes walk the rows in blocks of ROW_BLOCK rows.
+bounded temporaries: files are read straight into the one array,
+normalising rescales that array in place, and whole-matrix passes walk the
+rows in blocks of ROW_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -207,13 +208,14 @@ def _read_exact(fh, nbytes: int, path: str | Path) -> bytes:
 
 
 def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Rescale every row to unit Euclidean norm (f64 norms, f32 result).
+    """Rescale every row of `matrix` to unit Euclidean norm in place (f64
+    norms, f32 result) and return `matrix`.
 
     Idempotent within float precision and order-preserving for cosine
-    nearest-neighbor structure. All-zero rows are an error. Returns a new
-    matrix; rows are cast to f64 one block at a time.
+    nearest-neighbor structure. Rows are cast to f64 one block at a time,
+    so no second payload copy is built. An all-zero row raises ZeroRow; the
+    rows of the blocks before its block are already rescaled by then.
     """
-    out = np.empty_like(matrix.data)
     for s, e in row_blocks(matrix.n_rows):
         block = matrix.data[s:e].astype(np.float64)
         norms = np.linalg.norm(block, axis=1)
@@ -221,8 +223,8 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
         if zero.any():
             raise ZeroRow(s + int(np.argmax(zero)))
         block /= norms[:, None]
-        out[s:e] = block
-    return EmbeddingMatrix(out, list(matrix.row_ids))
+        matrix.data[s:e] = block
+    return matrix
 
 
 def ingest_raw_blobs(

@@ -170,7 +170,8 @@ class TestKmeansPlusPlusReference:
 class TestLloydStep:
     @staticmethod
     def step(points, centroids):
-        return clustering._lloyd_step(np.asarray(points, dtype=np.float32), np.asarray(centroids, dtype=np.float64), None)
+        points = np.asarray(points, dtype=np.float32)
+        return clustering._lloyd_step(points, clustering._row_sq_norms(points), np.asarray(centroids, dtype=np.float64), None)
 
     def test_fixed_point(self):
         pts = np.array([[0.0, 0.0], [4.0, 4.0]], dtype=np.float32)
@@ -246,6 +247,59 @@ class TestChunkSums:
         order = np.argsort(assign, kind="stable")
         _, starts = np.unique(assign[order], return_index=True)
         assert np.array_equal(sums, np.add.reduceat(xb[order], starts, axis=0))
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of numpy's OpenBLAS thread count, with the count set to 2
+    for the test and restored after it; skips when numpy has no OpenBLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"].lower():
+        pytest.skip(f"numpy BLAS is {blas['name']}")
+    api = clustering._openblas_threads()
+    assert api is not None, f"numpy names {blas['name']}, but its thread-count functions were not found"
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+class TestBlasThreads:
+    """A worker pool runs BLAS on one thread; the bits do not depend on it."""
+
+    def test_pool_runs_on_one_blas_thread_and_restores_the_count(self, openblas):
+        get, _ = openblas
+        before = get()
+        assert clustering.ordered_map(lambda _: get(), range(4), 2) == [1, 1, 1, 1]
+        assert get() == before
+        assert clustering.ordered_map(lambda _: get(), range(4), 1) == [before] * 4  # the serial path is untouched
+
+        def fail(item):
+            if item == 2:
+                raise RuntimeError("worker failed")
+            return get()
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            clustering.ordered_map(fail, range(4), 2)
+        assert get() == before
+
+    def test_pooled_pass_matches_the_serial_pass_bit_for_bit(self, openblas, monkeypatch):
+        """Serial at two BLAS threads, pooled at one: same assignments, sums,
+        counts and inertia, over three 1,024-row chunks."""
+        monkeypatch.setattr(clustering, "CHUNK_ROWS", 1024)
+        rng = np.random.default_rng(64)
+        points = rng.standard_normal((3000, 768)).astype(np.float32)
+        centroids64 = points[rng.choice(len(points), 64, replace=False)].astype(np.float64)
+        x2 = clustering._row_sq_norms(points)
+        get, _ = openblas
+        serial_threads = get()
+        serial = clustering._assignment_pass(points, x2, centroids64, 1)
+        pooled = clustering._assignment_pass(points, x2, centroids64, 2)
+        assert get() == serial_threads
+        for name, a, b in zip(("assign", "mind", "sums", "counts"), serial, pooled):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert serial[4] == pooled[4]
 
 
 class TestKmeans:

@@ -3,8 +3,8 @@ assignment pass on a 2,000x768 store.
 
 numpy reports its buffers to tracemalloc, so a peak counts every array a
 call allocates. Each store bound is one f32 payload copy (where the call
-returns one) plus a few row blocks; the Lloyd bound is the pass's one f64
-chunk plus a quarter of it.
+returns one; normalising rescales its input in place) plus a few row
+blocks; the Lloyd bound is the pass's one f64 chunk plus a quarter of it.
 """
 
 import tracemalloc
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from surgcurate.clustering import _assignment_pass
+from surgcurate.clustering import _assignment_pass, _row_sq_norms
 from surgcurate.curation import _select_leaf
 from surgcurate.store import EmbeddingMatrix, l2_normalize, read_store, write_store
 from surgcurate.synthetic import make_blobs
@@ -50,9 +50,13 @@ def test_read_store_holds_one_payload_copy(stored):
 
 
 def test_l2_normalize_holds_one_payload_copy(stored):
+    """Normalising rescales the rows in place: the one payload copy is the
+    input's own, and the call adds only row blocks."""
     _, matrix = stored
-    _, peak = _peak(l2_normalize, matrix)
-    assert peak <= PAYLOAD + 4 * MiB, peak / PAYLOAD
+    copy = EmbeddingMatrix(matrix.data.copy(), matrix.row_ids)
+    out, peak = _peak(l2_normalize, copy)
+    assert peak <= 4 * MiB, peak / MiB
+    assert out is copy
 
 
 def test_select_leaf_holds_row_blocks_only(stored):
@@ -66,7 +70,8 @@ def test_assignment_pass_holds_one_f64_chunk():
     """k = 8 balanced clusters, one worker: the 2,000 rows are one chunk."""
     points, labels = make_blobs([N // 8] * 8, dim=DIM, seed=3)
     centroids64 = np.stack([points[labels == j].mean(axis=0, dtype=np.float64) for j in range(8)])
-    (assign, *_), peak = _peak(_assignment_pass, points, centroids64, 1)
+    x2 = _row_sq_norms(points)
+    (assign, *_), peak = _peak(_assignment_pass, points, x2, centroids64, 1)
     assert np.array_equal(assign, labels)
     chunk64 = N * DIM * 8
     assert peak <= 1.25 * chunk64 + MiB, peak / chunk64

@@ -177,8 +177,8 @@ class TestNormalize:
 
     def test_idempotent(self, rng):
         m = EmbeddingMatrix(rng.standard_normal((20, 6)).astype(np.float32), [f"r{i}" for i in range(20)])
-        once = l2_normalize(m)
-        twice = l2_normalize(once)
+        once = l2_normalize(EmbeddingMatrix(m.data.copy(), m.row_ids))
+        twice = l2_normalize(l2_normalize(EmbeddingMatrix(m.data.copy(), m.row_ids)))
         assert np.abs(twice.data - once.data).max() <= 1e-7
         assert np.abs(np.linalg.norm(once.data, axis=1) - 1.0).max() <= 1e-6
 
@@ -217,18 +217,32 @@ class TestNormalize:
             l2_normalize(EmbeddingMatrix(data, [f"r{i}" for i in range(len(data))]))
         assert err.value.row == 2 * B + 1
 
+    def test_rescales_in_place(self, monkeypatch, rng):
+        """The input's own rows are rescaled and the input is returned; a
+        ZeroRow leaves the blocks before it rescaled and the rest as they were."""
+        monkeypatch.setattr(store, "ROW_BLOCK", B)
+        data = rng.standard_normal((3 * B, 4)).astype(np.float32)
+        m = EmbeddingMatrix(data.copy(), [f"r{i}" for i in range(len(data))])
+        assert l2_normalize(m) is m
+        assert m.data.tobytes() == l2_normalize_reference(data).tobytes()
+        data[B + 1] = 0.0
+        m = EmbeddingMatrix(data.copy(), [f"r{i}" for i in range(len(data))])
+        with pytest.raises(ZeroRow):
+            l2_normalize(m)
+        assert m.data[:B].tobytes() == l2_normalize_reference(data[:B]).tobytes()
+        assert m.data[B:].tobytes() == data[B:].tobytes()
+
     def test_preserves_argmax_cosine_neighbor(self, rng):
         data = rng.standard_normal((30, 8)).astype(np.float32)
         data *= rng.uniform(0.1, 10.0, size=(30, 1)).astype(np.float32)  # varied norms
-        m = EmbeddingMatrix(data, [f"r{i}" for i in range(30)])
-        normalized = l2_normalize(m)
+        normalized = l2_normalize(EmbeddingMatrix(data.copy(), [f"r{i}" for i in range(30)]))
 
         def argmax_cosine(x):
             sims = x @ x.T / (np.linalg.norm(x, axis=1)[:, None] * np.linalg.norm(x, axis=1)[None, :])
             np.fill_diagonal(sims, -np.inf)
             return sims.argmax(axis=1)
 
-        before = argmax_cosine(m.data.astype(np.float64))
+        before = argmax_cosine(data.astype(np.float64))
         after = argmax_cosine(normalized.data.astype(np.float64))
         assert np.array_equal(before, after)
 

@@ -84,3 +84,22 @@ def test_every_export_is_reached_outside_the_tests():
     used = {name for path in readers for name in _references(path)}
     assert len(exported) >= 70
     assert [name for name in exported if name not in used] == []
+
+
+def test_thread_pools_start_only_in_ordered_map():
+    """clustering.ordered_map holds BLAS to one thread while its pool runs;
+    a pool started anywhere else would share its cores with BLAS threads."""
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        enclosing = {
+            id(node): fn.name
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor") or (
+                isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor"
+            ):
+                uses.append((path.name, enclosing.get(id(node))))
+    assert uses == [("clustering.py", "ordered_map")]

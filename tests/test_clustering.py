@@ -251,7 +251,7 @@ class TestChunkSums:
 
 @pytest.fixture
 def openblas():
-    """(get, set) of numpy's OpenBLAS thread count, with the count set to 2
+    """The getter of numpy's OpenBLAS thread count, with the count set to 2
     for the test and restored after it; skips when numpy has no OpenBLAS."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in blas["name"].lower():
@@ -261,7 +261,7 @@ def openblas():
     get, set_ = api
     before = get()
     set_(2)
-    yield get, set_
+    yield get
     set_(before)
 
 
@@ -269,7 +269,7 @@ class TestBlasThreads:
     """A worker pool runs BLAS on one thread; the bits do not depend on it."""
 
     def test_pool_runs_on_one_blas_thread_and_restores_the_count(self, openblas):
-        get, _ = openblas
+        get = openblas
         before = get()
         assert clustering.ordered_map(lambda _: get(), range(4), 2) == [1, 1, 1, 1]
         assert get() == before
@@ -292,11 +292,10 @@ class TestBlasThreads:
         points = rng.standard_normal((3000, 768)).astype(np.float32)
         centroids64 = points[rng.choice(len(points), 64, replace=False)].astype(np.float64)
         x2 = clustering._row_sq_norms(points)
-        get, _ = openblas
-        serial_threads = get()
+        serial_threads = openblas()
         serial = clustering._assignment_pass(points, x2, centroids64, 1)
         pooled = clustering._assignment_pass(points, x2, centroids64, 2)
-        assert get() == serial_threads
+        assert openblas() == serial_threads
         for name, a, b in zip(("assign", "mind", "sums", "counts"), serial, pooled):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert serial[4] == pooled[4]

@@ -40,7 +40,6 @@ from .corpus import (
     inventory_report,
     read_corpus_manifest,
     validate_corpus,
-    validate_record,
     write_corpus_manifest,
 )
 from .curation import (

@@ -10,6 +10,9 @@ survives a killed process, not a power loss.
 read_json and iter_jsonl turn malformed input (bad JSON, text that is not
 UTF-8, a missing key, or a value of the wrong type or range) into the
 caller's typed error, with a message naming the file and line.
+decode_line decodes one JSON-lines line with json's C scanner and accepts
+exactly what json.loads(line.decode("utf-8")) accepts, raising the same
+exception class when it does not.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ T = TypeVar("T")
 
 #: What malformed input raises inside json.loads or a parse function.
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+
+_scan_once = json.JSONDecoder().scan_once
+_skip_ws = json.decoder.WHITESPACE.match  # JSON's own whitespace: space, tab, LF, CR
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes | str]) -> Path:
@@ -52,16 +58,41 @@ def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], T
         raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
+def decode_line(line: bytes) -> Any:
+    """json.loads(line.decode("utf-8")) without its per-call layers: the
+    same document, or the same exception class (UnicodeDecodeError or
+    json.JSONDecodeError, with json.loads's message for a BOM, a missing
+    value and extra data)."""
+    text = line.decode("utf-8")
+    try:
+        doc, end = _scan_once(text, _skip_ws(text, 0).end())
+    except StopIteration as stop:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0) from None
+        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+    if end != len(text):
+        end = _skip_ws(text, end).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
 def iter_jsonl(path: str | Path, error: type[Exception], parse: Callable[[Any], T]) -> Iterator[T]:
     """parse(document) for every non-blank line of a UTF-8 JSON-lines file;
     malformed input, or `error` raised by parse, raises `error` naming
-    path:line."""
+    path:line.
+
+    The file is read one buffered line at a time and each line is decoded
+    once (decode_line), so the file's text is never held whole. A line of
+    bytes.isspace() whitespace only (which also counts vertical tab and
+    form feed, unlike JSON) is blank and skipped.
+    """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                value = parse(json.loads(line.decode("utf-8")))
+                value = parse(decode_line(line))
             except (error, *_MALFORMED) as exc:
                 raise error(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
             yield value

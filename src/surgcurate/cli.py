@@ -410,9 +410,9 @@ def report(cfg, scores_paths, domain_map_path, reference, out):
 def stats(cfg, corpus_path, out):
     """Inventory report: videos, clips, frames per source and domain."""
     corpus_file = _require(corpus_path, "corpus manifest")
-    records = read_corpus_manifest(corpus_file)
-    validation = validate_corpus(records)
-    result = corpus_stats(records)
+    index = CorpusIndex(read_corpus_manifest(corpus_file))
+    validation = validate_corpus(index)
+    result = corpus_stats(index)
     text = inventory_report(result)
     if cfg["scale_comparison"]:
         text += "\n" + scale_comparison_report(result)

@@ -14,8 +14,8 @@ Design constraints that shape this module:
   within a chunk each cluster's f64 sum adds its member rows in row order,
   and the per-chunk sums merge in chunk order, so results are bit-identical
   for a fixed seed no matter how many worker threads run the chunks;
-* each K-means takes its rows' f64 squared norms once, chunk by chunk, and
-  every Lloyd pass reads them;
+* each K-means takes its rows' f64 squared norms once, block by block, and
+  its seeding and every Lloyd pass read them;
 * while a worker pool runs, the OpenBLAS that numpy loaded is held to one
   thread, so each worker's matrix products stay on its own core; OpenBLAS
   splits a product's output between threads, not its inner sums, so the
@@ -24,8 +24,8 @@ Design constraints that shape this module:
 * K-means++ seeding walks points in sorted row-id order when the points
   come as an EmbeddingMatrix, so ingest order cannot change which points
   seed the run;
-* seeding casts each level's rows to f64 and takes their squared norms
-  once, so a pick costs one matrix-vector product and one draw; the f64
+* seeding casts each level's rows to f64 once, so a pick costs one
+  matrix-vector product and one draw; the f64
   copy (the seeding head) holds at most 65,536 rows (one seeding chunk),
   is filled in store.ROW_BLOCK-row blocks so no f32 copy of it is built
   on the way, and rows past it are cast again on every pick.
@@ -106,11 +106,16 @@ def _pairwise_sq_dists(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray
     return d
 
 
-def _assign_chunk(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
-    """Assignment plus partial statistics for one f64 chunk (runs on a worker)."""
+def _assign_chunk(rows32: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
+    """Assignment plus partial statistics for one chunk of f32 rows (runs on
+    a worker). The chunk's f64 copy lives only for the distances; each
+    cluster's f64 sum reads its rows from the f32 chunk."""
+    xb64 = rows32.astype(np.float64)
     d = _pairwise_sq_dists(xb64, x2, centroids64, c2)
+    del xb64
     assign = np.argmin(d, axis=1)  # ties -> lowest index
     mind = d[np.arange(len(assign)), assign]
+    del d
     # the expansion form cannot resolve distances below ~eps * (|x|^2 + |c|^2);
     # snap that noise to exact zero so fixed points report inertia 0
     mind[mind <= 1e-12 * (x2 + c2[assign])] = 0.0
@@ -118,10 +123,11 @@ def _assign_chunk(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2:
     order = np.argsort(assign, kind="stable")  # each cluster's rows, in row order
     uniq, starts = np.unique(assign[order], return_index=True)
     counts = np.diff(np.concatenate([starts, [len(assign)]]))
-    sums = np.empty((len(uniq), xb64.shape[1]), dtype=np.float64)
+    sums = np.empty((len(uniq), rows32.shape[1]), dtype=np.float64)
     for j, (s, c) in enumerate(zip(starts, counts)):
-        # a reduce over axis 0 of a C-order block adds row by row (acc += row)
-        np.add.reduce(xb64[order[s : s + c]], axis=0, out=sums[j])
+        # a reduce over axis 0 of a C-order block adds row by row (acc += row),
+        # each f32 row cast to f64 as it is added
+        np.add.reduce(rows32[order[s : s + c]], axis=0, dtype=np.float64, out=sums[j])
     return assign.astype(np.uint32), mind, uniq, sums, counts, inertia
 
 
@@ -178,9 +184,10 @@ def ordered_map(fn, items, workers: int | None) -> list:
 
 
 def _row_sq_norms(points: np.ndarray) -> np.ndarray:
-    """f64 squared norms of the f32 rows, cast one CHUNK_ROWS chunk at a time."""
+    """f64 squared norms of the f32 rows, cast one store.ROW_BLOCK block at
+    a time; a row's norm does not depend on the block it is cast in."""
     x2 = np.empty(len(points), dtype=np.float64)
-    for s, e in _chunks(len(points), CHUNK_ROWS):
+    for s, e in row_blocks(len(points)):
         xb = points[s:e].astype(np.float64)
         x2[s:e] = np.einsum("ij,ij->i", xb, xb)
     return x2
@@ -201,7 +208,7 @@ def _assignment_pass(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray
 
     def job(span: tuple[int, int]):
         s, e = span
-        return _assign_chunk(points[s:e].astype(np.float64), x2[s:e], centroids64, c2)
+        return _assign_chunk(points[s:e], x2[s:e], centroids64, c2)
 
     results = ordered_map(job, spans, workers)
     assign = np.empty(n, dtype=np.uint32)
@@ -272,12 +279,14 @@ def _lloyd_step(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, wor
 _SEED_CHUNK = 65536  # rows per K-means++ distance pass; the f64 copy holds the first one
 
 
-def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
+def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np.ndarray:
     """K-means++ (D^2-weighted) seeding over a canonical point order.
 
     When `points` is an EmbeddingMatrix, candidates are walked in
     sorted-row-id order so permuting ingest order picks the same points;
     a bare array is walked in index order. Returns (k, dim) f32.
+    x2 holds the points' f64 squared norms in storage order
+    (_row_sq_norms, which runs here when x2 is not given).
     The first _SEED_CHUNK canonical rows are cast to f64 once and held;
     rows past that cap are read from `points` and cast again on every pick,
     into one reused chunk.
@@ -292,6 +301,9 @@ def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
         canon = np.argsort(np.asarray(row_ids, dtype=object), kind="stable")
     else:
         canon = np.arange(n)
+    x2 = (_row_sq_norms(X) if x2 is None else x2)[canon]
+    if not np.isfinite(x2).all():
+        raise ValueError("K-means++ needs finite points; a squared row norm is not finite")
 
     spans = _chunks(n, _SEED_CHUNK)
     head = np.empty((min(n, _SEED_CHUNK), X.shape[1]), dtype=np.float64)
@@ -305,13 +317,6 @@ def kmeanspp_init(points, k: int, seed: int) -> np.ndarray:
             return head
         tail[: e - s] = X[canon[s:e]]
         return tail[: e - s]
-
-    x2 = np.empty(n, dtype=np.float64)
-    for s, e in spans:
-        xb = rows64(s, e)
-        x2[s:e] = np.einsum("ij,ij->i", xb, xb)
-    if not np.isfinite(x2).all():
-        raise ValueError("K-means++ needs finite points; a squared row norm is not finite")
 
     def min_update(row: int) -> None:
         """d2 <- min(d2, squared distance to canonical row `row`)."""
@@ -359,8 +364,8 @@ def kmeans(
     point is assigned to its true nearest centroid (ties -> lowest index).
     """
     X, _ = _as_points(points)
-    centroids64 = kmeanspp_init(points, k, seed).astype(np.float64)
     x2 = _row_sq_norms(X)
+    centroids64 = kmeanspp_init(points, k, seed, x2).astype(np.float64)
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0

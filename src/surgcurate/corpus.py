@@ -9,8 +9,10 @@ is built once and then shared read-only.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,7 +64,7 @@ CLINICAL_DOMAINS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VideoRecord:
     """One source video of the corpus."""
 
@@ -77,13 +79,13 @@ class VideoRecord:
     def __post_init__(self) -> None:
         if self.frame_count < 0:
             raise ValueError(f"{self.video_id}: frame_count must be >= 0")
-        if self.fps <= 0:
+        if self.fps.numerator <= 0:  # a Fraction's denominator is positive
             raise ValueError(f"{self.video_id}: fps must be positive")
         if self.duration_s < 0:
             raise ValueError(f"{self.video_id}: duration_s must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipRecord:
     """A frame interval of a parent video; the unit of curation.
 
@@ -162,91 +164,97 @@ class DomainMap:
 
 
 class CorpusIndex:
-    """Read-shared index of a validated record set."""
+    """Read-shared index of a record set: the records in manifest order,
+    the first record of each video and clip id, and the ids that repeat."""
 
     def __init__(self, records: Iterable[Record]):
+        self.records: tuple[Record, ...] = tuple(records)
         self.videos: dict[str, VideoRecord] = {}
         self.clips: dict[str, ClipRecord] = {}
-        self._video_id_counts: Counter[str] = Counter()
-        self._clip_id_counts: Counter[str] = Counter()
-        for rec in records:
-            if isinstance(rec, VideoRecord):
-                self._video_id_counts[rec.video_id] += 1
-                self.videos.setdefault(rec.video_id, rec)
-            elif isinstance(rec, ClipRecord):
-                self._clip_id_counts[rec.clip_id] += 1
-                self.clips.setdefault(rec.clip_id, rec)
+        self.repeated_video_ids: set[str] = set()
+        self.repeated_clip_ids: set[str] = set()
+        for rec in self.records:
+            if isinstance(rec, ClipRecord):
+                if rec.clip_id in self.clips:
+                    self.repeated_clip_ids.add(rec.clip_id)
+                else:
+                    self.clips[rec.clip_id] = rec
+            elif isinstance(rec, VideoRecord):
+                if rec.video_id in self.videos:
+                    self.repeated_video_ids.add(rec.video_id)
+                else:
+                    self.videos[rec.video_id] = rec
             else:
                 raise TypeError(f"not a corpus record: {type(rec).__name__}")
 
-    def duplicate_count(self, record: Record) -> int:
-        if isinstance(record, VideoRecord):
-            return self._video_id_counts[record.video_id]
-        return self._clip_id_counts[record.clip_id]
+
+def _as_index(corpus: CorpusIndex | Iterable[Record]) -> CorpusIndex:
+    return corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(corpus)
 
 
-def validate_record(record: Record, corpus: CorpusIndex) -> ValidationReport:
-    """Check one record against the corpus index.
+def _frame_count_mismatch(frame_count: int, fps: Fraction, duration_s: float) -> bool:
+    """|frame_count - fps*duration| > max(duration, 1) in exact arithmetic:
+    more than one frame per second of footage apart, and more than one.
 
-    Violations: duplicate id, dangling foreign key, interval out of range.
-    Metadata inconsistency (frame count vs fps x duration) is a warning,
-    not a violation.
+    With fps = p/q and as_fraction(duration_s) = n/m (q, m > 0), both sides
+    times q*m are integers: |F*q*m - p*n| > q*max(n, m).
     """
-    report = ValidationReport()
-    if corpus.duplicate_count(record) > 1:
-        rid = record.video_id if isinstance(record, VideoRecord) else record.clip_id
-        report.violations.append(Violation("duplicate id", rid, f"id {rid!r} occurs more than once"))
+    p, q = fps.numerator, fps.denominator
+    d = as_fraction(duration_s)
+    n, m = d.numerator, d.denominator
+    return abs(frame_count * q * m - p * n) > q * max(n, m)
 
-    if isinstance(record, VideoRecord):
-        # consistency: |frame_count - fps*duration| within one frame per second of footage
-        expected = record.fps * as_fraction(record.duration_s)
-        slack = max(as_fraction(record.duration_s), Fraction(1))
-        if abs(Fraction(record.frame_count) - expected) > slack:
-            report.warnings.append(
+
+def validate_corpus(corpus: CorpusIndex | Iterable[Record]) -> ValidationReport:
+    """Check every record against the index of all of them; takes the index
+    itself, or the records to build it from.
+
+    Violations: duplicate id (once per id and record kind, at the id's first
+    record), dangling foreign key, interval out of range. Metadata
+    inconsistency (frame count vs fps x duration) is a warning, not a
+    violation.
+    """
+    index = _as_index(corpus)
+    report = ValidationReport()
+    violations, warnings = report.violations, report.warnings
+    unreported = {(VideoRecord, rid) for rid in index.repeated_video_ids}
+    unreported |= {(ClipRecord, rid) for rid in index.repeated_clip_ids}
+    for rec in index.records:
+        is_video = isinstance(rec, VideoRecord)
+        if unreported:
+            rid = rec.video_id if is_video else rec.clip_id
+            key = (VideoRecord if is_video else ClipRecord, rid)
+            if key in unreported:
+                unreported.remove(key)
+                violations.append(Violation("duplicate id", rid, f"id {rid!r} occurs more than once"))
+
+        if is_video:
+            if _frame_count_mismatch(rec.frame_count, rec.fps, rec.duration_s):
+                expected = rec.fps * as_fraction(rec.duration_s)
+                warnings.append(
+                    Violation(
+                        "metadata mismatch",
+                        rec.video_id,
+                        f"frame_count {rec.frame_count} vs fps*duration ~ {float(expected):.1f}",
+                    )
+                )
+            continue
+
+        parent = index.videos.get(rec.video_id)
+        if parent is None:
+            violations.append(Violation("dangling foreign key", rec.clip_id, f"video {rec.video_id!r} not in corpus"))
+        if rec.start_frame < 0 or rec.start_frame >= rec.end_frame or (
+            parent is not None and rec.end_frame > parent.frame_count
+        ):
+            violations.append(
                 Violation(
-                    "metadata mismatch",
-                    record.video_id,
-                    f"frame_count {record.frame_count} vs fps*duration ~ {float(expected):.1f}",
+                    "interval out of range",
+                    rec.clip_id,
+                    f"[{rec.start_frame}, {rec.end_frame}) invalid"
+                    + (f" for parent with {parent.frame_count} frames" if parent else ""),
                 )
             )
-        return report
-
-    parent = corpus.videos.get(record.video_id)
-    if parent is None:
-        report.violations.append(
-            Violation("dangling foreign key", record.clip_id, f"video {record.video_id!r} not in corpus")
-        )
-    if record.start_frame < 0 or record.start_frame >= record.end_frame or (
-        parent is not None and record.end_frame > parent.frame_count
-    ):
-        report.violations.append(
-            Violation(
-                "interval out of range",
-                record.clip_id,
-                f"[{record.start_frame}, {record.end_frame}) invalid"
-                + (f" for parent with {parent.frame_count} frames" if parent else ""),
-            )
-        )
     return report
-
-
-def validate_corpus(records: Iterable[Record]) -> ValidationReport:
-    """Validate every record against the index built from all of them."""
-    records = list(records)
-    index = CorpusIndex(records)
-    merged = ValidationReport()
-    seen_dup: set[str] = set()
-    for rec in records:
-        rep = validate_record(rec, index)
-        for v in rep.violations:
-            # report each duplicated id once, not once per occurrence
-            if v.code == "duplicate id":
-                if v.record_id in seen_dup:
-                    continue
-                seen_dup.add(v.record_id)
-            merged.violations.append(v)
-        merged.warnings.extend(rep.warnings)
-    return merged
 
 
 @dataclass(frozen=True)
@@ -284,26 +292,30 @@ class CorpusStats:
         return CorpusCell(video_count, clip_count, frame_sum)
 
 
-def corpus_stats(records: Iterable[Record]) -> CorpusStats:
-    """Count videos, clips, and frames per (source, domain) cell.
+def corpus_stats(corpus: CorpusIndex | Iterable[Record]) -> CorpusStats:
+    """Count videos, clips, and frames per (source, domain) cell; takes the
+    index itself, or the records to build it from.
 
-    Clips are attributed to their parent video's cell; clips with a missing
-    parent are ignored here (they surface in validation instead).
+    Every video record counts, repeats included. Clips are attributed to
+    their parent video's cell (the first record of that id); clips with a
+    missing parent are ignored here (they surface in validation instead).
     """
-    records = list(records)
-    index = CorpusIndex(records)
+    index = _as_index(corpus)
     videos: Counter[tuple[SourceStream, Domain]] = Counter()
     clips: Counter[tuple[SourceStream, Domain]] = Counter()
     frames: Counter[tuple[SourceStream, Domain]] = Counter()
-    for rec in records:
-        if isinstance(rec, VideoRecord):
+    clips_per_video: Counter[str] = Counter()
+    for rec in index.records:
+        if isinstance(rec, ClipRecord):
+            clips_per_video[rec.video_id] += 1
+        else:
             key = (rec.source, rec.domain)
             videos[key] += 1
             frames[key] += rec.frame_count
-        else:
-            parent = index.videos.get(rec.video_id)
-            if parent is not None:
-                clips[(parent.source, parent.domain)] += 1
+    for video_id, count in clips_per_video.items():
+        parent = index.videos.get(video_id)
+        if parent is not None:
+            clips[(parent.source, parent.domain)] += count
     keys = set(videos) | set(clips) | set(frames)
     cells = {k: CorpusCell(videos[k], clips[k], frames[k]) for k in sorted(keys, key=lambda k: (k[0].value, k[1].value))}
     return CorpusStats(cells)
@@ -352,13 +364,18 @@ def _fps_to_json(fps: Fraction) -> int | str:
     return int(fps) if fps.denominator == 1 else f"{fps.numerator}/{fps.denominator}"
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _parse_fps(value: int | float | str) -> Fraction:
+    """as_fraction(value), parsed once per distinct value: the videos of a
+    manifest share a handful of frame rates, and then their Fractions."""
+    return as_fraction(value)
+
+
 def _fps_from_json(value) -> Fraction:
     if isinstance(value, bool):
         raise ManifestParseError("fps must be a number or ratio string")
-    if isinstance(value, (int, str)):
-        return as_fraction(value)
-    if isinstance(value, float):
-        return as_fraction(value)
+    if isinstance(value, (int, str, float)):
+        return _parse_fps(value)
     raise ManifestParseError(f"fps has unsupported type {type(value).__name__}")
 
 
@@ -401,13 +418,15 @@ def _finite_field(doc: Mapping, key: str) -> float:
 
 
 def record_from_json(doc: Mapping) -> Record:
+    # video and dataset ids are interned: a clip shares its parent's id
+    # string, so the records hold one copy and index lookups match by identity
     try:
         kind = doc["kind"]
         if kind == "video":
             return VideoRecord(
-                video_id=text_field(doc, "video_id", ManifestParseError),
+                video_id=sys.intern(text_field(doc, "video_id", ManifestParseError)),
                 source=SourceStream(doc["source"]),
-                dataset_id=text_field(doc, "dataset_id", ManifestParseError),
+                dataset_id=sys.intern(text_field(doc, "dataset_id", ManifestParseError)),
                 domain=Domain(doc["domain"]),
                 frame_count=_int_field(doc, "frame_count"),
                 fps=_fps_from_json(doc["fps"]),
@@ -416,7 +435,7 @@ def record_from_json(doc: Mapping) -> Record:
         if kind == "clip":
             return ClipRecord(
                 clip_id=text_field(doc, "clip_id", ManifestParseError),
-                video_id=text_field(doc, "video_id", ManifestParseError),
+                video_id=sys.intern(text_field(doc, "video_id", ManifestParseError)),
                 start_frame=_int_field(doc, "start_frame"),
                 end_frame=_int_field(doc, "end_frame"),
                 embedding_row=None if doc.get("embedding_row") is None else _int_field(doc, "embedding_row"),

@@ -171,3 +171,11 @@ def cluster_sums_row_order(points64, assign):
         else:
             sums[cluster] = row.copy()
     return sums
+
+
+def frame_count_mismatch_fraction(frame_count, fps, duration_s):
+    """The frame-count rule in Fraction arithmetic: more than one frame per
+    second of footage (and more than one frame) from fps * duration, the
+    duration read through its shortest decimal repr."""
+    duration = Fraction(repr(float(duration_s)))
+    return abs(Fraction(frame_count) - Fraction(fps) * duration) > max(duration, Fraction(1))

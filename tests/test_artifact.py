@@ -3,6 +3,8 @@ under mutation, and a guard that no other module writes a file itself."""
 
 import ast
 import hashlib
+import io
+import json
 import os
 import stat
 import struct
@@ -14,13 +16,77 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surgcurate
-from surgcurate.artifact import iter_jsonl, read_json, read_lines, write_atomic
+from surgcurate.artifact import decode_line, iter_jsonl, read_json, read_lines, write_atomic
 from surgcurate.clustering import TREE_MAGIC, BadTreeFile, ClusterTree, build_hierarchy
 from surgcurate.store import MAGIC, EmbeddingMatrix, SizeMismatch, StoreError, read_store, write_store
 
 
 class Malformed(Exception):
     pass
+
+
+def _json_loads(line: bytes):
+    return json.loads(line.decode("utf-8"))
+
+
+def _outcome(decode, line: bytes) -> tuple[str, str]:
+    """("ok", repr of the document) or (exception class, message)."""
+    try:
+        return "ok", repr(decode(line))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        return type(exc).__name__, str(exc)
+
+
+def _jsonl_reference(raw: bytes):
+    """(documents, None), or (None, "line: Class: message") for the first bad
+    line: json.loads on each line that is not bytes.isspace() whitespace."""
+    docs = []
+    for lineno, line in enumerate(io.BytesIO(raw), start=1):
+        if line.isspace():
+            continue
+        try:
+            docs.append(repr(_json_loads(line)))
+        except ValueError as exc:
+            return None, f"{lineno}: {type(exc).__name__}: {exc}"
+    return docs, None
+
+
+_LINES = [
+    pytest.param(b'\xef\xbb\xbf{"id": "a"}\n', id="bom"),
+    pytest.param(b"\xef\xbb\xbf\n", id="bom-only"),
+    pytest.param(b"NaN\n", id="nan"),
+    pytest.param(b'{"x": -Infinity, "y": Infinity, "z": 1e400}\n', id="infinity"),
+    pytest.param(b'{"id": "a"} x\n', id="trailing-text"),
+    pytest.param(b'{"id": "a"}{"id": "b"}\n', id="trailing-document"),
+    pytest.param(b"1 2", id="trailing-number"),
+    pytest.param(b'{"id": "a"}\x0b\n', id="trailing-vt"),
+    pytest.param(b"\x0b\n", id="vt-only"),
+    pytest.param(b"\x0c", id="ff-only"),
+    pytest.param(b"\r\n", id="crlf-only"),
+    pytest.param(b' \t{"id": "a"} \r\n', id="crlf-padded"),
+    pytest.param(b'{"id": "\xff"}\n', id="not-utf8"),
+    pytest.param(b'{"id": "\xc3', id="truncated-utf8"),
+    pytest.param(b"", id="empty-final-line"),
+    pytest.param(b"  \t\n", id="blank"),
+    pytest.param(b'{"id": }\n', id="missing-value"),
+    pytest.param(b'{"id": "a",}\n', id="trailing-comma"),
+    pytest.param(b'"\\ud800"\n', id="lone-surrogate-escape"),
+    pytest.param(b"\x00\n", id="nul"),
+]
+
+#: Lines from JSON-ish text, valid documents with whitespace or junk around
+#: them, and arbitrary bytes.
+_PADDING = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\ufeff", "\xa0", "x", " 1", "{"])
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+).map(json.dumps)
+_LINE_BYTES = st.one_of(
+    st.tuples(_PADDING, _DOCUMENTS, _PADDING).map(lambda t: "".join(t).encode("utf-8")),
+    st.text(alphabet=' \t\r\n\x0b\x0c\ufeff{}[]":,.-+eE019aflnrstuNIy\\', max_size=24).map(str.encode),
+    st.binary(max_size=24),
+)
 
 
 class TestWriteAtomic:
@@ -80,6 +146,32 @@ class TestDecode:
         path = tmp_path / "x.jsonl"
         path.write_bytes(b'\n{"id": "a"}\r\n  \n{"id": "b"}')
         assert list(iter_jsonl(path, Malformed, lambda doc: doc["id"])) == ["a", "b"]
+
+    @pytest.mark.parametrize("line", _LINES)
+    def test_line_decoder_matches_json_loads(self, line):
+        assert _outcome(decode_line, line) == _outcome(_json_loads, line)
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=_LINE_BYTES)
+    def test_line_decoder_matches_json_loads_on_any_bytes(self, line):
+        assert _outcome(decode_line, line) == _outcome(_json_loads, line)
+
+    @pytest.mark.parametrize("line", _LINES)
+    def test_jsonl_names_the_json_loads_error_class(self, tmp_path, line):
+        """A file of one good line and then `line`: the same documents as
+        json.loads line by line, or the same class and message at path:2."""
+        raw = b'{"id": "a"}\n' + line
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(raw)
+        want_docs, want_error = _jsonl_reference(raw)
+        try:
+            got_docs, got_error = [repr(doc) for doc in iter_jsonl(path, Malformed, lambda doc: doc)], None
+        except Malformed as exc:
+            got_docs, got_error = None, str(exc)
+        if want_error is None:
+            assert (got_docs, got_error) == (want_docs, None)
+        else:
+            assert got_error == f"{path}:{want_error}"
 
     def test_json_document(self, tmp_path):
         path = tmp_path / "x.json"

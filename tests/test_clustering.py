@@ -79,14 +79,16 @@ def _with_ids(points, row_ids):
 
 
 def _same_seeds(points, k, seed, row_ids=None, cap=clustering._SEED_CHUNK) -> None:
-    """kmeanspp_init with seeding chunk `cap` returns the reference's bytes."""
+    """kmeanspp_init with seeding chunk `cap` returns the reference's bytes,
+    also when given the squared norms kmeans computes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clustering, "_SEED_CHUNK", cap)
         ours = kmeanspp_init(_with_ids(points, row_ids), k, seed)
+        with_norms = kmeanspp_init(_with_ids(points, row_ids), k, seed, clustering._row_sq_norms(points))
     ref = kmeanspp_init_reference(points, k, seed, row_ids=row_ids, chunk=cap)
     assert ours.dtype == ref.dtype == np.float32
     assert ours.shape == ref.shape
-    assert ours.tobytes() == ref.tobytes()
+    assert ours.tobytes() == ref.tobytes() == with_norms.tobytes()
 
 
 class TestKmeansPlusPlusReference:
@@ -207,11 +209,12 @@ class TestLloydStep:
 
 
 def _chunk_sums(rows32: np.ndarray, k: int, seed: int):
-    """_assign_chunk over f32 rows (cast to f64), with k of the rows as centroids."""
+    """_assign_chunk over f32 rows, with k of the rows as centroids; also
+    returns the rows in f64 for the oracle."""
     xb = rows32.astype(np.float64)
     c = xb[np.random.default_rng(seed).choice(len(xb), k, replace=False)]
     assign, _, uniq, sums, counts, _ = clustering._assign_chunk(
-        xb, np.einsum("ij,ij->i", xb, xb), c, np.einsum("ij,ij->i", c, c)
+        rows32, np.einsum("ij,ij->i", xb, xb), c, np.einsum("ij,ij->i", c, c)
     )
     return xb, assign, uniq, sums, counts
 

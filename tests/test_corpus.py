@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgcurate.corpus import (
     ClipRecord,
@@ -11,16 +14,18 @@ from surgcurate.corpus import (
     SourceStream,
     UnknownDataset,
     VideoRecord,
+    _frame_count_mismatch,
     corpus_stats,
     inventory_report,
     read_corpus_manifest,
     record_from_json,
     scale_comparison_report,
     validate_corpus,
-    validate_record,
     write_corpus_manifest,
 )
 from surgcurate.synthetic import make_fixture_corpus, paper_scale_inventory
+
+from .oracles import frame_count_mismatch_fraction
 
 
 def _video(video_id="v1", frame_count=3000, dataset="cholec80", domain=Domain.LAPAROSCOPY):
@@ -67,9 +72,8 @@ class TestValidation:
     def test_interval_out_of_range(self):
         video = _video(frame_count=100)
         clip = ClipRecord("c1", "v1", start_frame=50, end_frame=150)
-        index = CorpusIndex([video, clip])
-        report = validate_record(clip, index)
-        assert [v.code for v in report.violations] == ["interval out of range"]
+        report = validate_corpus(CorpusIndex([video, clip]))
+        assert [(v.code, v.record_id) for v in report.violations] == [("interval out of range", "c1")]
 
     def test_duplicate_video_id(self):
         records = [_video(), _video()]
@@ -78,20 +82,20 @@ class TestValidation:
 
     def test_dangling_clip(self):
         clip = ClipRecord("c1", "ghost", 0, 10)
-        report = validate_record(clip, CorpusIndex([clip]))
+        report = validate_corpus(CorpusIndex([clip]))
         assert [v.code for v in report.violations] == ["dangling foreign key"]
 
     def test_wellformed_record_is_clean(self):
         video = _video()
         clip = ClipRecord("c1", "v1", 0, 100)
-        index = CorpusIndex([video, clip])
-        assert validate_record(clip, index).is_valid
-        assert validate_record(video, index).is_valid
+        report = validate_corpus(CorpusIndex([video, clip]))
+        assert report.is_valid
+        assert report.warnings == []
 
     def test_metadata_mismatch_warns_not_fails(self):
         video = VideoRecord("v1", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY,
                             frame_count=10_000, fps=Fraction(30), duration_s=10.0)
-        report = validate_record(video, CorpusIndex([video]))
+        report = validate_corpus(CorpusIndex([video]))
         assert report.is_valid
         assert [w.code for w in report.warnings] == ["metadata mismatch"]
 
@@ -99,6 +103,76 @@ class TestValidation:
         video = _video(frame_count=200)
         clips = [ClipRecord("c1", "v1", 0, 100), ClipRecord("c2", "v1", 50, 150)]
         assert validate_corpus([video, *clips]).is_valid
+
+    def test_duplicate_ids_are_reported_once_per_record_kind(self):
+        """A video and a clip may carry the same id string; each kind's
+        repeat is its own violation."""
+        records = [_video("a"), _video("a"), ClipRecord("a", "a", 0, 10), ClipRecord("a", "a", 0, 10)]
+        report = validate_corpus(records)
+        assert [(v.code, v.record_id) for v in report.violations] == [("duplicate id", "a")] * 2
+
+    def test_index_and_records_give_the_same_report(self):
+        mismatch = VideoRecord("v2", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY,
+                               frame_count=10_000, fps=Fraction(30), duration_s=10.0)
+        records = [
+            _video("v1"), _video("v1", frame_count=10), ClipRecord("c1", "v1", 0, 100),
+            ClipRecord("c1", "v1", 5, 2), ClipRecord("c2", "ghost", 0, 1), mismatch,
+        ]
+        report = validate_corpus(CorpusIndex(records))
+        assert report == validate_corpus(records) == validate_corpus(iter(records))
+        assert [(v.code, v.record_id) for v in report.violations] == [
+            ("duplicate id", "v1"),
+            ("duplicate id", "c1"),
+            ("interval out of range", "c1"),
+            ("dangling foreign key", "c2"),
+        ]
+        assert [(w.code, w.record_id) for w in report.warnings] == [("metadata mismatch", "v2")]
+
+
+_FPS_NTSC = Fraction(30000, 1001)
+
+
+class TestFrameCountRule:
+    """The integer frame-count check against the Fraction rule it replaces."""
+
+    @pytest.mark.parametrize(
+        "fps,duration_s,frame_count",
+        [
+            # slack boundary, and one frame either side of it
+            *[(Fraction(30), 10.0, f) for f in (289, 290, 291, 309, 310, 311)],
+            *[(_FPS_NTSC, 1001.0, f) for f in (28998, 28999, 29000, 31000, 31001, 31002)],
+            # under one second of footage the slack is one frame
+            *[(_FPS_NTSC, 1e-05, f) for f in (0, 1, 2)],
+            *[(Fraction(25), 0.5, f) for f in (11, 12, 13, 14)],
+            *[(Fraction(25), 0.0, f) for f in (0, 1, 2)],
+            # frame counts past 2^53 and far past any float
+            *[(Fraction(30), 1e15, f) for f in (31 * 10**15, 31 * 10**15 + 1, 29 * 10**15 - 1)],
+            (Fraction(30), 3e14, 2**53 + 1),
+            *[(Fraction(30), 1e300, f) for f in (31 * 10**300, 31 * 10**300 + 1)],
+            (_FPS_NTSC, 572.08, 10**400),
+            (Fraction(1, 10**9), 1e-05, 0),
+        ],
+    )
+    def test_cases(self, fps, duration_s, frame_count):
+        want = frame_count_mismatch_fraction(frame_count, fps, duration_s)
+        assert _frame_count_mismatch(frame_count, fps, duration_s) is want
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p=st.integers(1, 10**6),
+        q=st.integers(1, 10**4),
+        duration_s=st.floats(0, 1e9, allow_nan=False, allow_infinity=False),
+        offset=st.integers(-3, 3),
+        far=st.booleans(),
+    )
+    def test_random_near_the_boundary(self, p, q, duration_s, offset, far):
+        """Frame counts one or two frames around either edge of the slack."""
+        fps = Fraction(p, q)
+        duration = Fraction(repr(duration_s))
+        edge = fps * duration + (1 if far else -1) * max(duration, Fraction(1))
+        frame_count = max(0, math.floor(edge) + offset)
+        want = frame_count_mismatch_fraction(frame_count, fps, duration_s)
+        assert _frame_count_mismatch(frame_count, fps, duration_s) is want
 
 
 class TestCorpusStats:

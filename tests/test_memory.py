@@ -1,18 +1,29 @@
-"""Peak traced memory of the store-layer passes and of one Lloyd
-assignment pass on a 2,000x768 store.
+"""Peak traced memory of the store-layer passes, of one Lloyd assignment
+pass on a 2,000x768 store, and of reading a corpus manifest.
 
 numpy reports its buffers to tracemalloc, so a peak counts every array a
 call allocates. Each store bound is one f32 payload copy (where the call
 returns one; normalising rescales its input in place) plus a few row
-blocks; the Lloyd bound is the pass's one f64 chunk plus a quarter of it.
+blocks; the Lloyd bound is the pass's one f64 chunk plus a quarter of it,
+however the rows split between clusters; the manifest bound is the records
+read plus one MiB, so the read never holds the file's text.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from surgcurate.clustering import _assignment_pass, _row_sq_norms
+from surgcurate.corpus import (
+    ClipRecord,
+    Domain,
+    SourceStream,
+    VideoRecord,
+    read_corpus_manifest,
+    write_corpus_manifest,
+)
 from surgcurate.curation import _select_leaf
 from surgcurate.store import EmbeddingMatrix, l2_normalize, read_store, write_store
 from surgcurate.synthetic import make_blobs
@@ -66,12 +77,42 @@ def test_select_leaf_holds_row_blocks_only(stored):
     assert peak <= 4 * MiB, peak / MiB
 
 
-def test_assignment_pass_holds_one_f64_chunk():
-    """k = 8 balanced clusters, one worker: the 2,000 rows are one chunk."""
-    points, labels = make_blobs([N // 8] * 8, dim=DIM, seed=3)
-    centroids64 = np.stack([points[labels == j].mean(axis=0, dtype=np.float64) for j in range(8)])
+@pytest.mark.parametrize(
+    "sizes",
+    [[N // 8] * 8, [N], [7 * N // 8, N // 8]],
+    ids=["k8-balanced", "k1", "k2-seven-eighths-in-one"],
+)
+def test_assignment_pass_holds_one_f64_chunk(sizes):
+    """One worker: the 2,000 rows are one chunk. A cluster's sum gathers its
+    rows in f32 after the chunk's f64 copy is released, so one cluster
+    holding most of the chunk costs no second f64 chunk."""
+    points, labels = make_blobs(sizes, dim=DIM, seed=3)
+    centroids64 = np.stack([points[labels == j].mean(axis=0, dtype=np.float64) for j in range(len(sizes))])
     x2 = _row_sq_norms(points)
     (assign, *_), peak = _peak(_assignment_pass, points, x2, centroids64, 1)
     assert np.array_equal(assign, labels)
     chunk64 = N * DIM * 8
     assert peak <= 1.25 * chunk64 + MiB, peak / chunk64
+
+
+def test_corpus_read_holds_the_records_not_the_text(tmp_path):
+    """The manifest (20,000 records, 2.7 MiB of text) is read one line at a
+    time: the peak is what the returned records hold, plus one MiB."""
+    videos = [
+        VideoRecord(f"video{v:05d}", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY, 3000, Fraction(25), 120.0)
+        for v in range(4_000)
+    ]
+    clips = [ClipRecord(f"{v.video_id}c{c}", v.video_id, 10 * c, 10 * c + 9, None) for v in videos for c in range(4)]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_manifest(videos + clips, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        records = read_corpus_manifest(path)
+        held, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert records == videos + clips
+    assert path.stat().st_size > 2 * MiB
+    assert peak <= held + MiB, (peak / MiB, held / MiB)

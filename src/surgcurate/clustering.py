@@ -25,10 +25,10 @@ Design constraints that shape this module:
   come as an EmbeddingMatrix, so ingest order cannot change which points
   seed the run;
 * seeding casts each level's rows to f64 once, so a pick costs one
-  matrix-vector product and one draw; the f64
-  copy (the seeding head) holds at most 65,536 rows (one seeding chunk),
-  is filled in store.ROW_BLOCK-row blocks so no f32 copy of it is built
-  on the way, and rows past it are cast again on every pick.
+  matrix-vector product and one draw; the f64 copy (the seeding head)
+  holds at most 65,536 rows (one seeding chunk), is filled in
+  store.ROW_BLOCK-row blocks so no f32 copy of it is built on the way,
+  and rows past it are cast again on every pick.
 """
 
 from __future__ import annotations

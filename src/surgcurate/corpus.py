@@ -222,11 +222,10 @@ def validate_corpus(corpus: CorpusIndex | Iterable[Record]) -> ValidationReport:
     for rec in index.records:
         is_video = isinstance(rec, VideoRecord)
         if unreported:
-            rid = rec.video_id if is_video else rec.clip_id
-            key = (VideoRecord if is_video else ClipRecord, rid)
+            key = (VideoRecord, rec.video_id) if is_video else (ClipRecord, rec.clip_id)
             if key in unreported:
                 unreported.remove(key)
-                violations.append(Violation("duplicate id", rid, f"id {rid!r} occurs more than once"))
+                violations.append(Violation("duplicate id", key[1], f"id {key[1]!r} occurs more than once"))
 
         if is_video:
             if _frame_count_mismatch(rec.frame_count, rec.fps, rec.duration_s):

@@ -96,7 +96,7 @@ def test_assignment_pass_holds_one_f64_chunk(sizes):
 
 
 def test_corpus_read_holds_the_records_not_the_text(tmp_path):
-    """The manifest (20,000 records, 2.7 MiB of text) is read one line at a
+    """The manifest (20,000 records, 2.6 MiB of text) is read one line at a
     time: the peak is what the returned records hold, plus one MiB."""
     videos = [
         VideoRecord(f"video{v:05d}", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY, 3000, Fraction(25), 120.0)

@@ -9,6 +9,8 @@ manifests, and benchmark metric aggregation.
 # Set before the submodule imports below: manifest reads it at import time.
 __version__ = "0.1.0"
 
+import importlib
+
 from .apportion import (
     as_fraction,
     format_points,
@@ -16,15 +18,6 @@ from .apportion import (
     round_half_away_from_zero,
     round_to_points,
     waterfill_equal_split,
-)
-from .clustering import (
-    ClusterModel,
-    ClusterTree,
-    DimensionMismatch,
-    KTooLarge,
-    build_hierarchy,
-    kmeans,
-    kmeanspp_init,
 )
 from .corpus import (
     CLINICAL_DOMAINS,
@@ -42,13 +35,6 @@ from .corpus import (
     validate_corpus,
     write_corpus_manifest,
 )
-from .curation import (
-    BudgetPlan,
-    CuratedSet,
-    FractionOutOfRange,
-    allocate_budget,
-    curate,
-)
 from .metrics import (
     DomainReport,
     EvalRecord,
@@ -64,17 +50,6 @@ from .metrics import (
     prompt_delta,
     worst_domain,
 )
-from .mixer import (
-    BatchMode,
-    BatchSpec,
-    EmptyPool,
-    MixPolicy,
-    PoolCursor,
-    expected_clinical_fraction,
-    plan_batch,
-    sample_stream,
-    write_batch_manifest,
-)
 from .seeding import derive_seed
 from .splits import (
     EmptyDataset,
@@ -87,14 +62,47 @@ from .splits import (
     verify_disjoint,
     version_manifest,
 )
-from .store import (
-    BadMagic,
-    ChecksumMismatch,
-    EmbeddingMatrix,
-    NonFiniteValue,
-    SizeMismatch,
-    ZeroRow,
-    l2_normalize,
-    read_store,
-    write_store,
-)
+
+#: Exports of the numpy-backed layers -> their module, imported on first
+#: access (PEP 562), so `import surgcurate` and the commands that never
+#: touch an array do not load numpy.
+_LAZY = {
+    "ClusterModel": "clustering",
+    "ClusterTree": "clustering",
+    "DimensionMismatch": "clustering",
+    "KTooLarge": "clustering",
+    "build_hierarchy": "clustering",
+    "kmeans": "clustering",
+    "kmeanspp_init": "clustering",
+    "BudgetPlan": "curation",
+    "CuratedSet": "curation",
+    "FractionOutOfRange": "curation",
+    "allocate_budget": "curation",
+    "curate": "curation",
+    "BatchMode": "mixer",
+    "BatchSpec": "mixer",
+    "EmptyPool": "mixer",
+    "MixPolicy": "mixer",
+    "PoolCursor": "mixer",
+    "expected_clinical_fraction": "mixer",
+    "plan_batch": "mixer",
+    "sample_stream": "mixer",
+    "write_batch_manifest": "mixer",
+    "BadMagic": "store",
+    "ChecksumMismatch": "store",
+    "EmbeddingMatrix": "store",
+    "NonFiniteValue": "store",
+    "SizeMismatch": "store",
+    "ZeroRow": "store",
+    "l2_normalize": "store",
+    "read_store": "store",
+    "write_store": "store",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,7 +9,9 @@ survives a killed process, not a power loss.
 
 read_json and iter_jsonl turn malformed input (bad JSON, text that is not
 UTF-8, a missing key, or a value of the wrong type or range) into the
-caller's typed error, with a message naming the file and line.
+caller's typed error, with a message naming the file and line. Each
+layer's typed errors derive from SurgcurateError, which the CLI maps to
+exit code 1.
 decode_line decodes one JSON-lines line with json's C scanner and accepts
 exactly what json.loads(line.decode("utf-8")) accepts, raising the same
 exception class when it does not.
@@ -29,6 +31,11 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
 _scan_once = json.JSONDecoder().scan_once
 _skip_ws = json.decoder.WHITESPACE.match  # JSON's own whitespace: space, tab, LF, CR
+
+
+class SurgcurateError(Exception):
+    """Root of the layers' typed errors: bad input or a failed operation,
+    never a usage mistake."""
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes | str]) -> Path:

@@ -12,6 +12,7 @@ also emit one machine-readable JSON error record on stderr.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import os
 import sys
@@ -22,11 +23,9 @@ import click
 
 from . import __version__
 from .apportion import as_fraction, format_points
-from .artifact import read_json, read_lines, write_atomic
-from .clustering import ClusteringError, ClusterTree, build_hierarchy
+from .artifact import SurgcurateError, read_json, read_lines, write_atomic
 from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
-    CorpusError,
     CorpusIndex,
     DomainMap,
     VideoRecord,
@@ -36,10 +35,8 @@ from .corpus import (
     scale_comparison_report,
     validate_corpus,
 )
-from .curation import CurationError, curate, read_pool_ids
 from .manifest import RunManifest, manifest_path_for, utc_now
 from .metrics import (
-    MetricsError,
     acc_at_1,
     emit_report,
     read_predictions_csv,
@@ -47,7 +44,6 @@ from .metrics import (
     reference_report_tables,
     score_report_tables,
 )
-from .mixer import MixerError, MixPolicy, write_batch_manifest
 from .seeding import derive_seed
 from .splits import (
     Split,
@@ -60,7 +56,34 @@ from .splits import (
     resolve_tier,
     verify_disjoint,
 )
-from .store import StoreError, ingest_raw_blobs, l2_normalize, read_store, write_store
+
+#: Names of the numpy-backed layers -> their module, imported on first
+#: access (PEP 562), so split verify, stats, evaluate and report start
+#: without numpy. Command bodies read them as attributes of this module
+#: (`_cli.read_store`), so a name rebound on the module takes effect.
+_LAZY = {
+    "ingest_raw_blobs": "store",
+    "write_store": "store",
+    "read_store": "store",
+    "l2_normalize": "store",
+    "build_hierarchy": "clustering",
+    "ClusterTree": "clustering",
+    "curate": "curation",
+    "read_pool_ids": "curation",
+    "MixPolicy": "mixer",
+    "write_batch_manifest": "mixer",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class InputMissing(Exception):
@@ -68,17 +91,7 @@ class InputMissing(Exception):
 
 
 _USAGE_ERRORS = (ConfigError, InputMissing)
-_OPERATIONAL_ERRORS = (
-    CorpusError,
-    StoreError,
-    ClusteringError,
-    CurationError,
-    MixerError,
-    SplitError,
-    MetricsError,
-    ValueError,
-    OSError,
-)
+_OPERATIONAL_ERRORS = (SurgcurateError, ValueError, OSError)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -196,8 +209,8 @@ def ingest(cfg, blobs, ids, out):
     """Build one embedding store from raw f32 blobs plus an id list."""
     blob_dir = _require(blobs, "blob directory")
     id_file = _require(ids, "id list")
-    matrix = ingest_raw_blobs(blob_dir, id_file, cfg["dim"])
-    write_store(matrix, out)
+    matrix = _cli.ingest_raw_blobs(blob_dir, id_file, cfg["dim"])
+    _cli.write_store(matrix, out)
     click.echo(f"ingested {matrix.n_rows} rows of dim {matrix.dim} -> {out}")
     return Provenance(out, sorted(p for p in blob_dir.iterdir() if p.is_file()) + [id_file])
 
@@ -208,12 +221,12 @@ def ingest(cfg, blobs, ids, out):
 def cluster(cfg, store_path, out):
     """Build the multi-level K-means hierarchy over an embedding store."""
     store_file = _require(store_path, "store file")
-    matrix = read_store(store_file)
+    matrix = _cli.read_store(store_file)
     if cfg["normalize"]:
-        matrix = l2_normalize(matrix)
+        matrix = _cli.l2_normalize(matrix)
     stage_seed = derive_seed(cfg["seed"], "cluster")
     eff_workers = _effective_workers(cfg)
-    tree = build_hierarchy(
+    tree = _cli.build_hierarchy(
         matrix,
         cfg["levels"],
         seed=stage_seed,
@@ -236,11 +249,11 @@ def curate_cmd(cfg, store_path, tree_path, out):
     """Select the budgeted nearest-to-centroid subset from every leaf."""
     store_file = _require(store_path, "store file")
     tree_file = _require(tree_path, "tree file")
-    matrix = read_store(store_file)
-    tree = ClusterTree.load(tree_file)
+    matrix = _cli.read_store(store_file)
+    tree = _cli.ClusterTree.load(tree_file)
     if tree.normalized:
-        matrix = l2_normalize(matrix)
-    curated = curate(tree, matrix, as_fraction(cfg["fraction"]), mode=cfg["mode"], workers=_effective_workers(cfg))
+        matrix = _cli.l2_normalize(matrix)
+    curated = _cli.curate(tree, matrix, as_fraction(cfg["fraction"]), mode=cfg["mode"], workers=_effective_workers(cfg))
     curated.to_jsonl(out)
     click.echo(f"curated {len(curated)} of {matrix.n_rows} clips -> {out}")
     return Provenance(out, [store_file, tree_file])
@@ -255,16 +268,16 @@ def sample(cfg, unlabeled, clinical, out):
     unlabeled_file = _require(unlabeled, "unlabeled pool")
     clinical_file = _require(clinical, "clinical pool")
     stage_seed = derive_seed(cfg["seed"], "sample")
-    policy = MixPolicy(
+    policy = _cli.MixPolicy(
         p_pure_clinical=as_fraction(cfg["p_pure"]),
         mixed_unlabeled_frac=as_fraction(cfg["mix"]),
         batch_size=cfg["batch"],
         seed=stage_seed,
     )
-    write_batch_manifest(
+    _cli.write_batch_manifest(
         out,
-        read_pool_ids(unlabeled_file),
-        read_pool_ids(clinical_file),
+        _cli.read_pool_ids(unlabeled_file),
+        _cli.read_pool_ids(clinical_file),
         policy,
         cfg["n"],
         interleave=cfg["interleave"],

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import write_atomic
+from .artifact import SurgcurateError, write_atomic
 from .seeding import derive_seed
 from .store import EmbeddingMatrix, row_blocks
 
@@ -57,7 +57,7 @@ CHUNK_ROWS = 4096  # rows per Lloyd assignment chunk; the chunk-order sums set t
 TREE_MAGIC = b"SURGTRE1"
 
 
-class ClusteringError(Exception):
+class ClusteringError(SurgcurateError):
     pass
 
 

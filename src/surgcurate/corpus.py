@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
 from .apportion import as_fraction
-from .artifact import iter_jsonl, read_json, text_field, write_atomic
+from .artifact import SurgcurateError, iter_jsonl, read_json, text_field, write_atomic
 
 
-class CorpusError(Exception):
+class CorpusError(SurgcurateError):
     """Base for corpus data-model failures."""
 
 
@@ -192,16 +192,28 @@ def _as_index(corpus: CorpusIndex | Iterable[Record]) -> CorpusIndex:
     return corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(corpus)
 
 
+def _decimal_ratio(value: float) -> tuple[int, int]:
+    """(n, m) with m > 0 and n/m == as_fraction(value), not reduced: the
+    digits of repr(value) over the power of ten its point and exponent
+    give, in integers only."""
+    mantissa, _, exp = repr(value).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) - len(frac)
+    n = int(whole + frac)
+    return (n * 10**shift, 1) if shift >= 0 else (n, 10**-shift)
+
+
 def _frame_count_mismatch(frame_count: int, fps: Fraction, duration_s: float) -> bool:
     """|frame_count - fps*duration| > max(duration, 1) in exact arithmetic:
     more than one frame per second of footage apart, and more than one.
 
     With fps = p/q and as_fraction(duration_s) = n/m (q, m > 0), both sides
-    times q*m are integers: |F*q*m - p*n| > q*max(n, m).
+    times q*m are integers: |F*q*m - p*n| > q*max(n, m). Scaling n and m by
+    the same positive factor scales both sides alike, so n/m need not be
+    in lowest terms.
     """
     p, q = fps.numerator, fps.denominator
-    d = as_fraction(duration_s)
-    n, m = d.numerator, d.denominator
+    n, m = _decimal_ratio(duration_s)
     return abs(frame_count * q * m - p * n) > q * max(n, m)
 
 

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
-from .artifact import iter_jsonl, read_lines, text_field, write_atomic
+from .artifact import SurgcurateError, iter_jsonl, read_lines, text_field, write_atomic
 from .clustering import ClusterTree, DimensionMismatch, ordered_map
 from .store import EmbeddingMatrix, row_blocks
 
 
-class CurationError(Exception):
+class CurationError(SurgcurateError):
     pass
 
 

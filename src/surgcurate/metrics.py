@@ -21,12 +21,13 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .apportion import as_fraction, format_points, round_to_points
+from .artifact import SurgcurateError
 from .corpus import CLINICAL_DOMAINS, Domain, DomainMap
 
 Rational = Union[int, float, str, Fraction]
 
 
-class MetricsError(Exception):
+class MetricsError(SurgcurateError):
     pass
 
 

@@ -22,11 +22,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .apportion import as_fraction, largest_remainder
-from .artifact import write_atomic
+from .artifact import SurgcurateError, write_atomic
 from .seeding import derive_seed
 
 
-class MixerError(Exception):
+class MixerError(SurgcurateError):
     pass
 
 

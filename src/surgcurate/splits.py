@@ -18,16 +18,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 from .apportion import largest_remainder
-from .artifact import read_json, write_atomic
+from .artifact import SurgcurateError, read_json, write_atomic
 from .corpus import ClipRecord, CorpusIndex
 from .manifest import utc_now
 from .seeding import derive_seed
 
 
-class SplitError(Exception):
+class SplitError(SurgcurateError):
     pass
 
 
@@ -114,6 +112,8 @@ def ratio_split(
         )
     n = len(ids)
     n_train, n_val, _ = split_counts_for(n, ratios)
+
+    import numpy as np  # here, not at module level: only this draw needs numpy
 
     rng = np.random.default_rng(seed)
     shuffled = [ids[i] for i in rng.permutation(n)]

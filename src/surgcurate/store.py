@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .artifact import read_lines, write_atomic
+from .artifact import SurgcurateError, read_lines, write_atomic
 
 MAGIC = b"SURGEMB1"
 HEADER_BYTES = len(MAGIC) + 16
@@ -49,7 +49,7 @@ def row_blocks(n: int) -> Iterator[tuple[int, int]]:
         yield s, min(s + ROW_BLOCK, n)
 
 
-class StoreError(Exception):
+class StoreError(SurgcurateError):
     """Base for embedding-store failures."""
 
 

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from surgcurate import __version__
+from surgcurate import __version__, cli
 from surgcurate.cli import main
-from surgcurate.clustering import TREE_MAGIC, build_hierarchy
+from surgcurate.clustering import TREE_MAGIC, ClusteringError, build_hierarchy
 from surgcurate.config import ConfigError, SCHEMAS, resolve_config
+from surgcurate.corpus import CorpusError
+from surgcurate.curation import CurationError
 from surgcurate.manifest import RunManifest, manifest_path_for
-from surgcurate.splits import SplitManifest
-from surgcurate.store import EmbeddingMatrix, write_store
+from surgcurate.metrics import MetricsError
+from surgcurate.mixer import MixerError
+from surgcurate.splits import SplitError, SplitManifest
+from surgcurate.store import EmbeddingMatrix, StoreError, write_store
 from surgcurate.synthetic import write_fixture_corpus
 
 
@@ -279,6 +283,27 @@ class TestErrorContract:
         record = json.loads(result.stderr)  # exactly one JSON document
         assert record["error"] == error
         assert where in record["message"]
+
+    @pytest.mark.parametrize(
+        "base",
+        [CorpusError, StoreError, ClusteringError, CurationError, MixerError, SplitError, MetricsError],
+        ids=lambda base: base.__name__,
+    )
+    def test_every_layer_error_is_one_record_exit_1(self, tmp_path, monkeypatch, base):
+        """A layer's error, whatever its subclass, leaves a command as exit
+        code 1 and one JSON record naming the subclass, never a traceback."""
+        error = type(f"Some{base.__name__}", (base,), {})
+
+        def fail(path):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "read_corpus_manifest", fail)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        result = CliRunner().invoke(main, ["stats", "--corpus", str(corpus)], env={})
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        assert json.loads(result.stderr) == {"error": error.__name__, "message": "boom"}
 
     def test_failed_sample_keeps_the_old_output(self, tmp_path):
         pool = tmp_path / "pool.txt"

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgcurate.corpus import (
@@ -161,12 +161,21 @@ class TestFrameCountRule:
     @given(
         p=st.integers(1, 10**6),
         q=st.integers(1, 10**4),
-        duration_s=st.floats(0, 1e9, allow_nan=False, allow_infinity=False),
+        duration_s=st.floats(0, allow_nan=False, allow_infinity=False),
         offset=st.integers(-3, 3),
         far=st.booleans(),
     )
+    # every repr form: exponents, a subnormal, the largest float, zero, integral floats
+    @example(p=30, q=1, duration_s=1e-05, offset=0, far=False)
+    @example(p=30, q=1, duration_s=1e22, offset=1, far=True)
+    @example(p=30000, q=1001, duration_s=5e-324, offset=0, far=True)
+    @example(p=30000, q=1001, duration_s=1.7976931348623157e308, offset=-1, far=False)
+    @example(p=25, q=1, duration_s=0.0, offset=2, far=False)
+    @example(p=25, q=1, duration_s=4.0e15, offset=1, far=True)
+    @example(p=25, q=1, duration_s=1e16, offset=-1, far=True)
     def test_random_near_the_boundary(self, p, q, duration_s, offset, far):
-        """Frame counts one or two frames around either edge of the slack."""
+        """Frame counts one or two frames around either edge of the slack,
+        for any finite duration."""
         fps = Fraction(p, q)
         duration = Fraction(repr(duration_s))
         edge = fps * duration + (1 if far else -1) * max(duration, Fraction(1))

@@ -1,9 +1,20 @@
 """Guards on the names the package exposes: the benchmark tooling reaches
-into the package by name, and every export needs a user outside the tests."""
+into the package by name, every export needs a user outside the tests, and
+the numpy-backed layers load only when a command uses them."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from surgcurate import cli
+from surgcurate.synthetic import write_fixture_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -35,6 +46,68 @@ def test_traced_rebinding_table_names_existing_attributes():
     assert len(rows) >= 18
     missing = [f"{name}.{attr}" for name, attr in rows if not hasattr(_resolve(*imported[name]), attr)]
     assert missing == []
+
+
+def test_rebound_cli_names_are_the_ones_the_commands_call(tmp_path, monkeypatch):
+    """A wrapper set on a cli attribute, as traced.py sets its spans, is
+    what the command body calls, lazily imported name or not."""
+    paths = write_fixture_corpus(tmp_path, dim=8)
+    calls = Counter()
+    for name in ("read_store", "l2_normalize", "build_hierarchy", "curate", "write_batch_manifest"):
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    store, tree, curated = str(paths["store"]), str(tmp_path / "t.sctree"), str(tmp_path / "c.jsonl")
+    for argv in (
+        ["cluster", "--store", store, "--levels", "4", "--out", tree],
+        ["curate", "--store", store, "--tree", tree, "--out", curated],
+        ["sample", "--unlabeled", curated, "--clinical", str(paths["clinical_ids"]), "--n", "3",
+         "--out", str(tmp_path / "b.jsonl")],
+    ):
+        result = CliRunner().invoke(cli.main, argv, env={})
+        assert result.exit_code == 0, result.output
+    assert calls == {"read_store": 2, "l2_normalize": 2, "build_hierarchy": 1, "curate": 1, "write_batch_manifest": 1}
+
+
+#: Runs each argv of the JSON list in argv[1] in one fresh process and
+#: prints, after each, whether numpy has been imported.
+_NUMPY_PROBE = """
+import json, sys
+from surgcurate import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    cli.main.main(args=argv, prog_name="surgcurate", standalone_mode=False)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_record_commands_run_without_numpy(tmp_path):
+    """split verify, stats, evaluate and report import no numpy; cluster,
+    run after them in the same process, does."""
+    paths = write_fixture_corpus(tmp_path, dim=8)
+    corpus, split = str(paths["corpus"]), str(tmp_path / "split.json")
+    result = CliRunner().invoke(cli.main, ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", split], env={})
+    assert result.exit_code == 0, result.output
+    preds = tmp_path / "preds.csv"
+    preds.write_text("sample_id,predicted,label\ns1,x,x\ns2,y,x\n", encoding="utf-8")
+    scores = str(tmp_path / "scores.csv")
+    commands = [
+        ["split", "verify", "--manifest", split, "--corpus", corpus],
+        ["stats", "--corpus", corpus, "--scale-comparison", "--out", str(tmp_path / "stats.md")],
+        ["evaluate", "--predictions", str(preds), "--dataset", "cholec80", "--model", "m", "--out", scores],
+        ["report", "--scores", scores, "--out", str(tmp_path / "report.md")],
+        ["cluster", "--store", str(paths["store"]), "--levels", "4", "--workers", "1", "--out", str(tmp_path / "t.sctree")],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
 
 
 def _module_names(tree: ast.Module) -> set[str]:
@@ -71,19 +144,43 @@ def _references(path: Path):
                 yield name
 
 
+def _exports() -> dict[str, str]:
+    """Every name the package exports -> the submodule defining it: the
+    `from .module import` blocks and the `_LAZY` table of __getattr__."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text("utf-8"))
+    exports = {
+        alias.asname or alias.name: node.module
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    lazy = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_LAZY"]
+    )
+    return {**exports, **ast.literal_eval(lazy)}
+
+
 def test_every_export_is_reached_outside_the_tests():
     """Each name the package exports is used by package code other than its
     definition, by a demo or by perfbench; test-only API is dead code."""
+    exported = _exports()
     init = PACKAGE / "__init__.py"
-    exported = [
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text("utf-8")).body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
     readers = [p for p in PACKAGE.glob("*.py") if p != init] + [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
     used = {name for path in readers for name in _references(path)}
     assert len(exported) >= 70
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_export_is_its_submodules_object():
+    """`from surgcurate import X` binds the object its submodule defines,
+    whether X is imported eagerly or on first access."""
+    import surgcurate
+
+    wrong = [
+        name for name, module in _exports().items()
+        if getattr(surgcurate, name) is not getattr(importlib.import_module(f"surgcurate.{module}"), name)
+    ]
+    assert wrong == []
 
 
 def test_thread_pools_start_only_in_ordered_map():

@@ -85,7 +85,6 @@ _LAZY = {
     "MixPolicy": "mixer",
     "PoolCursor": "mixer",
     "expected_clinical_fraction": "mixer",
-    "plan_batch": "mixer",
     "sample_stream": "mixer",
     "write_batch_manifest": "mixer",
     "BadMagic": "store",

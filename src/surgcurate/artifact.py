@@ -7,11 +7,11 @@ one, never a torn one. The temporary file is created with mode 0o666 and
 the umask applies, as with open(). Writes are not fsynced: an artifact
 survives a killed process, not a power loss.
 
-read_json and iter_jsonl turn malformed input (bad JSON, text that is not
-UTF-8, a missing key, or a value of the wrong type or range) into the
-caller's typed error, with a message naming the file and line. Each
-layer's typed errors derive from SurgcurateError, which the CLI maps to
-exit code 1.
+read_json, iter_jsonl and read_lines turn malformed input (bad JSON,
+text that is not UTF-8, a missing key, or a value of the wrong type or
+range) into the caller's typed error, with a message naming the file and
+line. Each layer's typed errors derive from SurgcurateError, which the
+CLI maps to exit code 1.
 decode_line decodes one JSON-lines line with json's C scanner and accepts
 exactly what json.loads(line.decode("utf-8")) accepts, raising the same
 exception class when it does not.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -84,7 +85,9 @@ def decode_line(line: bytes) -> Any:
     return doc
 
 
-def iter_jsonl(path: str | Path, error: type[Exception], parse: Callable[[Any], T]) -> Iterator[T]:
+def iter_jsonl(
+    path: str | Path, error: type[Exception], parse: Callable[[Any], T], lines: Iterable[bytes] | None = None
+) -> Iterator[T]:
     """parse(document) for every non-blank line of a UTF-8 JSON-lines file;
     malformed input, or `error` raised by parse, raises `error` naming
     path:line.
@@ -92,10 +95,12 @@ def iter_jsonl(path: str | Path, error: type[Exception], parse: Callable[[Any], 
     The file is read one buffered line at a time and each line is decoded
     once (decode_line), so the file's text is never held whole. A line of
     bytes.isspace() whitespace only (which also counts vertical tab and
-    form feed, unlike JSON) is blank and skipped.
+    form feed, unlike JSON) is blank and skipped. A caller that has begun
+    reading the file passes its byte lines from line 1 on as `lines`, and
+    the file is not opened again.
     """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") if lines is None else nullcontext(lines) as lines:
+        for lineno, line in enumerate(lines, start=1):
             if line.isspace():
                 continue
             try:
@@ -113,6 +118,22 @@ def text_field(doc: Any, key: str, error: type[Exception]) -> str:
     return value
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The stripped, non-blank lines of a UTF-8 text file: one id per line."""
-    return [ln.strip() for ln in Path(path).read_text("utf-8").splitlines() if ln.strip()]
+def decode_text(data: bytes, path: str | Path, error: type[Exception], first_line: int = 1) -> str:
+    """data.decode("utf-8"), where data begins at line `first_line` of
+    `path`; text that is not UTF-8 raises `error` naming path:line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = first_line + data.count(b"\n", 0, exc.start)
+        raise error(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+
+
+def id_lines(text: str) -> list[str]:
+    """The stripped, non-blank lines of `text`: one id per line."""
+    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+
+def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
+    """id_lines of a UTF-8 text file; text that is not UTF-8 raises `error`
+    naming path:line."""
+    return id_lines(decode_text(Path(path).read_bytes(), path, error))

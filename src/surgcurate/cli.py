@@ -317,7 +317,7 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
         if videos is not None:
             video_file = _require(videos, "video list")
             inputs.append(video_file)
-            video_ids = read_lines(video_file)
+            video_ids = read_lines(video_file, SplitError)
         elif corpus_path is not None:
             corpus_file = _require(corpus_path, "corpus manifest")
             inputs.append(corpus_file)

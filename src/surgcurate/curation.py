@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
-from .artifact import SurgcurateError, iter_jsonl, read_lines, text_field, write_atomic
+from .artifact import SurgcurateError, decode_text, id_lines, iter_jsonl, text_field, write_atomic
 from .clustering import ClusterTree, DimensionMismatch, ordered_map
 from .store import EmbeddingMatrix, row_blocks
 
@@ -88,15 +89,30 @@ class CuratedSet:
 
 
 def read_pool_ids(path: str | Path) -> list[str]:
-    """Clip ids from a curated JSON-lines file or a plain one-per-line list;
-    CurationError for a curated line that is malformed."""
-    ids = read_lines(path)
-    if not ids or not ids[0].startswith("{"):
-        return ids
-    curated = iter_jsonl(
-        path, CurationError, lambda doc: None if doc.get("kind") == "header" else text_field(doc, "clip_id", CurationError)
-    )
-    return [cid for cid in curated if cid is not None]
+    """Clip ids from a curated JSON-lines file or a plain one-per-line list.
+
+    The file is read once. Its first non-blank line picks the format: a
+    curated file's starts with '{'. Text that is not UTF-8, or a curated
+    line that is malformed, raises CurationError naming path:line.
+    """
+    with open(path, "rb") as fh:
+        head: list[bytes] = []
+        ids: list[str] = []
+        while not ids:
+            line = fh.readline()
+            if not line:
+                return []
+            head.append(line)
+            ids = id_lines(decode_text(line, path, CurationError, len(head)))
+        if not ids[0].startswith("{"):
+            return ids + id_lines(decode_text(fh.read(), path, CurationError, len(head) + 1))
+        curated = iter_jsonl(
+            path,
+            CurationError,
+            lambda doc: None if doc.get("kind") == "header" else text_field(doc, "clip_id", CurationError),
+            lines=chain(head, fh),
+        )
+        return [cid for cid in curated if cid is not None]
 
 
 def allocate_budget(tree: ClusterTree, fraction, mode: str = "equal") -> BudgetPlan:

@@ -8,6 +8,18 @@ share also depends on how a mixed batch rounds (see mixed_batch_counts).
 
 Pools are drawn without replacement inside an epoch; exhausting a pool
 reshuffles it under an epoch-incremented seed.
+
+A stream does per batch only the work that differs between batches:
+
+- One mixed composition per policy: the pure and the mixed BatchSpec are
+  built once per stream, not rounded again for every batch.
+- Block draws equal scalar draws: the i.i.d. batch modes come from
+  rng.random(MODE_BLOCK) blocks, which yield exactly the doubles that as
+  many rng.random() calls would, so memory stays one block however long
+  the stream.
+- Ids stay Python strings: a pool cursor gathers the id objects it was
+  given (a numpy object array) into a list per epoch, so every id comes
+  out intact, trailing NUL characters included.
 """
 
 from __future__ import annotations
@@ -24,6 +36,10 @@ import numpy as np
 from .apportion import as_fraction, largest_remainder
 from .artifact import SurgcurateError, write_atomic
 from .seeding import derive_seed
+
+
+#: Batch modes drawn per generator call; any block size gives the same stream.
+MODE_BLOCK = 4096
 
 
 class MixerError(SurgcurateError):
@@ -100,18 +116,6 @@ def mixed_batch_counts(policy: MixPolicy) -> tuple[int, int]:
     return n_unlabeled, n_clinical
 
 
-def _batch_spec(policy: MixPolicy, pure: bool) -> BatchSpec:
-    if pure:
-        return BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
-    return BatchSpec(BatchMode.MIXED, *mixed_batch_counts(policy))
-
-
-def plan_batch(policy: MixPolicy, rng: np.random.Generator) -> BatchSpec:
-    """Draw one batch composition: pure clinical with probability p, else
-    the fixed mixed composition."""
-    return _batch_spec(policy, rng.random() < float(policy.p_pure_clinical))
-
-
 class PoolCursor:
     """Without-replacement cursor over one pool of clip ids.
 
@@ -126,35 +130,41 @@ class PoolCursor:
         if len(set(ids)) != len(ids):
             raise ValueError(f"pool {pool_id!r} has duplicate clip ids")
         self.pool_id = pool_id
-        self._ids = np.asarray(ids)
+        self._ids = np.array(ids, dtype=object)  # the str objects themselves, gathered in C
         self._seed = seed
         self.epoch = 0
         self.position = 0
         self._permuted = self._shuffle(0)
 
-    def _shuffle(self, epoch: int) -> np.ndarray:
+    def _shuffle(self, epoch: int) -> list[str]:
         rng = np.random.default_rng((self._seed + epoch) & 0xFFFFFFFFFFFFFFFF)
-        return self._ids[rng.permutation(len(self._ids))]
+        return self._ids[rng.permutation(len(self._ids))].tolist()
 
-    def take(self, count: int) -> np.ndarray:
-        out = []
-        remaining = count
-        while remaining > 0:
-            available = len(self._permuted) - self.position
-            grab = min(available, remaining)
-            out.append(self._permuted[self.position : self.position + grab])
+    def take(self, count: int) -> list[str]:
+        out: list[str] = []
+        while count > 0:
+            grab = min(len(self._permuted) - self.position, count)
+            out += self._permuted[self.position : self.position + grab]
             self.position += grab
-            remaining -= grab
+            count -= grab
             if self.position == len(self._permuted):
                 self.epoch += 1
                 self._permuted = self._shuffle(self.epoch)
                 self.position = 0
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return out
 
 
 def _pure_schedule(index: int, p: Fraction) -> bool:
     # Bresenham-style spread: pure batches land where floor((i+1)p) advances
     return (index + 1) * p.numerator // p.denominator > index * p.numerator // p.denominator
+
+
+def _iid_pure_flags(seed: int, p: float, n_batches: int) -> Iterator[bool]:
+    """n_batches coins, each pure with probability p, drawn MODE_BLOCK at a
+    time from one generator: the same doubles as one rng.random() per batch."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_batches, MODE_BLOCK):
+        yield from (rng.random(min(MODE_BLOCK, n_batches - start)) < p).tolist()
 
 
 def sample_stream(
@@ -172,23 +182,20 @@ def sample_stream(
     """
     unlabeled = PoolCursor("unlabeled", list(unlabeled_pool), derive_seed(policy.seed, "pool-unlabeled"))
     clinical = PoolCursor("clinical", list(clinical_pool), derive_seed(policy.seed, "pool-clinical"))
-    mode_rng = np.random.default_rng(derive_seed(policy.seed, "batch-mode"))
+    pure = BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
+    mixed = BatchSpec(BatchMode.MIXED, *mixed_batch_counts(policy))
+    if interleave:
+        pure_flags = (_pure_schedule(index, policy.p_pure_clinical) for index in range(n_batches))
+    else:
+        pure_flags = _iid_pure_flags(derive_seed(policy.seed, "batch-mode"), float(policy.p_pure_clinical), n_batches)
 
-    for index in range(n_batches):
-        if interleave:
-            spec = _batch_spec(policy, _pure_schedule(index, policy.p_pure_clinical))
+    for is_pure in pure_flags:
+        if is_pure:
+            yield pure, clinical.take(pure.n_clinical)
         else:
-            spec = plan_batch(policy, mode_rng)
-        if spec.mode is BatchMode.PURE_CLINICAL:
-            ids = clinical.take(spec.n_clinical)
-        else:
-            parts = []
-            if spec.n_unlabeled:
-                parts.append(unlabeled.take(spec.n_unlabeled))
-            if spec.n_clinical:
-                parts.append(clinical.take(spec.n_clinical))
-            ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        yield spec, ids.tolist()
+            ids = unlabeled.take(mixed.n_unlabeled)
+            ids += clinical.take(mixed.n_clinical)
+            yield mixed, ids
 
 
 def write_batch_manifest(
@@ -209,10 +216,12 @@ def write_batch_manifest(
         "expected_clinical_fraction": str(expected_clinical_fraction(policy)),
     }
 
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(..., sort_keys=True) builds per call
+
     def lines():
-        yield json.dumps(header, sort_keys=True) + "\n"
+        yield encode(header) + "\n"
         stream = sample_stream(unlabeled_pool, clinical_pool, policy, n_batches, interleave=interleave)
         for index, (spec, clip_ids) in enumerate(stream):
-            yield json.dumps({"index": index, "mode": spec.mode.value, "clip_ids": clip_ids}, sort_keys=True) + "\n"
+            yield encode({"index": index, "mode": spec.mode.value, "clip_ids": clip_ids}) + "\n"
 
     return write_atomic(path, lines())

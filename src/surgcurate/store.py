@@ -252,7 +252,7 @@ def ingest_raw_blobs(
             if fh.readinto(raw[offset : offset + size]) != size:
                 raise SizeMismatch(f"{p}: changed size while it was read")
         offset += size
-    row_ids = read_lines(id_file)
+    row_ids = read_lines(id_file, StoreError)
     if len(row_ids) != data.shape[0]:
         raise SizeMismatch(f"{len(row_ids)} ids for {data.shape[0]} embedding rows")
     matrix = EmbeddingMatrix(data, row_ids)

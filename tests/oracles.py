@@ -5,6 +5,8 @@ way possible (no code shared with the package), so the tests compare two
 independent derivations of the same quantities.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import floor
@@ -179,3 +181,71 @@ def frame_count_mismatch_fraction(frame_count, fps, duration_s):
     duration read through its shortest decimal repr."""
     duration = Fraction(repr(float(duration_s)))
     return abs(Fraction(frame_count) - Fraction(fps) * duration) > max(duration, Fraction(1))
+
+
+def batch_manifest_reference(unlabeled, clinical, p, m, batch_size, seed, n_batches, interleave):
+    """The bytes of a batch manifest as the package wrote them one batch at
+    a time: a scalar rng.random() draw (or the floor((i+1)p) schedule) per
+    batch, that batch's largest-remainder mixed split rounded again, and
+    cursors that index numpy arrays of the sorted ids. The arrays hold
+    Python objects, so ids ending in NUL survive."""
+
+    def stage_seed(label):
+        digest = hashlib.sha256((seed & (2**64 - 1)).to_bytes(8, "little") + label.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "little")
+
+    def mixed_split():
+        quotas = [m * batch_size, (1 - m) * batch_size]
+        counts = [floor(q) for q in quotas]
+        leftover = batch_size - sum(counts)
+        by_remainder = sorted(range(2), key=lambda i: (-(quotas[i] - counts[i]), i))
+        for i in by_remainder[:leftover]:
+            counts[i] += 1
+        return counts
+
+    class Cursor:
+        def __init__(self, ids, pool_seed):
+            self.ids = np.asarray(sorted(ids), dtype=object)
+            self.seed = pool_seed
+            self.epoch = 0
+            self.order = self.shuffle()
+            self.pos = 0
+
+        def shuffle(self):
+            rng = np.random.default_rng((self.seed + self.epoch) & (2**64 - 1))
+            return self.ids[rng.permutation(len(self.ids))]
+
+        def take(self, count):
+            out = []
+            for _ in range(count):
+                out.append(self.order[self.pos])
+                self.pos += 1
+                if self.pos == len(self.order):
+                    self.epoch += 1
+                    self.order = self.shuffle()
+                    self.pos = 0
+            return out
+
+    u = Cursor(unlabeled, stage_seed("pool-unlabeled"))
+    c = Cursor(clinical, stage_seed("pool-clinical"))
+    mode_rng = np.random.default_rng(stage_seed("batch-mode"))
+    header = {
+        "kind": "header",
+        "policy": {"p_pure_clinical": str(p), "mixed_unlabeled_frac": str(m), "batch_size": batch_size, "seed": seed},
+        "n_batches": n_batches,
+        "interleave": interleave,
+        "expected_clinical_fraction": str(p + (1 - p) * (1 - m)),
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    for index in range(n_batches):
+        if interleave:
+            pure = floor((index + 1) * p) > floor(index * p)
+        else:
+            pure = mode_rng.random() < float(p)
+        if pure:
+            mode, ids = "PureClinical", c.take(batch_size)
+        else:
+            n_unlabeled, n_clinical = mixed_split()
+            mode, ids = "Mixed", u.take(n_unlabeled) + c.take(n_clinical)
+        lines.append(json.dumps({"index": index, "mode": mode, "clip_ids": ids}, sort_keys=True))
+    return "".join(line + "\n" for line in lines).encode("utf-8")

@@ -185,7 +185,10 @@ class TestDecode:
     def test_read_lines(self, tmp_path):
         path = tmp_path / "ids.txt"
         path.write_bytes(b"  a \n\nb\r\n\n")
-        assert read_lines(path) == ["a", "b"]
+        assert read_lines(path, Malformed) == ["a", "b"]
+        path.write_bytes(b"a\r\n\nb\xc3\n")
+        with pytest.raises(Malformed, match="ids.txt:3: UnicodeDecodeError: "):
+            read_lines(path, Malformed)
 
 
 def _store_blob(tmp_path, n_rows: int) -> bytes:

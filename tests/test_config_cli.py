@@ -192,7 +192,7 @@ def _corpus_with(video=None, clip=None) -> dict:
     return {"c.jsonl": "\n".join(json.dumps(doc) for doc in lines) + "\n"}
 
 
-#: case -> (files staged in the working directory, argv, the typed error, text its message names)
+#: case -> (files staged in the working directory, as text or raw bytes; argv; the typed error; text its message names)
 _MALFORMED_INPUTS = {
     "curated-line-without-clip-id": (
         {"pool.jsonl": '{"kind": "header"}\n{"leaf": 0}\n'},
@@ -203,6 +203,21 @@ _MALFORMED_INPUTS = {
         {"pool.jsonl": '{"kind": "header"}\n{"clip_id": 5}\n', "clinical.txt": "c1\n"},
         ["sample", "--unlabeled", "pool.jsonl", "--clinical", "clinical.txt", "--out", "b.jsonl"],
         "CurationError", "pool.jsonl:2",
+    ),
+    "plain-pool-not-utf8": (
+        {"pool.txt": b"a\n\n\xffb\n"},
+        ["sample", "--unlabeled", "pool.txt", "--clinical", "pool.txt", "--out", "b.jsonl"],
+        "CurationError", "pool.txt:3",
+    ),
+    "curated-pool-not-utf8": (
+        {"pool.jsonl": b'{"kind": "header"}\n{"clip_id": "\xff"}\n'},
+        ["sample", "--unlabeled", "pool.jsonl", "--clinical", "pool.jsonl", "--out", "b.jsonl"],
+        "CurationError", "pool.jsonl:2",
+    ),
+    "video-list-not-utf8": (
+        {"v.txt": b"v1\nv2\n\xfe\n"},
+        ["split", "--dataset", "d", "--videos", "v.txt", "--out", "m.json"],
+        "SplitError", "v.txt:3",
     ),
     "split-manifest-without-assignment": (
         {"m.json": '{"dataset_id": "d", "tier": "Ours", "version": "", "created_at": ""}', "c.jsonl": ""},
@@ -275,8 +290,8 @@ class TestErrorContract:
     def test_malformed_input_is_one_typed_error_record_exit_1(self, tmp_path, monkeypatch, case):
         files, argv, error, where = _MALFORMED_INPUTS[case]
         monkeypatch.chdir(tmp_path)
-        for name, text in files.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         result = CliRunner().invoke(main, argv, env={})
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback

@@ -1,4 +1,7 @@
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from surgcurate import store
 from surgcurate.clustering import ClusterModel, ClusterTree, build_hierarchy
 from surgcurate.curation import (
+    CurationError,
     FractionOutOfRange,
     allocate_budget,
     curate,
@@ -226,6 +230,61 @@ class TestCurate:
             expected += 1
         assert len(curated) == expected
         assert curated.plan.level_total(0) == expected
+
+
+def _pool_ids_reference(raw: bytes) -> list[str]:
+    """read_pool_ids as two whole-file passes: the stripped non-blank lines
+    of the decoded text and, when the first starts with '{', the clip ids
+    of every non-blank newline-separated line parsed as JSON."""
+    ids = [ln.strip() for ln in raw.decode("utf-8").splitlines() if ln.strip()]
+    if not ids or not ids[0].startswith("{"):
+        return ids
+    docs = [json.loads(line.decode("utf-8")) for line in raw.split(b"\n") if line.strip()]
+    return [doc["clip_id"] for doc in docs if doc.get("kind") != "header"]
+
+
+_CURATED_POOL = st.tuples(
+    st.sampled_from(["", "\n", " \n", "\r", "\x0c\n", "\u2028\n", "\x1c\n"]),
+    st.lists(st.text(alphabet="ab\xe9 \x85{", max_size=3), max_size=4),
+).map(lambda t: (t[0] + '{"kind": "header"}\n' + "".join(json.dumps({"clip_id": c}) + "\n" for c in t[1])).encode("utf-8"))
+_POOL_BYTES = st.one_of(
+    st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x85\u2028\xe9ab{", max_size=30).map(lambda t: t.encode("utf-8")),
+    _CURATED_POOL,
+    st.binary(max_size=24),
+)
+
+
+class TestReadPoolIds:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_POOL_BYTES)
+    def test_same_ids_as_the_whole_file_rule(self, raw):
+        """One read, the format picked from the first non-blank line: the
+        ids of the two-pass rule, or CurationError where it fails."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.txt"
+            path.write_bytes(raw)
+            try:
+                want = _pool_ids_reference(raw)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                with pytest.raises(CurationError, match="pool.txt:"):
+                    read_pool_ids(path)
+            else:
+                assert read_pool_ids(path) == want
+
+    @pytest.mark.parametrize(
+        "raw,line",
+        [
+            (b"\xc3(\n", 1),
+            (b"a\n\n\xffb\nc\n", 3),
+            (b'\n{"kind": "header"}\n{"clip_id": "\xe2\x82"}\n', 3),
+        ],
+        ids=["plain-first-line", "plain-later-line", "curated"],
+    )
+    def test_text_that_is_not_utf8_names_the_line(self, tmp_path, raw, line):
+        path = tmp_path / "pool.txt"
+        path.write_bytes(raw)
+        with pytest.raises(CurationError, match=f"pool.txt:{line}: UnicodeDecodeError: "):
+            read_pool_ids(path)
 
 
 class TestSelectLeafBlocks:

@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from surgcurate import mixer
+from surgcurate.cli import main
 from surgcurate.mixer import (
     BatchMode,
     BatchSpec,
@@ -11,10 +15,11 @@ from surgcurate.mixer import (
     PoolCursor,
     expected_clinical_fraction,
     mixed_batch_counts,
-    plan_batch,
     sample_stream,
     write_batch_manifest,
 )
+
+from .oracles import batch_manifest_reference
 
 
 class TestExpectedFraction:
@@ -36,24 +41,22 @@ class TestExpectedFraction:
         assert policy.mixed_unlabeled_frac == Fraction(7, 10)
 
 
-class TestPlanBatch:
+class TestBatchComposition:
     def test_mixed_counts_batch_64(self):
         assert mixed_batch_counts(MixPolicy(batch_size=64)) == (45, 19)
 
     def test_mixed_counts_batch_10(self):
         assert mixed_batch_counts(MixPolicy(batch_size=10)) == (7, 3)
 
-    def test_always_pure_when_p_is_one(self, rng):
-        policy = MixPolicy(p_pure_clinical=1, batch_size=16)
-        for _ in range(20):
-            spec = plan_batch(policy, rng)
+    def test_always_pure_when_p_is_one(self):
+        policy = MixPolicy(p_pure_clinical=1, batch_size=16, seed=12345)
+        for spec, _ in sample_stream(["u0"], ["k0"], policy, 20):
             assert spec.mode is BatchMode.PURE_CLINICAL
             assert (spec.n_unlabeled, spec.n_clinical) == (0, 16)
 
-    def test_never_pure_when_p_is_zero(self, rng):
-        policy = MixPolicy(p_pure_clinical=0, batch_size=64)
-        for _ in range(20):
-            spec = plan_batch(policy, rng)
+    def test_never_pure_when_p_is_zero(self):
+        policy = MixPolicy(p_pure_clinical=0, batch_size=64, seed=12345)
+        for spec, _ in sample_stream(["u0"], ["k0"], policy, 20):
             assert spec.mode is BatchMode.MIXED
             assert (spec.n_unlabeled, spec.n_clinical) == (45, 19)
 
@@ -67,7 +70,7 @@ class TestPoolCursor:
         ids = [f"c{i}" for i in range(7)]
         cursor = PoolCursor("p", ids, seed=1)
         drawn = cursor.take(7)
-        assert sorted(drawn.tolist()) == sorted(ids)
+        assert sorted(drawn) == sorted(ids)
         assert cursor.epoch == 1
 
     def test_cross_epoch_take(self):
@@ -75,8 +78,8 @@ class TestPoolCursor:
         cursor = PoolCursor("p", ids, seed=1)
         drawn = cursor.take(12)
         assert len(drawn) == 12
-        assert sorted(drawn[:5].tolist()) == sorted(ids)
-        assert sorted(drawn[5:10].tolist()) == sorted(ids)
+        assert sorted(drawn[:5]) == sorted(ids)
+        assert sorted(drawn[5:10]) == sorted(ids)
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
@@ -85,7 +88,10 @@ class TestPoolCursor:
     def test_input_order_does_not_matter(self):
         a = PoolCursor("p", ["b", "a", "c"], seed=3).take(3)
         b = PoolCursor("p", ["c", "b", "a"], seed=3).take(3)
-        assert a.tolist() == b.tolist()
+        assert a == b
+
+    def test_ids_with_trailing_nul_stay_distinct(self):
+        assert sorted(PoolCursor("p", ["a", "a\x00", "b"], 1).take(3)) == ["a", "a\x00", "b"]
 
 
 class TestSampleStream:
@@ -123,6 +129,20 @@ class TestSampleStream:
             cid for spec, ids in batches for cid in ids[spec.n_unlabeled :]
         ]
         assert set(clinical_draws) == {"lonely"}  # one-element epochs reset each draw
+
+    def test_first_batch_of_an_endless_stream_is_immediate_and_small(self):
+        """The i.i.d. modes are drawn a block at a time, never for the whole
+        stream: 10**7 batches would hold 80 MB of draws at once."""
+        unlabeled, clinical = self._pools()
+        policy = MixPolicy(batch_size=8, seed=3)
+        tracemalloc.start()
+        try:
+            spec, ids = next(sample_stream(unlabeled, clinical, policy, n_batches=10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == 8
+        assert peak < 2**20
 
     def test_pure_batch_count_is_binomial(self):
         unlabeled, clinical = self._pools(10, 10)
@@ -169,3 +189,47 @@ class TestBatchManifest:
         batch = json.loads(lines[1])
         assert set(batch) == {"index", "mode", "clip_ids"}
         assert len(batch["clip_ids"]) == 4
+
+
+class TestBatchManifestOracle:
+    """write_batch_manifest against the per-batch loop of tests/oracles.py:
+    a scalar draw, a largest-remainder split and a numpy-array cursor for
+    every batch. Pools of 7 and 3 ids are smaller than one batch of 10, so
+    epochs wrap mid-batch."""
+
+    UNLABELED = [f"u{i}" for i in range(7)]
+    CLINICAL = [f"k{i}" for i in range(3)]
+
+    def _assert_same_bytes(self, tmp_path, p, m, interleave, n_values):
+        policy = MixPolicy(p_pure_clinical=p, mixed_unlabeled_frac=m, batch_size=10, seed=5)
+        for n in n_values:
+            path = write_batch_manifest(tmp_path / "b.jsonl", self.UNLABELED, self.CLINICAL, policy, n, interleave=interleave)
+            want = batch_manifest_reference(self.UNLABELED, self.CLINICAL, Fraction(p), Fraction(m), 10, 5, n, interleave)
+            assert path.read_bytes() == want, n
+
+    @pytest.mark.parametrize("block", [1, 7, mixer.MODE_BLOCK])
+    @pytest.mark.parametrize("interleave", [False, True], ids=["iid", "interleave"])
+    @pytest.mark.parametrize("p", ["0", "3/20", "1"])
+    @pytest.mark.parametrize("m", ["0", "7/10", "1"])
+    def test_same_bytes_as_the_per_batch_loop(self, tmp_path, monkeypatch, block, interleave, p, m):
+        monkeypatch.setattr(mixer, "MODE_BLOCK", block)
+        n_values = {0, 1, 100} | ({block - 1, block, block + 1} if block < 100 else set())
+        self._assert_same_bytes(tmp_path, p, m, interleave, sorted(n_values))
+
+    def test_same_bytes_across_the_default_block_boundary(self, tmp_path):
+        """Only i.i.d. draws with 0 < p < 1 depend on where a block ends."""
+        block = mixer.MODE_BLOCK
+        self._assert_same_bytes(tmp_path, "3/20", "7/10", False, [block - 1, block, block + 1, 5000])
+
+
+class TestSampleCommand:
+    def test_id_with_trailing_nul_is_written_as_given(self, tmp_path):
+        pool = tmp_path / "pool.txt"
+        pool.write_text("a\na\x00\nb\n", encoding="utf-8")
+        out = tmp_path / "batches.jsonl"
+        argv = ["sample", "--unlabeled", str(pool), "--clinical", str(pool), "--batch", "3", "--p-pure", "1"]
+        result = CliRunner().invoke(main, [*argv, "--n", "1", "--out", str(out)], env={})
+        assert result.exit_code == 0, result.output
+        batch = out.read_text("utf-8").splitlines()[1]
+        assert '"a\\u0000"' in batch
+        assert sorted(json.loads(batch)["clip_ids"]) == ["a", "a\x00", "b"]

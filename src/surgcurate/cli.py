@@ -35,7 +35,7 @@ from .corpus import (
     scale_comparison_report,
     validate_corpus,
 )
-from .manifest import RunManifest, manifest_path_for, utc_now
+from .manifest import RunManifest, forget_digests, manifest_path_for, utc_now
 from .metrics import (
     acc_at_1,
     emit_report,
@@ -153,6 +153,7 @@ def _command(group: click.Group, name: str, flags: tuple[str, ...] = (), configu
             if click.get_current_context().invoked_subcommand is not None:
                 return  # a group invoked for a subcommand runs only that
             started = utc_now()
+            forget_digests()  # the manifest takes only the digests this body notes
             try:
                 cfg = None
                 if configured:

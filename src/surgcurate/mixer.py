@@ -7,7 +7,9 @@ the defaults (p = 0.15, m = 0.70) that is 81/200 = 0.405. The realised
 share also depends on how a mixed batch rounds (see mixed_batch_counts).
 
 Pools are drawn without replacement inside an epoch; exhausting a pool
-reshuffles it under an epoch-incremented seed.
+reshuffles it under an epoch-incremented seed. The two pools must be
+disjoint: a clip in both could fill two slots of one batch and would count
+as clinical.
 
 A stream does per batch only the work that differs between batches:
 
@@ -178,10 +180,15 @@ def sample_stream(
     within a mixed batch.
 
     `interleave=True` replaces the i.i.d. pure/mixed coin with a
-    variance-free deterministic schedule at the same rate.
+    variance-free deterministic schedule at the same rate. Pools that
+    share a clip id raise MixerError naming the smallest shared id.
     """
-    unlabeled = PoolCursor("unlabeled", list(unlabeled_pool), derive_seed(policy.seed, "pool-unlabeled"))
-    clinical = PoolCursor("clinical", list(clinical_pool), derive_seed(policy.seed, "pool-clinical"))
+    unlabeled_ids, clinical_ids = list(unlabeled_pool), list(clinical_pool)
+    shared = set(unlabeled_ids).intersection(clinical_ids)
+    if shared:
+        raise MixerError(f"the unlabeled and clinical pools share {len(shared)} clip id(s), the smallest {min(shared)!r}")
+    unlabeled = PoolCursor("unlabeled", unlabeled_ids, derive_seed(policy.seed, "pool-unlabeled"))
+    clinical = PoolCursor("clinical", clinical_ids, derive_seed(policy.seed, "pool-clinical"))
     pure = BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
     mixed = BatchSpec(BatchMode.MIXED, *mixed_batch_counts(policy))
     if interleave:

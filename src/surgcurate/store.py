@@ -16,6 +16,10 @@ Reading, ingesting and normalising hold one f32 copy of the payload plus
 bounded temporaries: files are read straight into the one array,
 normalising rescales that array in place, and whole-matrix passes walk the
 rows in blocks of ROW_BLOCK rows.
+
+Every store file and every blob is hashed whole as it is read or written,
+and that SHA-256 is noted for the run manifest (manifest.note_digest), so a
+command hashes each of those bytes once.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .artifact import SurgcurateError, read_lines, write_atomic
+from .manifest import note_digest
 
 MAGIC = b"SURGEMB1"
 HEADER_BYTES = len(MAGIC) + 16
@@ -124,26 +129,31 @@ class EmbeddingMatrix:
 def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
     """Serialize a validated matrix; byte-identical for identical input."""
     matrix.validate_finite()
+    hasher = hashlib.sha256()
 
     def chunks():
         """Header, payload, then one chunk per id; the checksum is taken as they stream."""
-        hasher = hashlib.sha256()
         header = MAGIC + matrix.n_rows.to_bytes(8, "little") + matrix.dim.to_bytes(8, "little")
         ids = (len(raw).to_bytes(4, "little") + raw for raw in (rid.encode("utf-8") for rid in matrix.row_ids))
         payload = np.ascontiguousarray(matrix.data, dtype="<f4").reshape(-1).view(np.uint8)
         for chunk in itertools.chain([header, payload], ids):
             hasher.update(chunk)
             yield chunk
-        yield hasher.digest()
+        checksum = hasher.digest()
+        hasher.update(checksum)  # now the whole file's hash
+        yield checksum
 
-    return write_atomic(path, chunks())
+    written = write_atomic(path, chunks())
+    note_digest("written", written, hasher.hexdigest())
+    return written
 
 
 def read_store(path: str | Path) -> EmbeddingMatrix:
     """Parse and fully validate a store file (magic, sizes, checksum, finiteness).
 
     The payload is read once, straight into the returned array, and hashed
-    block by block as it lands; the bytes hashed are the bytes used.
+    block by block as it lands; the bytes hashed are the bytes used. The
+    whole file's SHA-256 is noted for the run manifest.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -170,8 +180,11 @@ def read_store(path: str | Path) -> EmbeddingMatrix:
             hasher.update(block)
         table = _read_exact(fh, table_len, path)
         hasher.update(table)
-        if hasher.digest() != _read_exact(fh, CHECKSUM_BYTES, path):
+        checksum = _read_exact(fh, CHECKSUM_BYTES, path)
+        if hasher.digest() != checksum:
             raise ChecksumMismatch(f"{path}: checksum does not match file contents")
+    hasher.update(checksum)
+    note_digest("read", path, hasher.hexdigest())
     # every row has a 4-byte id length; a store without rows may claim any dim numpy can shape
     if len(table) < 4 * n_rows or dim > _MAX_AXIS:
         raise SizeMismatch(f"{path}: header claims {n_rows} rows of dim {dim}, more than the file holds")
@@ -234,7 +247,8 @@ def ingest_raw_blobs(
 
     Blob files are concatenated in sorted filename order; each file must
     hold a whole number of dim-sized rows. The sidecar id file lists one
-    clip id per row, in the same order.
+    clip id per row, in the same order. Each blob is hashed from the rows
+    it was read into, and its SHA-256 noted for the run manifest.
     """
     blob_dir = Path(blob_dir)
     files = sorted(p for p in blob_dir.iterdir() if p.is_file())
@@ -248,9 +262,11 @@ def ingest_raw_blobs(
     raw = data.reshape(-1).view(np.uint8)
     offset = 0
     for p, size in zip(files, sizes):
+        block = raw[offset : offset + size]
         with open(p, "rb") as fh:
-            if fh.readinto(raw[offset : offset + size]) != size:
+            if fh.readinto(block) != size:
                 raise SizeMismatch(f"{p}: changed size while it was read")
+        note_digest("read", p, hashlib.sha256(block).hexdigest())
         offset += size
     row_ids = read_lines(id_file, StoreError)
     if len(row_ids) != data.shape[0]:

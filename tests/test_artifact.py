@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import surgcurate
 from surgcurate.artifact import decode_line, iter_jsonl, read_json, read_lines, write_atomic
 from surgcurate.clustering import TREE_MAGIC, BadTreeFile, ClusterTree, build_hierarchy
+from surgcurate.manifest import RunManifest, RunManifestError
 from surgcurate.store import MAGIC, EmbeddingMatrix, SizeMismatch, StoreError, read_store, write_store
 
 
@@ -116,6 +117,16 @@ class TestWriteAtomic:
         with pytest.raises(FileNotFoundError):
             write_atomic(tmp_path / "nodir" / "a.txt", ["x"])
         assert os.listdir(tmp_path) == []
+
+
+class TestRunManifestLoad:
+    @pytest.mark.parametrize("text", ["not json", "[]", '{"command": "x"}', '{"command": "x", "config": {}, "bogus": 1}'])
+    def test_garbage_is_a_typed_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "out.run.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(RunManifestError, match=str(path)) as caught:
+            RunManifest.load(path)
+        assert isinstance(caught.value, surgcurate.artifact.SurgcurateError)
 
 
 class TestDecode:

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from surgcurate.clustering import TREE_MAGIC, ClusteringError, build_hierarchy
 from surgcurate.config import ConfigError, SCHEMAS, resolve_config
 from surgcurate.corpus import CorpusError
 from surgcurate.curation import CurationError
-from surgcurate.manifest import RunManifest, manifest_path_for
+from surgcurate.manifest import RunManifest, RunManifestError, manifest_path_for
 from surgcurate.metrics import MetricsError
 from surgcurate.mixer import MixerError
 from surgcurate.splits import SplitError, SplitManifest
@@ -301,7 +302,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "base",
-        [CorpusError, StoreError, ClusteringError, CurationError, MixerError, SplitError, MetricsError],
+        [CorpusError, StoreError, ClusteringError, CurationError, MixerError, SplitError, MetricsError, RunManifestError],
         ids=lambda base: base.__name__,
     )
     def test_every_layer_error_is_one_record_exit_1(self, tmp_path, monkeypatch, base):
@@ -323,12 +324,13 @@ class TestErrorContract:
     def test_failed_sample_keeps_the_old_output(self, tmp_path):
         pool = tmp_path / "pool.txt"
         pool.write_text("a\nb\nc\n", encoding="utf-8")
+        (tmp_path / "clinical.txt").write_text("k\n", encoding="utf-8")
         (tmp_path / "empty.txt").write_text("\n", encoding="utf-8")
         out = tmp_path / "batches.jsonl"
         argv = ["sample", "--unlabeled", str(pool), "--batch", "2", "--n", "3", "--out", str(out), "--clinical"]
         umask = os.umask(0o022)
         try:
-            assert CliRunner().invoke(main, [*argv, str(pool)], env={}).exit_code == 0
+            assert CliRunner().invoke(main, [*argv, str(tmp_path / "clinical.txt")], env={}).exit_code == 0
             before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
             result = CliRunner().invoke(main, [*argv, str(tmp_path / "empty.txt")], env={})
         finally:
@@ -540,6 +542,38 @@ class TestFullPipeline:
         assert manifest.seeds["root"] == 11
         assert manifest.verify_inputs() == []
         assert str(tree) in manifest.outputs
+
+    def test_run_manifests_record_the_sha256_of_each_file(self, pipeline_dir):
+        """Every fingerprint, whether taken while the command read or wrote
+        the file or by fingerprint_file afterwards, is the file's SHA-256."""
+        root, _ = pipeline_dir
+        runs = {p.name: RunManifest.load(p) for p in root.glob("*.run.json")}
+        assert set(runs) == {
+            f"{name}.run.json"
+            for name in ("ingested.semb", "tree.sctree", "curated.jsonl", "batches.jsonl", "split.json",
+                         "scores.csv", "report.md", "reference.md", "stats.md")
+        }
+        assert str(root / "ingested.semb") in runs["tree.sctree.run.json"].inputs
+        for name, run in runs.items():
+            for path, digest in {**run.inputs, **run.outputs}.items():
+                assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), (name, path)
+
+    def test_run_manifest_records_the_bytes_cluster_read(self, tmp_path, monkeypatch):
+        """A store replaced while cluster runs is recorded with the bytes
+        read_store read, and verify_inputs reports it as stale."""
+        store = write_fixture_corpus(tmp_path, dim=8)["store"]
+        read = store.read_bytes()
+
+        def build_then_replace(*args, _build=cli.build_hierarchy, **kwargs):
+            store.write_bytes(read[::-1])
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_hierarchy", build_then_replace)
+        tree = tmp_path / "t.sctree"
+        self._run(["cluster", "--store", str(store), "--levels", "4", "--out", str(tree)])
+        run = RunManifest.load(manifest_path_for(tree))
+        assert run.inputs == {str(store): hashlib.sha256(read).hexdigest()}
+        assert run.verify_inputs() == [str(store)]
 
     def test_split_tiers_from_external_files(self, tmp_path):
         official = tmp_path / "official.json"

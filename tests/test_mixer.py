@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from surgcurate.mixer import (
     BatchMode,
     BatchSpec,
     EmptyPool,
+    MixerError,
     MixPolicy,
     PoolCursor,
     expected_clinical_fraction,
@@ -172,6 +174,15 @@ class TestSampleStream:
             assert all(cid.startswith("k") for cid in ids[7:])
 
 
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_pools_that_share_a_clip_id_are_rejected(self, p):
+        """A clip in both pools could fill two slots of one batch and would
+        count as clinical; the error names the smallest shared id."""
+        policy = MixPolicy(p_pure_clinical=p, batch_size=3, seed=1)
+        with pytest.raises(MixerError, match=r"share 2 clip id\(s\), the smallest 'b'"):
+            next(sample_stream(["u0", "c", "b"], ["k0", "b", "c"], policy, 20))
+
+
 class TestBatchManifest:
     def test_manifest_contents_and_determinism(self, tmp_path):
         unlabeled = [f"u{i}" for i in range(12)]
@@ -226,10 +237,25 @@ class TestSampleCommand:
     def test_id_with_trailing_nul_is_written_as_given(self, tmp_path):
         pool = tmp_path / "pool.txt"
         pool.write_text("a\na\x00\nb\n", encoding="utf-8")
+        (tmp_path / "unlabeled.txt").write_text("u\n", encoding="utf-8")
         out = tmp_path / "batches.jsonl"
-        argv = ["sample", "--unlabeled", str(pool), "--clinical", str(pool), "--batch", "3", "--p-pure", "1"]
+        argv = ["sample", "--unlabeled", str(tmp_path / "unlabeled.txt"), "--clinical", str(pool), "--batch", "3", "--p-pure", "1"]
         result = CliRunner().invoke(main, [*argv, "--n", "1", "--out", str(out)], env={})
         assert result.exit_code == 0, result.output
         batch = out.read_text("utf-8").splitlines()[1]
         assert '"a\\u0000"' in batch
         assert sorted(json.loads(batch)["clip_ids"]) == ["a", "a\x00", "b"]
+
+    def test_pools_that_share_a_clip_id_exit_1_and_leave_no_output(self, tmp_path):
+        (tmp_path / "unlabeled.txt").write_text("u0\nk1\nu1\n", encoding="utf-8")
+        (tmp_path / "clinical.txt").write_text("k0\nk1\n", encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        out = tmp_path / "batches.jsonl"
+        argv = ["sample", "--unlabeled", str(tmp_path / "unlabeled.txt"), "--clinical", str(tmp_path / "clinical.txt")]
+        result = CliRunner().invoke(main, [*argv, "--batch", "2", "--n", "3", "--out", str(out)], env={})
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        record = json.loads(result.stderr)
+        assert record["error"] == "MixerError"
+        assert "'k1'" in record["message"]
+        assert sorted(os.listdir(tmp_path)) == before  # no batch manifest, run manifest or temp file

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from surgcurate import cli
+from surgcurate import cli, manifest
 from surgcurate.synthetic import write_fixture_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,11 +71,33 @@ def test_rebound_cli_names_are_the_ones_the_commands_call(tmp_path, monkeypatch)
     assert calls == {"read_store": 2, "l2_normalize": 2, "build_hierarchy": 1, "curate": 1, "write_batch_manifest": 1}
 
 
+def test_ingest_cluster_curate_hash_the_store_and_blobs_once(tmp_path, monkeypatch):
+    """The run manifests take the store's and the blobs' fingerprints from the
+    pass that read or wrote them: fingerprint_file, which --trace 1 reports
+    as manifest.fingerprint, hashes only the files no layer hashed."""
+    paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
+    hashed = []
+    fingerprint = manifest.fingerprint_file
+    monkeypatch.setattr(manifest, "fingerprint_file", lambda path: hashed.append(Path(path).name) or fingerprint(path))
+    store, tree, curated = str(tmp_path / "s.semb"), str(tmp_path / "t.sctree"), str(tmp_path / "c.jsonl")
+    per_command = {}
+    for argv in (
+        ["ingest", "--blobs", str(paths["raw_blobs"]), "--ids", str(paths["raw_ids"]), "--dim", "8", "--out", store],
+        ["cluster", "--store", store, "--levels", "4", "--out", tree],
+        ["curate", "--store", store, "--tree", tree, "--out", curated],
+    ):
+        hashed.clear()
+        result = CliRunner().invoke(cli.main, argv, env={})
+        assert result.exit_code == 0, result.output
+        per_command[argv[0]] = sorted(hashed)
+    assert per_command == {"ingest": ["raw_ids.txt"], "cluster": ["t.sctree"], "curate": ["c.jsonl", "t.sctree"]}
+
+
 #: Runs each argv of the JSON list in argv[1] in one fresh process and
 #: prints, after each, whether numpy has been imported.
 _NUMPY_PROBE = """
 import json, sys
-from surgcurate import cli
+from surgcurate import cli, manifest
 loaded = []
 for argv in json.loads(sys.argv[1]):
     cli.main.main(args=argv, prog_name="surgcurate", standalone_mode=False)

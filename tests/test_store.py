@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from surgcurate import manifest, store
+from surgcurate import store
 from surgcurate.store import (
     BadMagic,
     BadRowId,
@@ -261,37 +261,6 @@ class TestIngest:
         # files concatenate in sorted name order: a.f32 then b.f32
         assert np.array_equal(m.data, data)
         assert m.row_ids == [f"c{i}" for i in range(10)]
-
-    def test_passes_note_each_files_sha256_for_the_run_manifest(self, tmp_path, monkeypatch):
-        """write_store, read_store and ingest_raw_blobs hash each file whole
-        as it streams, so a run manifest never reads those files again."""
-        def no_second_pass(path):
-            raise AssertionError(f"{path} hashed again")
-
-        monkeypatch.setattr(manifest, "fingerprint_file", no_second_pass)
-        m = _matrix(6, 4)
-        blob_dir = tmp_path / "blobs"
-        blob_dir.mkdir()
-        for name, rows in (("a.f32", m.data[:2]), ("b.f32", m.data[2:])):
-            (blob_dir / name).write_bytes(rows.astype("<f4").tobytes())
-        (tmp_path / "ids.txt").write_text("\n".join(m.row_ids), encoding="utf-8")
-        manifest.forget_digests()
-        ingest_raw_blobs(blob_dir, tmp_path / "ids.txt", dim=4)
-        path = write_store(m, tmp_path / "s.semb")
-        run = manifest.RunManifest("x", {})
-        blobs = sorted(blob_dir.iterdir())
-        for blob in blobs:
-            run.add_input(blob)
-        run.add_output(path)
-        manifest.forget_digests()
-        read_store(path)
-        run.add_input(path)
-
-        def sha256(p):
-            return hashlib.sha256(p.read_bytes()).hexdigest()
-
-        assert run.inputs == {str(p): sha256(p) for p in [*blobs, path]}
-        assert run.outputs == {str(path): sha256(path)}
 
     def test_ragged_blob_rejected(self, tmp_path):
         blob_dir = tmp_path / "blobs"

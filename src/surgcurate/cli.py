@@ -250,13 +250,10 @@ def curate_cmd(cfg, store_path, tree_path, out):
     """Select the budgeted nearest-to-centroid subset from every leaf."""
     store_file = _require(store_path, "store file")
     tree_file = _require(tree_path, "tree file")
-    matrix = _cli.read_store(store_file)
     tree = _cli.ClusterTree.load(tree_file)
-    if tree.normalized:
-        matrix = _cli.l2_normalize(matrix)
-    curated = _cli.curate(tree, matrix, as_fraction(cfg["fraction"]), mode=cfg["mode"], workers=_effective_workers(cfg))
+    curated = _cli.curate(tree, store_file, as_fraction(cfg["fraction"]), mode=cfg["mode"])
     curated.to_jsonl(out)
-    click.echo(f"curated {len(curated)} of {matrix.n_rows} clips -> {out}")
+    click.echo(f"curated {len(curated)} of {tree.n_points} clips -> {out}")
     return Provenance(out, [store_file, tree_file])
 
 

@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import SurgcurateError, write_atomic
+from .manifest import note_digest
 from .seeding import derive_seed
 from .store import EmbeddingMatrix, row_blocks
 
@@ -538,7 +539,12 @@ class ClusterTree:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterTree":
-        return cls.from_bytes(Path(path).read_bytes())
+        """Parse the tree file at `path`; the SHA-256 of the bytes parsed is
+        noted for the run manifest."""
+        blob = Path(path).read_bytes()
+        tree = cls.from_bytes(blob)
+        note_digest("read", path, hashlib.sha256(blob).hexdigest())
+        return tree
 
 
 def build_hierarchy(

@@ -5,22 +5,29 @@ children, top level first, capping every child at the number of points
 reachable under it and water-filling the surplus back into its siblings.
 A proportional mode exists behind a flag; it reproduces the raw data
 distribution and therefore does not balance anything.
+
+Selection makes one pass over the rows, a store file's rows included, and
+holds no copy of the payload: its state is O(n) scalars, each row's two
+f64 distances to its leaf centroid plus the order that sorts them,
+next to the tree's assignments and the clip ids.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
 from .artifact import SurgcurateError, decode_text, id_lines, iter_jsonl, text_field, write_atomic
-from .clustering import ClusterTree, DimensionMismatch, ordered_map
-from .store import EmbeddingMatrix, row_blocks
+from .clustering import ClusterTree, DimensionMismatch
+from .store import EmbeddingMatrix, open_store, row_blocks
 
 
 class CurationError(SurgcurateError):
@@ -39,9 +46,6 @@ class BudgetPlan:
     fraction: Fraction
     quotas: list[np.ndarray]  # quotas[level][cluster], aligned with tree.levels
     mode: str = "equal"
-
-    def quota(self, level: int, cluster: int) -> int:
-        return int(self.quotas[level][cluster])
 
     def level_total(self, level: int) -> int:
         return int(self.quotas[level].sum())
@@ -147,68 +151,90 @@ def allocate_budget(tree: ClusterTree, fraction, mode: str = "equal") -> BudgetP
     return BudgetPlan(total_budget=total_budget, fraction=frac, quotas=quotas, mode=mode)
 
 
-def _select_leaf(points: EmbeddingMatrix, centroid, member_rows: np.ndarray, quota: int) -> list[tuple[str, float]]:
-    """The `quota` member rows closest (squared Euclidean) to the centroid:
-    (clip_id, squared distance) pairs sorted by (distance, clip_id), so ties
-    go to the smaller clip id; linear in the leaf size. Members are cast to
-    f64 one row block at a time."""
-    if quota == 0:
-        return []
-    ids = np.asarray([points.row_ids[r] for r in member_rows])
-    c = np.asarray(centroid, dtype=np.float64)
+def _leaf_distances(tree: ClusterTree, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's squared distance to its leaf centroid, two ways, from
+    (start, f32 rows) blocks covering all tree.n_points rows in order.
 
-    def ranked(rows: np.ndarray) -> np.ndarray:
-        """Ranking distances of one row block; its f64 copy dies on return."""
-        diff = points.data[rows].astype(np.float64)
-        diff -= c
-        return np.einsum("ij,ij->i", diff, diff)
+    D = row - centroid in f64. The ranking distance is the einsum row dot
+    of D; the recorded distance, which curated.jsonl carries, is the BLAS
+    dot D.D and can differ from it in the last ulp. A row's two values
+    depend on neither the block it comes in nor its place in it.
+    """
+    centroids64 = tree.levels[0].centroids.astype(np.float64)
+    leaf = tree.levels[0].assignments
+    ranked = np.empty(tree.n_points, dtype=np.float64)
+    recorded = np.empty(tree.n_points, dtype=np.float64)
+    for s, rows in blocks:
+        e = s + len(rows)
+        ranked[s:e], recorded[s:e] = _distance_kernel(rows, centroids64[leaf[s:e]])
+    return ranked, recorded
 
-    dists = np.empty(len(member_rows), dtype=np.float64)
-    for s, e in row_blocks(len(member_rows)):
-        dists[s:e] = ranked(member_rows[s:e])
-    order = np.lexsort((ids, dists))  # distance first, then clip id
 
-    def recorded(i: int) -> float:
-        # the recorded distance is the 1-D dot product, which can differ from the
-        # einsum ranking value in the last ulp; curated.jsonl carries this one
-        d = points.data[member_rows[i]].astype(np.float64) - c
-        return float(d @ d)
+def _distance_kernel(rows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranking, recorded) squared distances of f32 rows to their own f64
+    centroids, row for row; `centroids` is overwritten with the f64
+    differences, so the block holds no f64 copy of the rows."""
+    diff = np.subtract(rows, centroids, out=centroids)  # each row is cast to f64 exactly
+    return np.einsum("ij,ij->i", diff, diff), np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
 
-    return [(str(ids[i]), recorded(i)) for i in order[:quota]]
+
+def _select(tree: ClusterTree, plan: BudgetPlan, row_ids: list[str], ranked: np.ndarray, recorded: np.ndarray) -> dict[str, SelectionRecord]:
+    """Each leaf's quota of rows nearest its centroid by ranking distance,
+    ties to the smaller clip id, as {clip_id: SelectionRecord}."""
+    n = tree.n_points
+    leaf = tree.levels[0].assignments
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[sorted(range(n), key=row_ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((id_rank, ranked, leaf))  # leaf, then distance, then clip id
+    counts = np.bincount(leaf, minlength=tree.level_sizes[0])
+    sorted_leaf = leaf[order]
+    rank = np.arange(n) - (np.cumsum(counts) - counts)[sorted_leaf]  # place within the row's leaf
+    keep = rank < plan.quotas[0][sorted_leaf]
+    picked = order[keep]
+    return {
+        row_ids[row]: SelectionRecord(row_ids[row], lf, rk, distance)
+        for row, lf, rk, distance in zip(
+            picked.tolist(), sorted_leaf[keep].tolist(), rank[keep].tolist(), recorded[picked].tolist()
+        )
+    }
 
 
 def curate(
     tree: ClusterTree,
-    points: EmbeddingMatrix,
+    points: EmbeddingMatrix | str | Path,
     fraction=Fraction(1, 10),
     mode: str = "equal",
-    workers: int | None = None,
 ) -> CuratedSet:
     """Allocate the budget, then take the nearest members of every leaf.
 
-    `points` must be in the same representation the tree was built over
-    (normalize first when the tree's normalized flag is set). Leaf
-    selections are independent; they may run on a worker pool and are
-    merged in leaf-index order, so the result does not depend on the pool.
+    `points` is an EmbeddingMatrix in the representation the tree was built
+    over (normalize first when the tree's normalized flag is set), or the
+    path of a store file. A store is read once, ROW_BLOCK rows at a time
+    (store.StoreReader.blocks): each block is hashed, scanned for NaN/Inf
+    and, under a normalized tree, normalised as l2_normalize does, and no
+    payload copy is held. Either way one pass takes every row's distances
+    to its leaf centroid, and the selection works on those O(n) scalars,
+    the leaf assignments and the ids. A store's own errors come before a
+    mismatch between the tree and the store.
     """
-    if tree.n_points != points.n_rows:
-        raise CurationError(
-            f"tree was built over {tree.n_points} points, store has {points.n_rows}"
-        )
-    centroids = tree.levels[0].centroids
-    if centroids.shape[1] != points.dim:
-        raise DimensionMismatch(f"tree centroids have dimension {centroids.shape[1]}, store rows have {points.dim}")
+    if isinstance(points, EmbeddingMatrix):
+        if mismatch := _shape_error(tree, points.n_rows, points.dim):
+            raise mismatch
+        row_ids = points.row_ids
+        ranked, recorded = _leaf_distances(tree, ((s, points.data[s:e]) for s, e in row_blocks(points.n_rows)))
+    else:
+        with open_store(points) as reader:
+            blocks = reader.blocks(normalize=tree.normalized)
+            mismatch = _shape_error(tree, reader.n_rows, reader.dim)
+            if mismatch is None:
+                ranked, recorded = _leaf_distances(tree, blocks)
+            else:
+                deque(blocks, maxlen=0)  # still read, hash and scan every row: the store's errors come first
+            row_ids = reader.row_ids()
+        if mismatch:
+            raise mismatch
     plan = allocate_budget(tree, fraction, mode=mode)
-    members = tree.children(0)
-
-    def job(leaf: int) -> list[tuple[str, float]]:
-        return _select_leaf(points, centroids[leaf], members[leaf], plan.quota(0, leaf))
-
-    per_leaf = ordered_map(job, range(tree.level_sizes[0]), workers)
-    provenance: dict[str, SelectionRecord] = {}
-    for leaf, picked in enumerate(per_leaf):
-        for rank, (cid, distance) in enumerate(picked):
-            provenance[cid] = SelectionRecord(cid, leaf, rank, distance)
+    provenance = _select(tree, plan, row_ids, ranked, recorded)
     selected = sorted(provenance)
     if len(selected) != plan.total_budget:
         raise CurationError(
@@ -220,3 +246,13 @@ def curate(
         plan=plan,
         tree_fingerprint=tree.fingerprint(),
     )
+
+
+def _shape_error(tree: ClusterTree, n_rows: int, dim: int) -> CurationError | DimensionMismatch | None:
+    """The error for points that do not fit the tree, or None."""
+    if tree.n_points != n_rows:
+        return CurationError(f"tree was built over {tree.n_points} points, store has {n_rows}")
+    centroid_dim = tree.levels[0].centroids.shape[1]
+    if centroid_dim != dim:
+        return DimensionMismatch(f"tree centroids have dimension {centroid_dim}, store rows have {dim}")
+    return None

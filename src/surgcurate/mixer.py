@@ -122,15 +122,21 @@ class PoolCursor:
     """Without-replacement cursor over one pool of clip ids.
 
     Epoch e is a permutation drawn from seed (pool_seed + e); exhaustion
-    rolls into epoch e + 1. No id repeats within an epoch.
+    rolls into epoch e + 1. No id repeats within an epoch. A pool that
+    lists an id twice raises MixerError naming the first repeated id.
     """
 
     def __init__(self, pool_id: str, ids: Sequence[str], seed: int):
-        ids = sorted(ids)
+        ids = list(ids)
         if not ids:
             raise EmptyPool(f"pool {pool_id!r} is empty")
         if len(set(ids)) != len(ids):
-            raise ValueError(f"pool {pool_id!r} has duplicate clip ids")
+            seen: set[str] = set()
+            for cid in ids:
+                if cid in seen:
+                    raise MixerError(f"pool {pool_id!r} lists clip id {cid!r} more than once")
+                seen.add(cid)
+        ids.sort()
         self.pool_id = pool_id
         self._ids = np.array(ids, dtype=object)  # the str objects themselves, gathered in C
         self._seed = seed

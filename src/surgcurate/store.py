@@ -15,7 +15,10 @@ produce byte-identical files.
 Reading, ingesting and normalising hold one f32 copy of the payload plus
 bounded temporaries: files are read straight into the one array,
 normalising rescales that array in place, and whole-matrix passes walk the
-rows in blocks of ROW_BLOCK rows.
+rows in blocks of ROW_BLOCK rows. read_store and the streamed pass share
+one parser, StoreReader. The stream (StoreReader.blocks, which curate
+reads) holds no payload copy: one ROW_BLOCK-row f32 buffer, scanned,
+normalised and handed on one block at a time.
 
 Every store file and every blob is hashed whole as it is read or written,
 and that SHA-256 is noted for the run manifest (manifest.note_digest), so a
@@ -27,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -120,10 +124,9 @@ class EmbeddingMatrix:
 
     def validate_finite(self) -> None:
         for s, e in row_blocks(self.n_rows):
-            bad = ~np.isfinite(self.data[s:e]).all(axis=1)
-            if bad.any():
-                row = s + int(np.argmax(bad))
-                raise NonFiniteValue(row, self.row_ids[row])
+            bad = _first_nonfinite(self.data[s:e])
+            if bad is not None:
+                raise NonFiniteValue(s + bad, self.row_ids[s + bad])
 
 
 def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
@@ -148,6 +151,115 @@ def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
     return written
 
 
+class StoreReader:
+    """One front-to-back pass over an open store file, hashed as it is read.
+
+    Made by open_store, which reads the header and checks that the sizes it
+    claims fit the file. The payload comes next, either whole into one
+    array (read_into) or ROW_BLOCK rows at a time (blocks). row_ids() then
+    reads the id table and the checksum, notes the whole file's SHA-256 for
+    the run manifest, and returns the ids once the checksum matches and the
+    table parses (UTF-8, unique). A non-finite or all-zero row that blocks()
+    met is raised only after that, so the bytes are known good first.
+    """
+
+    def __init__(self, fh, path: str | Path):
+        self._fh, self.path = fh, path
+        size = os.fstat(fh.fileno()).st_size
+        if size < HEADER_BYTES + CHECKSUM_BYTES:
+            raise SizeMismatch(f"{path}: file shorter than the fixed header")
+        header = _read_exact(fh, HEADER_BYTES, path)
+        if header[: len(MAGIC)] != MAGIC:
+            raise BadMagic(f"{path}: bad magic {header[:len(MAGIC)]!r}")
+        self.n_rows = int.from_bytes(header[8:16], "little")
+        self.dim = int.from_bytes(header[16:24], "little")
+        payload_len = self.n_rows * self.dim * 4
+        self._table_len = size - HEADER_BYTES - payload_len - CHECKSUM_BYTES
+        if self._table_len < 0:
+            raise SizeMismatch(f"{path}: payload truncated ({self._table_len + payload_len} of {payload_len} bytes)")
+        # every row has a 4-byte id length; a store without rows may claim any dim numpy can shape
+        if self._table_len < 4 * self.n_rows or self.dim > _MAX_AXIS:
+            raise SizeMismatch(f"{path}: header claims {self.n_rows} rows of dim {self.dim}, more than the file holds")
+        self._hasher = hashlib.sha256(header)
+        self._nonfinite: int | None = None  # first row with a NaN or Inf
+        self._zero: int | None = None  # first all-zero row, when blocks() normalises
+
+    def _fill(self, raw: np.ndarray) -> None:
+        if self._fh.readinto(raw) != len(raw):
+            raise SizeMismatch(f"{self.path}: payload ended early")
+        self._hasher.update(raw)
+
+    def read_into(self, flat: np.ndarray) -> None:
+        """Read the whole payload into `flat`, n_rows * dim f32 values."""
+        raw = flat.view(np.uint8)
+        for s in range(0, len(raw), _READ_BLOCK):
+            self._fill(raw[s : s + _READ_BLOCK])
+
+    def blocks(self, normalize: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, rows) for each ROW_BLOCK-row block of the payload, in
+        order. `rows` is one reused f32 buffer, valid until the next block;
+        with `normalize` it is rescaled in place to unit rows, as
+        l2_normalize rescales them.
+
+        After the first non-finite row, or all-zero row under `normalize`,
+        no block is yielded; the rest of the payload is still read, hashed
+        and scanned for the first non-finite row, and row_ids() raises.
+        """
+        buf = np.empty((min(ROW_BLOCK, self.n_rows), self.dim), dtype="<f4")
+        for s, e in row_blocks(self.n_rows):
+            rows = buf[: e - s]
+            self._fill(rows.reshape(-1).view(np.uint8))
+            if self._nonfinite is None and (bad := _first_nonfinite(rows)) is not None:
+                self._nonfinite = s + bad
+            if self._nonfinite is not None or self._zero is not None:
+                continue
+            if normalize and (zero := _normalize_rows(rows)) is not None:
+                self._zero = s + zero
+                continue
+            yield s, rows
+
+    def row_ids(self) -> list[str]:
+        """The id table, once the payload has been read; see the class."""
+        table = _read_exact(self._fh, self._table_len, self.path)
+        self._hasher.update(table)
+        checksum = _read_exact(self._fh, CHECKSUM_BYTES, self.path)
+        if self._hasher.digest() != checksum:
+            raise ChecksumMismatch(f"{self.path}: checksum does not match file contents")
+        self._hasher.update(checksum)
+        note_digest("read", self.path, self._hasher.hexdigest())
+
+        row_ids: list[str] = []
+        offset = 0
+        for _ in range(self.n_rows):
+            if len(table) < offset + 4:
+                raise SizeMismatch(f"{self.path}: id table truncated")
+            length = int.from_bytes(table[offset : offset + 4], "little")
+            offset += 4
+            if len(table) < offset + length:
+                raise SizeMismatch(f"{self.path}: id table truncated")
+            try:
+                row_ids.append(table[offset : offset + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise BadRowId(f"{self.path}: id of row {len(row_ids)} is not UTF-8 ({exc.reason})") from exc
+            offset += length
+        if offset != len(table):
+            raise SizeMismatch(f"{self.path}: {len(table) - offset} unexpected trailing bytes")
+        if len(set(row_ids)) != len(row_ids):
+            raise DuplicateRowId(f"{self.path}: row ids must be unique")
+        if self._nonfinite is not None:
+            raise NonFiniteValue(self._nonfinite, row_ids[self._nonfinite])
+        if self._zero is not None:
+            raise ZeroRow(self._zero)
+        return row_ids
+
+
+@contextmanager
+def open_store(path: str | Path) -> Iterator[StoreReader]:
+    """A StoreReader over the store file at `path`, closed on exit."""
+    with open(path, "rb") as fh:
+        yield StoreReader(fh, path)
+
+
 def read_store(path: str | Path) -> EmbeddingMatrix:
     """Parse and fully validate a store file (magic, sizes, checksum, finiteness).
 
@@ -155,59 +267,11 @@ def read_store(path: str | Path) -> EmbeddingMatrix:
     block by block as it lands; the bytes hashed are the bytes used. The
     whole file's SHA-256 is noted for the run manifest.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < HEADER_BYTES + CHECKSUM_BYTES:
-            raise SizeMismatch(f"{path}: file shorter than the fixed header")
-        header = _read_exact(fh, HEADER_BYTES, path)
-        if header[: len(MAGIC)] != MAGIC:
-            raise BadMagic(f"{path}: bad magic {header[:len(MAGIC)]!r}")
-
-        n_rows = int.from_bytes(header[8:16], "little")
-        dim = int.from_bytes(header[16:24], "little")
-        payload_len = n_rows * dim * 4
-        table_len = size - HEADER_BYTES - payload_len - CHECKSUM_BYTES
-        if table_len < 0:
-            raise SizeMismatch(f"{path}: payload truncated ({table_len + payload_len} of {payload_len} bytes)")
-
-        hasher = hashlib.sha256(header)
-        flat = np.empty(n_rows * dim, dtype="<f4")  # bounded by the file size, checked above
-        raw = flat.view(np.uint8)
-        for s in range(0, payload_len, _READ_BLOCK):
-            block = raw[s : s + _READ_BLOCK]
-            if fh.readinto(block) != len(block):
-                raise SizeMismatch(f"{path}: payload ended early")
-            hasher.update(block)
-        table = _read_exact(fh, table_len, path)
-        hasher.update(table)
-        checksum = _read_exact(fh, CHECKSUM_BYTES, path)
-        if hasher.digest() != checksum:
-            raise ChecksumMismatch(f"{path}: checksum does not match file contents")
-    hasher.update(checksum)
-    note_digest("read", path, hasher.hexdigest())
-    # every row has a 4-byte id length; a store without rows may claim any dim numpy can shape
-    if len(table) < 4 * n_rows or dim > _MAX_AXIS:
-        raise SizeMismatch(f"{path}: header claims {n_rows} rows of dim {dim}, more than the file holds")
-    data = flat.reshape(n_rows, dim)
-
-    row_ids: list[str] = []
-    offset = 0
-    for _ in range(n_rows):
-        if len(table) < offset + 4:
-            raise SizeMismatch(f"{path}: id table truncated")
-        length = int.from_bytes(table[offset : offset + 4], "little")
-        offset += 4
-        if len(table) < offset + length:
-            raise SizeMismatch(f"{path}: id table truncated")
-        try:
-            row_ids.append(table[offset : offset + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise BadRowId(f"{path}: id of row {len(row_ids)} is not UTF-8 ({exc.reason})") from exc
-        offset += length
-    if offset != len(table):
-        raise SizeMismatch(f"{path}: {len(table) - offset} unexpected trailing bytes")
-
-    matrix = EmbeddingMatrix(data, row_ids)
+    with open_store(path) as reader:
+        flat = np.empty(reader.n_rows * reader.dim, dtype="<f4")  # bounded by the file size, checked on open
+        reader.read_into(flat)
+        row_ids = reader.row_ids()
+    matrix = EmbeddingMatrix(flat.reshape(reader.n_rows, reader.dim), row_ids)
     matrix.validate_finite()
     return matrix
 
@@ -220,6 +284,31 @@ def _read_exact(fh, nbytes: int, path: str | Path) -> bytes:
     return chunk
 
 
+def _first_nonfinite(rows: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or Inf, or None."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _normalize_rows(rows: np.ndarray) -> int | None:
+    """Rescale f32 rows in place to unit Euclidean norm (f64 norms and
+    quotient, f32 result). If a row is all zeros, return its index and
+    leave every row as it was.
+
+    The norms are np.linalg.norm(axis=1)'s, sqrt of the row sums of the
+    squares, taken in the one f64 buffer that then holds the quotient.
+    """
+    block = rows.astype(np.float64)
+    norms = np.sqrt(np.add.reduce(np.multiply(block, block, out=block), axis=1))
+    zero = norms == 0.0
+    if zero.any():
+        return int(np.argmax(zero))
+    block[...] = rows
+    block /= norms[:, None]
+    rows[...] = block
+    return None
+
+
 def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """Rescale every row of `matrix` to unit Euclidean norm in place (f64
     norms, f32 result) and return `matrix`.
@@ -230,13 +319,9 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     rows of the blocks before its block are already rescaled by then.
     """
     for s, e in row_blocks(matrix.n_rows):
-        block = matrix.data[s:e].astype(np.float64)
-        norms = np.linalg.norm(block, axis=1)
-        zero = norms == 0.0
-        if zero.any():
-            raise ZeroRow(s + int(np.argmax(zero)))
-        block /= norms[:, None]
-        matrix.data[s:e] = block
+        zero = _normalize_rows(matrix.data[s:e])
+        if zero is not None:
+            raise ZeroRow(s + zero)
     return matrix
 
 

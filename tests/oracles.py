@@ -162,6 +162,19 @@ def select_leaf_reference(data, row_ids, centroid, member_rows, quota):
     return [(str(ids[i]), float(diff[i] @ diff[i])) for i in order[:quota]]
 
 
+def curate_reference(data, row_ids, centroids, assignments, quotas):
+    """Selection as the package did it leaf by leaf: each leaf's member rows
+    gathered in row order and passed to select_leaf_reference with the
+    leaf's quota. `data` is already in the tree's representation. Returns
+    {clip_id: (leaf, rank, recorded distance)}."""
+    picked = {}
+    for leaf, quota in enumerate(quotas):
+        members = np.flatnonzero(np.asarray(assignments) == leaf)
+        for rank, (cid, distance) in enumerate(select_leaf_reference(data, row_ids, centroids[leaf], members, int(quota))):
+            picked[cid] = (leaf, rank, distance)
+    return picked
+
+
 def cluster_sums_row_order(points64, assign):
     """Per-cluster sums of f64 rows, each taken as a plain loop in row order:
     the cluster's first row, then `acc += row` for each later member.

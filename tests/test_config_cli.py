@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from surgcurate import __version__, cli
+from surgcurate import store as store_module
 from surgcurate.cli import main
 from surgcurate.clustering import TREE_MAGIC, ClusteringError, build_hierarchy
 from surgcurate.config import ConfigError, SCHEMAS, resolve_config
@@ -19,7 +20,7 @@ from surgcurate.manifest import RunManifest, RunManifestError, manifest_path_for
 from surgcurate.metrics import MetricsError
 from surgcurate.mixer import MixerError
 from surgcurate.splits import SplitError, SplitManifest
-from surgcurate.store import EmbeddingMatrix, StoreError, write_store
+from surgcurate.store import MAGIC, EmbeddingMatrix, StoreError, write_store
 from surgcurate.synthetic import write_fixture_corpus
 
 
@@ -286,6 +287,62 @@ _MALFORMED_INPUTS = {
 }
 
 
+def _store_bytes(rows, ids) -> bytes:
+    """A SURGEMB1 file written by hand: header, payload, id table, SHA-256."""
+    body = MAGIC + struct.pack("<QQ", *rows.shape) + rows.astype("<f4").tobytes()
+    body += b"".join(struct.pack("<I", len(raw)) + raw for raw in (cid.encode("utf-8") for cid in ids))
+    return body + hashlib.sha256(body).digest()
+
+
+def _set(cells):
+    """A store edit that sets rows[index] = value for each index, value in `cells`."""
+
+    def edit(rows, ids):
+        for index, value in cells.items():
+            rows[index] = value
+        return rows, ids
+
+    return edit
+
+
+_KEEP_TREE = lambda tree: tree  # noqa: E731
+_PAYLOAD_BYTE = 24 + 5  # a byte inside row 0 of the 6x3 payload
+
+#: case -> (store edits, tree edit, the typed error, text its message holds); the tree is normalised, over 6x3 rows
+_CURATE_FAILURES = {
+    "flipped-payload-byte": ({"flip": [_PAYLOAD_BYTE]}, _KEEP_TREE, "ChecksumMismatch", "s.semb"),
+    "non-finite-row-after-a-zero-row": (
+        {"store": _set({1: 0.0, (4, 2): float("nan")})}, _KEEP_TREE, "NonFiniteValue", "row 4 (c4)",
+    ),
+    "infinite-row": ({"store": _set({(5, 0): float("-inf")})}, _KEEP_TREE, "NonFiniteValue", "row 5 (c5)"),
+    "zero-row-under-a-normalized-tree": ({"store": _set({2: 0.0})}, _KEEP_TREE, "ZeroRow", "row 2"),
+    "duplicate-row-id": (
+        {"store": lambda rows, ids: (rows, ids[:5] + ["c0"])}, _KEEP_TREE, "DuplicateRowId", "s.semb",
+    ),
+    "row-count-mismatch": (
+        {"store": lambda rows, ids: (rows[:5], ids[:5])}, _KEEP_TREE, "CurationError", "6 points, store has 5",
+    ),
+    "dimension-mismatch": (
+        {"store": lambda rows, ids: (rows[:, :2].copy(), ids)}, _KEEP_TREE, "DimensionMismatch", "dimension 3",
+    ),
+    "non-finite-row-behind-a-bad-checksum": (
+        {"store": _set({(4, 2): float("nan")}), "flip": [_PAYLOAD_BYTE]}, _KEEP_TREE, "ChecksumMismatch", "s.semb",
+    ),
+    "zero-row-behind-a-bad-checksum": (
+        {"store": _set({2: 0.0}), "flip": [_PAYLOAD_BYTE]}, _KEEP_TREE, "ChecksumMismatch", "s.semb",
+    ),
+    "row-count-mismatch-behind-a-bad-checksum": (
+        {"store": lambda rows, ids: (rows[:5], ids[:5]), "flip": [_PAYLOAD_BYTE]}, _KEEP_TREE, "ChecksumMismatch", "s.semb",
+    ),
+    "zero-row-behind-a-duplicate-id": (
+        {"store": lambda rows, ids: _set({2: 0.0})(rows, ids[:5] + ["c0"])}, _KEEP_TREE, "DuplicateRowId", "s.semb",
+    ),
+    "bad-tree-before-a-bad-store": (
+        {"flip": [_PAYLOAD_BYTE]}, lambda tree: tree[:-1] + bytes([tree[-1] ^ 0xFF]), "BadTreeFile", "checksum",
+    ),
+}
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("case", _MALFORMED_INPUTS)
     def test_malformed_input_is_one_typed_error_record_exit_1(self, tmp_path, monkeypatch, case):
@@ -434,6 +491,35 @@ class TestErrorContract:
         record = json.loads(result.output.strip().splitlines()[-1])
         assert record["error"] == "BadTreeFile"
 
+    @pytest.mark.parametrize("case", _CURATE_FAILURES)
+    def test_curate_failure_is_one_typed_record_and_no_output(self, tmp_path, monkeypatch, case):
+        """Store errors in today's order (sizes, checksum, ids, then rows: a
+        non-finite row before an all-zero one), then a store that does not
+        fit the tree; a bad tree is read, and fails, before the store. Rows
+        stream in blocks of two, so a zero row and a later non-finite row
+        lie in different blocks."""
+        monkeypatch.setattr(store_module, "ROW_BLOCK", 2)
+        edits, tree_edit, error, message = _CURATE_FAILURES[case]
+        rows = np.arange(1, 19, dtype=np.float32).reshape(6, 3)
+        ids = [f"c{i}" for i in range(6)]
+        tree = build_hierarchy(EmbeddingMatrix(rows, ids), [2], seed=0, normalized=True).to_bytes()
+        store = bytearray(_store_bytes(*edits.get("store", lambda r, i: (r, i))(rows.copy(), ids)))
+        for offset in edits.get("flip", ()):
+            store[offset] ^= 0xFF
+        (tmp_path / "s.semb").write_bytes(bytes(store))
+        (tmp_path / "t.sctree").write_bytes(tree_edit(tree))
+        out = tmp_path / "c.jsonl"
+        result = CliRunner().invoke(
+            main, ["curate", "--store", str(tmp_path / "s.semb"), "--tree", str(tmp_path / "t.sctree"), "--out", str(out)],
+            env={},
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == error
+        assert message in record["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.semb", "t.sctree"]
+
     def test_store_and_tree_dimension_mismatch_is_a_json_error_exit_1(self, tmp_path):
         rng = np.random.default_rng(0)
         ids = [f"c{i:02d}" for i in range(10)]
@@ -574,6 +660,24 @@ class TestFullPipeline:
         run = RunManifest.load(manifest_path_for(tree))
         assert run.inputs == {str(store): hashlib.sha256(read).hexdigest()}
         assert run.verify_inputs() == [str(store)]
+
+    def test_run_manifest_records_the_tree_bytes_curate_read(self, tmp_path, monkeypatch):
+        """A tree replaced once ClusterTree.load has read it is recorded with
+        the bytes load parsed, and verify_inputs reports it as stale."""
+        store = write_fixture_corpus(tmp_path, dim=8)["store"]
+        tree, curated = tmp_path / "t.sctree", tmp_path / "c.jsonl"
+        self._run(["cluster", "--store", str(store), "--levels", "4", "--out", str(tree)])
+        read = tree.read_bytes()
+
+        def replace_then_curate(*args, _curate=cli.curate, **kwargs):
+            tree.write_bytes(read[::-1])
+            return _curate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "curate", replace_then_curate)
+        self._run(["curate", "--store", str(store), "--tree", str(tree), "--out", str(curated)])
+        run = RunManifest.load(manifest_path_for(curated))
+        assert run.inputs[str(tree)] == hashlib.sha256(read).hexdigest()
+        assert run.verify_inputs() == [str(tree)]
 
     def test_split_tiers_from_external_files(self, tmp_path):
         official = tmp_path / "official.json"

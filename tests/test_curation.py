@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypothesis.extra import numpy as hnp
-
 from surgcurate import store
 from surgcurate.clustering import ClusterModel, ClusterTree, build_hierarchy
 from surgcurate.curation import (
@@ -18,24 +16,25 @@ from surgcurate.curation import (
     allocate_budget,
     curate,
     read_pool_ids,
-    _select_leaf,
 )
-from surgcurate.store import EmbeddingMatrix
+from surgcurate.store import EmbeddingMatrix, l2_normalize, write_store
 
-from .oracles import select_leaf_reference, simulate_equal_split_allocation
+from .oracles import curate_reference, l2_normalize_reference, simulate_equal_split_allocation
 
 
-def manual_tree(level_assignments, dim=2):
-    """Tree with given assignments and placeholder centroids, for testing
-    allocation arithmetic in isolation from K-means."""
+def manual_tree(level_assignments, dim=2, centroids=None, normalized=False):
+    """Tree with given assignments and placeholder (zero) or given level-0
+    centroids, for testing allocation and selection in isolation from
+    K-means."""
     levels = []
-    for assign in level_assignments:
+    for level, assign in enumerate(level_assignments):
         assign = np.asarray(assign)
         k = int(assign.max()) + 1
         levels.append(
             ClusterModel(
                 k=k,
-                centroids=np.zeros((k, dim), dtype=np.float32),
+                centroids=np.asarray(centroids, dtype=np.float32) if level == 0 and centroids is not None
+                else np.zeros((k, dim), dtype=np.float32),
                 assignments=assign.astype(np.uint32),
                 inertia=0.0,
                 iterations_run=0,
@@ -47,7 +46,7 @@ def manual_tree(level_assignments, dim=2):
         level_sizes=[m.k for m in levels],
         seed=0,
         tol=1e-4,
-        normalized=False,
+        normalized=normalized,
     )
 
 
@@ -120,25 +119,29 @@ class TestAllocateBudget:
         assert plan.quotas[0].tolist() == [9, 1]
 
 
-def picked(matrix, centroid, rows, quota):
-    return [cid for cid, _ in _select_leaf(matrix, centroid, np.asarray(rows, dtype=np.int64), quota)]
+def picked(matrix, centroid, quota):
+    """The clip ids curate takes, in rank order, from one leaf holding every
+    row of `matrix` around `centroid`."""
+    tree = manual_tree([np.zeros(matrix.n_rows, dtype=np.uint32)], centroids=[centroid])
+    curated = curate(tree, matrix, Fraction(quota, matrix.n_rows))
+    return sorted(curated.selected, key=lambda cid: curated.provenance[cid].rank)
 
 
 class TestSelectLeaf:
     def test_quota_equals_members(self):
         m = EmbeddingMatrix(np.array([[0.0], [1.0], [2.0]], dtype=np.float32), ["a", "b", "c"])
-        assert picked(m, [0.0], [0, 1, 2], 3) == ["a", "b", "c"]
+        assert picked(m, [0.0], 3) == ["a", "b", "c"]
 
     def test_forced_ordering(self):
-        m = EmbeddingMatrix(np.array([[0.1], [0.5], [2.0]], dtype=np.float32), ["p", "q", "r"])
-        assert picked(m, [0.0], [2, 0, 1], 2) == ["p", "q"]
+        m = EmbeddingMatrix(np.array([[2.0], [0.1], [0.5]], dtype=np.float32), ["r", "p", "q"])
+        assert picked(m, [0.0], 2) == ["p", "q"]
 
     def test_matches_full_sort_oracle(self, rng):
         data = rng.standard_normal((50, 4)).astype(np.float32)
         ids = [f"m{i:02d}" for i in range(50)]
         m = EmbeddingMatrix(data, ids)
-        centroid = rng.standard_normal(4)
-        got = picked(m, centroid, range(50), 7)
+        centroid = rng.standard_normal(4).astype(np.float32)
+        got = picked(m, centroid, 7)
         dists = ((data.astype(np.float64) - centroid) ** 2).sum(axis=1)
         expected = [ids[i] for i in sorted(range(50), key=lambda i: (dists[i], ids[i]))[:7]]
         assert got == expected
@@ -146,7 +149,16 @@ class TestSelectLeaf:
     def test_tie_prefers_smaller_clip_id(self):
         data = np.array([[1.0], [1.0], [0.0]], dtype=np.float32)
         m = EmbeddingMatrix(data, ["zz", "aa", "mm"])
-        assert picked(m, [1.0], [0, 1, 2], 1) == ["aa"]
+        assert picked(m, [1.0], 1) == ["aa"]
+
+    def test_id_with_trailing_nul_is_kept_and_ordered_as_a_string(self, tmp_path):
+        """Ids stay Python strings: "a" sorts before "a\x00" on a tie, and
+        both come out as stored, from a matrix and from a store file."""
+        m = EmbeddingMatrix(np.ones((3, 2), dtype=np.float32), ["a\x00", "b", "a"])
+        assert picked(m, [0.0, 0.0], 2) == ["a", "a\x00"]
+        tree = manual_tree([np.zeros(3, dtype=np.uint32)], centroids=[[0.0, 0.0]])
+        streamed = curate(tree, write_store(m, tmp_path / "s.semb"), Fraction(2, 3))
+        assert streamed.selected == ["a", "a\x00"]
 
 
 class TestCurate:
@@ -179,14 +191,6 @@ class TestCurate:
             share = (labels[sel_mask] == blob).mean()
             if raw_share[blob] < 0.25:  # the three minority blobs
                 assert share > raw_share[blob]
-
-    def test_workers_do_not_change_result(self, four_blobs):
-        matrix, _ = four_blobs
-        tree = build_hierarchy(matrix, [8, 2], seed=9)
-        a = curate(tree, matrix, Fraction(1, 5), workers=1)
-        b = curate(tree, matrix, Fraction(1, 5), workers=8)
-        assert a.selected == b.selected
-        assert a.provenance == b.provenance
 
     def test_identical_points_tie_at_quota_boundary(self):
         data = np.array([[0.0], [0.0], [3.0]], dtype=np.float32)
@@ -287,23 +291,63 @@ class TestReadPoolIds:
             read_pool_ids(path)
 
 
-class TestSelectLeafBlocks:
-    B = 4  # ROW_BLOCK while the test runs, so small leaves span several blocks
+def _assert_curate_equals_the_per_leaf_loop(tmp_dir, rows, ids, assign, centroids, normalized, fraction, block):
+    """curate over the store file and over the matrix both give exactly the
+    oracle's ids, leaves, ranks and recorded distances, with ROW_BLOCK =
+    `block` so that leaves span several blocks."""
+    tree = manual_tree([assign], centroids=centroids, normalized=normalized)
+    path = write_store(EmbeddingMatrix(rows, ids), Path(tmp_dir) / "s.semb")
+    in_memory = EmbeddingMatrix(rows.copy(), ids)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(store, "ROW_BLOCK", block)
+        streamed = curate(tree, path, fraction)
+        from_matrix = curate(tree, l2_normalize(in_memory) if normalized else in_memory, fraction)
+    data = l2_normalize_reference(rows) if normalized else rows
+    want = curate_reference(data, ids, tree.levels[0].centroids, assign, streamed.plan.quotas[0])
+    want = {cid: (leaf, rank, distance.hex()) for cid, (leaf, rank, distance) in want.items()}
+    for got in (streamed, from_matrix):
+        assert got.selected == sorted(want)
+        assert {cid: (r.leaf, r.rank, r.distance.hex()) for cid, r in got.provenance.items()} == want
+    return streamed.plan
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_row_blocks_match_the_whole_leaf(self, data):
-        n = data.draw(st.sampled_from([0, 1, self.B - 1, self.B, self.B + 1, 3 * self.B + 7]))
-        dim = data.draw(st.integers(1, 5))
-        total = n + data.draw(st.integers(0, 5))  # rows outside the leaf
-        values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3, width=32))
-        arr = data.draw(hnp.arrays(np.float32, (total, dim), elements=values))  # repeated values make ties
-        ids = [f"id{p:03d}" for p in data.draw(st.permutations(range(total)))]
-        rows = np.asarray(data.draw(st.permutations(range(total)))[:n], dtype=np.int64)
-        centroid = data.draw(hnp.arrays(np.float32, (dim,), elements=st.floats(-1e3, 1e3, width=32)))
-        quota = data.draw(st.integers(0, n))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(store, "ROW_BLOCK", self.B)
-            got = _select_leaf(EmbeddingMatrix(arr, ids), centroid, rows, quota)
-        expected = select_leaf_reference(arr, ids, centroid, rows, quota)
-        assert [(cid, d.hex()) for cid, d in got] == [(cid, d.hex()) for cid, d in expected]
+
+class TestCurateOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3, 32, 768]),
+        n=st.integers(1, 40),
+        k=st.integers(1, 6),
+        distinct=st.integers(1, 40),
+        normalized=st.booleans(),
+        block=st.sampled_from([1, 3, 8, 256]),
+        numerator=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_and_in_memory_equal_the_per_leaf_loop(self, dim, n, k, distinct, normalized, block, numerator, seed):
+        """A few distinct rows repeated under different ids give distance
+        ties; random leaf sizes give empty, quota-0 and capped leaves."""
+        rng = np.random.default_rng(seed)
+        pool = (rng.standard_normal((min(distinct, n), dim)) * rng.uniform(0.25, 4.0, (min(distinct, n), 1))).astype(np.float32)
+        rows = pool[rng.integers(0, len(pool), n)]
+        ids = [f"id{p:03d}" for p in rng.permutation(n)]
+        assign = rng.integers(0, k, n).astype(np.uint32)
+        centroids = rng.standard_normal((int(assign.max()) + 1, dim)).astype(np.float32)
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_curate_equals_the_per_leaf_loop(
+                tmp, rows, ids, assign, centroids, normalized, Fraction(min(numerator, n), n), block
+            )
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_quota_zero_and_capped_leaves(self, tmp_path, normalized):
+        """Leaves of 12, 1 and 1 rows: a budget of 2 leaves the last leaf at
+        quota 0, and a budget of 9 caps the two small leaves at their one
+        row each; every row is one of two values."""
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((2, 768)).astype(np.float32)[np.arange(14) % 2]
+        ids = [f"c{p:02d}" for p in rng.permutation(14)]
+        assign = np.repeat([0, 1, 2], [12, 1, 1]).astype(np.uint32)
+        centroids = rng.standard_normal((3, 768)).astype(np.float32)
+        plan = _assert_curate_equals_the_per_leaf_loop(tmp_path, rows, ids, assign, centroids, normalized, Fraction(2, 14), 5)
+        assert plan.quotas[0].tolist() == [1, 1, 0]
+        plan = _assert_curate_equals_the_per_leaf_loop(tmp_path, rows, ids, assign, centroids, normalized, Fraction(9, 14), 5)
+        assert plan.quotas[0].tolist() == [7, 1, 1]

@@ -1,10 +1,11 @@
-"""Peak traced memory of the store-layer passes, of one Lloyd assignment
-pass on a 2,000x768 store, and of reading a corpus manifest.
+"""Peak traced memory of the store-layer passes, of curating a store, of
+one Lloyd assignment pass on a 2,000x768 store, and of reading a corpus
+manifest.
 
 numpy reports its buffers to tracemalloc, so a peak counts every array a
 call allocates. Each store bound is one f32 payload copy (where the call
 returns one; normalising rescales its input in place) plus a few row
-blocks; the Lloyd bound is the pass's one f64 chunk plus a quarter of it,
+blocks; curating from the store's path holds no payload copy at all; the Lloyd bound is the pass's one f64 chunk plus a quarter of it,
 however the rows split between clusters; the manifest bound is the records
 read plus one MiB, so the read never holds the file's text.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from surgcurate.clustering import _assignment_pass, _row_sq_norms
+from surgcurate.clustering import ClusterModel, ClusterTree, _assignment_pass, _row_sq_norms
 from surgcurate.corpus import (
     ClipRecord,
     Domain,
@@ -24,8 +25,8 @@ from surgcurate.corpus import (
     read_corpus_manifest,
     write_corpus_manifest,
 )
-from surgcurate.curation import _select_leaf
-from surgcurate.store import EmbeddingMatrix, l2_normalize, read_store, write_store
+from surgcurate.curation import curate
+from surgcurate.store import ROW_BLOCK, EmbeddingMatrix, l2_normalize, read_store, write_store
 from surgcurate.synthetic import make_blobs
 
 N, DIM = 2000, 768
@@ -70,11 +71,20 @@ def test_l2_normalize_holds_one_payload_copy(stored):
     assert out is copy
 
 
-def test_select_leaf_holds_row_blocks_only(stored):
-    _, matrix = stored
-    picked, peak = _peak(_select_leaf, matrix, matrix.data.mean(axis=0), np.arange(N), N)
-    assert len(picked) == N
-    assert peak <= 4 * MiB, peak / MiB
+def test_curate_from_a_store_path_holds_row_blocks_only(stored):
+    """curate reads the store ROW_BLOCK rows at a time, normalising each
+    block: its peak is a few row blocks plus O(n) scalars, well under one
+    payload."""
+    path, matrix = stored
+    assign = (np.arange(N) % 8).astype(np.uint32)
+    centroids = np.stack([matrix.data[assign == j].mean(axis=0) for j in range(8)])
+    model = ClusterModel(k=8, centroids=centroids, assignments=assign, inertia=0.0, iterations_run=0, seed=0)
+    tree = ClusterTree(levels=[model], level_sizes=[8], seed=0, tol=0.0, normalized=True)
+    curated, peak = _peak(curate, tree, path, Fraction(1, 2))
+    assert len(curated) == N // 2
+    block64 = ROW_BLOCK * DIM * 8
+    assert peak <= 2 * block64 + 256 * N, (peak / block64, peak / PAYLOAD)
+    assert peak <= PAYLOAD // 2
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,10 @@ class TestPoolCursor:
     def test_ids_with_trailing_nul_stay_distinct(self):
         assert sorted(PoolCursor("p", ["a", "a\x00", "b"], 1).take(3)) == ["a", "a\x00", "b"]
 
+    def test_duplicate_id_is_a_mixer_error_naming_the_first_repeat(self):
+        with pytest.raises(MixerError, match="pool 'p' lists clip id 'b' more than once"):
+            PoolCursor("p", ["c", "b", "a", "b", "c"], seed=0)
+
 
 class TestSampleStream:
     def _pools(self, n_unlabeled=30, n_clinical=9):
@@ -259,3 +263,21 @@ class TestSampleCommand:
         assert record["error"] == "MixerError"
         assert "'k1'" in record["message"]
         assert sorted(os.listdir(tmp_path)) == before  # no batch manifest, run manifest or temp file
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a\nb\na\n", '{"kind": "header"}\n{"clip_id": "a"}\n{"clip_id": "b"}\n{"clip_id": "a"}\n'],
+        ids=["plain-list", "curated-jsonl"],
+    )
+    def test_pool_with_a_duplicate_id_exits_1_and_leaves_no_output(self, tmp_path, text):
+        (tmp_path / "unlabeled.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "clinical.txt").write_text("k\n", encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        argv = ["sample", "--unlabeled", str(tmp_path / "unlabeled.txt"), "--clinical", str(tmp_path / "clinical.txt")]
+        result = CliRunner().invoke(main, [*argv, "--n", "3", "--out", str(tmp_path / "batches.jsonl")], env={})
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        assert json.loads(result.stderr) == {
+            "error": "MixerError", "message": "pool 'unlabeled' lists clip id 'a' more than once"
+        }
+        assert sorted(os.listdir(tmp_path)) == before

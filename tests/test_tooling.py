@@ -68,13 +68,15 @@ def test_rebound_cli_names_are_the_ones_the_commands_call(tmp_path, monkeypatch)
     ):
         result = CliRunner().invoke(cli.main, argv, env={})
         assert result.exit_code == 0, result.output
-    assert calls == {"read_store": 2, "l2_normalize": 2, "build_hierarchy": 1, "curate": 1, "write_batch_manifest": 1}
+    # curate streams the store itself; only cluster reads and normalises a whole matrix
+    assert calls == {"read_store": 1, "l2_normalize": 1, "build_hierarchy": 1, "curate": 1, "write_batch_manifest": 1}
 
 
 def test_ingest_cluster_curate_hash_the_store_and_blobs_once(tmp_path, monkeypatch):
-    """The run manifests take the store's and the blobs' fingerprints from the
-    pass that read or wrote them: fingerprint_file, which --trace 1 reports
-    as manifest.fingerprint, hashes only the files no layer hashed."""
+    """The run manifests take the store's, the blobs' and the read tree's
+    fingerprints from the pass that read or wrote them: fingerprint_file,
+    which --trace 1 reports as manifest.fingerprint, hashes only the files
+    no layer hashed."""
     paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
     hashed = []
     fingerprint = manifest.fingerprint_file
@@ -90,7 +92,7 @@ def test_ingest_cluster_curate_hash_the_store_and_blobs_once(tmp_path, monkeypat
         result = CliRunner().invoke(cli.main, argv, env={})
         assert result.exit_code == 0, result.output
         per_command[argv[0]] = sorted(hashed)
-    assert per_command == {"ingest": ["raw_ids.txt"], "cluster": ["t.sctree"], "curate": ["c.jsonl", "t.sctree"]}
+    assert per_command == {"ingest": ["raw_ids.txt"], "cluster": ["t.sctree"], "curate": ["c.jsonl"]}
 
 
 #: Runs each argv of the JSON list in argv[1] in one fresh process and

@@ -154,13 +154,14 @@ def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
 class StoreReader:
     """One front-to-back pass over an open store file, hashed as it is read.
 
-    Made by open_store, which reads the header and checks that the sizes it
-    claims fit the file. The payload comes next, either whole into one
-    array (read_into) or ROW_BLOCK rows at a time (blocks). row_ids() then
-    reads the id table and the checksum, notes the whole file's SHA-256 for
-    the run manifest, and returns the ids once the checksum matches and the
-    table parses (UTF-8, unique). A non-finite or all-zero row that blocks()
-    met is raised only after that, so the bytes are known good first.
+    Made by open_store. The constructor reads the header and checks that
+    the sizes it claims fit the file. The payload comes next, either whole
+    into one array (read_into) or ROW_BLOCK rows at a time (blocks).
+    row_ids() then reads the id table and the checksum, notes the whole
+    file's SHA-256 for the run manifest, and returns the ids once the
+    checksum matches and the table parses (UTF-8, unique). A non-finite or
+    all-zero row that blocks() met is raised only after that, so the bytes
+    are known good first.
     """
 
     def __init__(self, fh, path: str | Path):

@@ -7,18 +7,23 @@ one, never a torn one. The temporary file is created with mode 0o666 and
 the umask applies, as with open(). Writes are not fsynced: an artifact
 survives a killed process, not a power loss.
 
-read_json, iter_jsonl and read_lines turn malformed input (bad JSON,
-text that is not UTF-8, a missing key, or a value of the wrong type or
-range) into the caller's typed error, with a message naming the file and
-line. Each layer's typed errors derive from SurgcurateError, which the
-CLI maps to exit code 1.
+read_json, parse_lines (and iter_jsonl on it) and read_lines turn
+malformed input (bad JSON, text that is not UTF-8, a missing key, or a
+value of the wrong type or range) into the caller's typed error, with a
+message naming the file and line. Each layer's typed errors derive from
+SurgcurateError, which the CLI maps to exit code 1.
 decode_line decodes one JSON-lines line with json's C scanner and accepts
 exactly what json.loads(line.decode("utf-8")) accepts, raising the same
 exception class when it does not.
+
+Every file these helpers write or read whole is hashed in the same pass,
+and its SHA-256 noted (note_digest) for the run manifest, which records
+the bytes a command used instead of hashing the file again afterwards.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import nullcontext
@@ -39,31 +44,63 @@ class SurgcurateError(Exception):
     never a usage mistake."""
 
 
-def write_atomic(path: str | Path, chunks: Iterable[bytes | str]) -> Path:
+#: ("read" | "written", path) -> SHA-256 hex digest of the whole file as the
+#: running command read or wrote it, noted in passing by the layer that did.
+#: cli._command empties it before each command body runs.
+_digests: dict[tuple[str, Path], str] = {}
+
+
+def note_digest(how: str, path: str | Path, hexdigest: str) -> None:
+    """Record the SHA-256 of the bytes just read from (how="read") or
+    written to (how="written") the whole file at `path`."""
+    _digests[how, Path(path)] = hexdigest
+
+
+def noted_digest(how: str, path: str | Path) -> str | None:
+    return _digests.get((how, Path(path)))
+
+
+def forget_digests() -> None:
+    _digests.clear()
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes | str], hasher=None) -> Path:
     """Write the chunks (bytes, or text encoded as UTF-8) to `path` as one
-    atomic replacement. If anything raises, including the chunk iterator,
-    the target keeps its old bytes and the temporary file is removed."""
+    atomic replacement, and note the SHA-256 of the bytes written. If
+    anything raises, including the chunk iterator, the target keeps its old
+    bytes and the temporary file is removed.
+
+    Each chunk is hashed before the next is asked for, into `hasher` when
+    one is given (a new hashlib.sha256() otherwise): a chunk generator that
+    holds it reads there the digest of every chunk before it."""
     path = Path(path)
+    hasher = hashlib.sha256() if hasher is None else hasher
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
             for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+                data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+                hasher.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    note_digest("written", path, hasher.hexdigest())
     return path
 
 
 def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], T]) -> T:
     """parse(document) for a UTF-8 JSON file; malformed input, or `error`
     raised by parse, raises `error` naming the file."""
+    data = Path(path).read_bytes()
     try:
-        return parse(json.loads(Path(path).read_bytes().decode("utf-8")))
+        value = parse(json.loads(data.decode("utf-8")))
     except (error, *_MALFORMED) as exc:
         raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
+    note_digest("read", path, hashlib.sha256(data).hexdigest())
+    return value
 
 
 def decode_line(line: bytes) -> Any:
@@ -85,29 +122,41 @@ def decode_line(line: bytes) -> Any:
     return doc
 
 
-def iter_jsonl(
-    path: str | Path, error: type[Exception], parse: Callable[[Any], T], lines: Iterable[bytes] | None = None
+def parse_lines(
+    path: str | Path, error: type[Exception], parse_line: Callable[[bytes], T], lines: Iterable[bytes] | None = None
 ) -> Iterator[T]:
-    """parse(document) for every non-blank line of a UTF-8 JSON-lines file;
-    malformed input, or `error` raised by parse, raises `error` naming
-    path:line.
+    """parse_line(line) for every non-blank byte line of a file; malformed
+    input, or `error` raised by parse_line, raises `error` naming path:line.
 
-    The file is read one buffered line at a time and each line is decoded
-    once (decode_line), so the file's text is never held whole. A line of
-    bytes.isspace() whitespace only (which also counts vertical tab and
-    form feed, unlike JSON) is blank and skipped. A caller that has begun
-    reading the file passes its byte lines from line 1 on as `lines`, and
-    the file is not opened again.
+    The file is read one buffered line at a time, so it is never held
+    whole. A line of bytes.isspace() whitespace only (which also counts
+    vertical tab and form feed, unlike JSON) is blank and skipped. Every
+    line, blank or not, is hashed as it is read, and the file's SHA-256 is
+    noted once the last line has been parsed; a read that stops early
+    notes nothing. A caller that has begun reading the file passes its
+    byte lines from line 1 on as `lines`, and the file is not opened again.
     """
+    hasher = hashlib.sha256()
+    update = hasher.update
     with open(path, "rb") if lines is None else nullcontext(lines) as lines:
         for lineno, line in enumerate(lines, start=1):
+            update(line)
             if line.isspace():
                 continue
             try:
-                value = parse(decode_line(line))
+                value = parse_line(line)
             except (error, *_MALFORMED) as exc:
                 raise error(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
             yield value
+    note_digest("read", path, hasher.hexdigest())
+
+
+def iter_jsonl(
+    path: str | Path, error: type[Exception], parse: Callable[[Any], T], lines: Iterable[bytes] | None = None
+) -> Iterator[T]:
+    """parse(document) for every non-blank line of a UTF-8 JSON-lines file,
+    each line decoded once (decode_line); see parse_lines."""
+    return parse_lines(path, error, lambda line: parse(decode_line(line)), lines)
 
 
 def text_field(doc: Any, key: str, error: type[Exception]) -> str:
@@ -136,4 +185,7 @@ def id_lines(text: str) -> list[str]:
 def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
     """id_lines of a UTF-8 text file; text that is not UTF-8 raises `error`
     naming path:line."""
-    return id_lines(decode_text(Path(path).read_bytes(), path, error))
+    data = Path(path).read_bytes()
+    ids = id_lines(decode_text(data, path, error))
+    note_digest("read", path, hashlib.sha256(data).hexdigest())
+    return ids

@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from .apportion import as_fraction, format_points
-from .artifact import SurgcurateError, read_json, read_lines, write_atomic
+from .artifact import SurgcurateError, forget_digests, read_json, read_lines, write_atomic
 from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
     CorpusIndex,
@@ -35,7 +35,7 @@ from .corpus import (
     scale_comparison_report,
     validate_corpus,
 )
-from .manifest import RunManifest, forget_digests, manifest_path_for, utc_now
+from .manifest import RunManifest, manifest_path_for, utc_now
 from .metrics import (
     acc_at_1,
     emit_report,

@@ -46,8 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import SurgcurateError, write_atomic
-from .manifest import note_digest
+from .artifact import SurgcurateError, note_digest, write_atomic
 from .seeding import derive_seed
 from .store import EmbeddingMatrix, row_blocks
 

@@ -1,7 +1,9 @@
 """Corpus data model: videos, clips, sources, domains, and inventory stats.
 
 The corpus manifest is UTF-8 JSON-lines, one record per line, with a
-"kind" field discriminating video records from clip records. Everything
+"kind" field discriminating video records from clip records. The line
+form write_corpus_manifest writes is read on a fast path; any other form
+gives the same records and errors through json's decoder. Everything
 in this module is a pure function over immutable records; a CorpusIndex
 is built once and then shared read-only.
 """
@@ -12,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
 from .apportion import as_fraction
-from .artifact import SurgcurateError, iter_jsonl, read_json, text_field, write_atomic
+from .artifact import SurgcurateError, decode_line, parse_lines, read_json, text_field, write_atomic
 
 
 class CorpusError(SurgcurateError):
@@ -456,8 +459,70 @@ def record_from_json(doc: Mapping) -> Record:
     raise ManifestParseError(f"unknown record kind {doc.get('kind')!r}")
 
 
+# The line write_corpus_manifest writes for each kind of record, one group
+# per value in record_to_json's sorted key order. A string matches only
+# without an escape, and a number only in JSON's grammar with ASCII digits;
+# any other line, valid or not, takes the reference path, decode_line and
+# record_from_json.
+_CHARS = r'[^"\\\x00-\x1f]*'
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_NUMBER = _INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_VALUE_FORMS = {
+    **{key: f'"({_CHARS})"' for key in ("clip_id", "video_id", "dataset_id", "source", "domain")},
+    **{key: f"({_INT})" for key in ("start_frame", "end_frame", "frame_count")},
+    "embedding_row": f"(null|{_INT})",
+    "duration_s": f"({_NUMBER})",
+    "fps": f'({_NUMBER}|"{_CHARS}")',
+}
+
+
+def _line_pattern(record: Record) -> re.Pattern[str]:
+    doc = record_to_json(record)
+    fields = (f'"{key}": ' + (f'"{doc[key]}"' if key == "kind" else _VALUE_FORMS[key]) for key in sorted(doc))
+    return re.compile(r"\{" + ", ".join(fields) + r"\}\n?")
+
+
+_CLIP_LINE = _line_pattern(ClipRecord("", "", 0, 0))
+_VIDEO_LINE = _line_pattern(VideoRecord("", SourceStream.PRIVATE, "", Domain.MIXED, 0, Fraction(1), 0.0))
+
+
+def _json_number(text: str) -> int | float:
+    """A JSON number as json decodes it: an int unless it has a fraction
+    or an exponent (a character other than a sign or a digit)."""
+    return float(text) if text.strip("-0123456789") else int(text)
+
+
+def _record_from_line(line: bytes) -> Record:
+    """record_from_json(decode_line(line)): the same record, or the same
+    exception. A line in write_corpus_manifest's form is built from its
+    match; if that raises, the reference path gives the outcome."""
+    try:
+        text = line.decode("utf-8")
+        if (m := _CLIP_LINE.fullmatch(text)) is not None:
+            clip_id, row, end, start, video_id = m.groups()
+            return ClipRecord(clip_id, sys.intern(video_id), int(start), int(end), None if row == "null" else int(row))
+        if (m := _VIDEO_LINE.fullmatch(text)) is not None:
+            dataset_id, domain, duration, fps, frame_count, source, video_id = m.groups()
+            duration_s = float(_json_number(duration))  # JSON -0 is the int 0, so 0.0
+            if math.isfinite(duration_s):
+                return VideoRecord(
+                    video_id=sys.intern(video_id),
+                    source=SourceStream(source),
+                    dataset_id=sys.intern(dataset_id),
+                    domain=Domain(domain),
+                    frame_count=int(frame_count),
+                    fps=_parse_fps(fps[1:-1] if fps[0] == '"' else _json_number(fps)),
+                    duration_s=duration_s,
+                )
+    except (ValueError, OverflowError):  # bad UTF-8, int digit limit, enum, record checks, float range
+        pass  # the reference path raises the error, if there is one
+    return record_from_json(decode_line(line))
+
+
 def read_corpus_manifest(path: str | Path) -> list[Record]:
-    return list(iter_jsonl(path, ManifestParseError, record_from_json))
+    """Every record of a corpus manifest, one line at a time; a malformed
+    line raises ManifestParseError naming path:line."""
+    return list(parse_lines(path, ManifestParseError, _record_from_line))
 
 
 def write_corpus_manifest(records: Iterable[Record], path: str | Path) -> None:

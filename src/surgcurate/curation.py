@@ -14,6 +14,7 @@ next to the tree's assignments and the clip ids.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
-from .artifact import SurgcurateError, decode_text, id_lines, iter_jsonl, text_field, write_atomic
+from .artifact import SurgcurateError, decode_text, id_lines, iter_jsonl, note_digest, text_field, write_atomic
 from .clustering import ClusterTree, DimensionMismatch
 from .store import EmbeddingMatrix, open_store, row_blocks
 
@@ -95,21 +96,24 @@ class CuratedSet:
 def read_pool_ids(path: str | Path) -> list[str]:
     """Clip ids from a curated JSON-lines file or a plain one-per-line list.
 
-    The file is read once. Its first non-blank line picks the format: a
-    curated file's starts with '{'. Text that is not UTF-8, or a curated
-    line that is malformed, raises CurationError naming path:line.
+    The file is read once, and the SHA-256 of its bytes noted for the run
+    manifest. Its first non-blank line picks the format: a curated file's
+    starts with '{'. Text that is not UTF-8, or a curated line that is
+    malformed, raises CurationError naming path:line.
     """
     with open(path, "rb") as fh:
         head: list[bytes] = []
         ids: list[str] = []
-        while not ids:
-            line = fh.readline()
-            if not line:
-                return []
+        while not ids and (line := fh.readline()):
             head.append(line)
             ids = id_lines(decode_text(line, path, CurationError, len(head)))
-        if not ids[0].startswith("{"):
-            return ids + id_lines(decode_text(fh.read(), path, CurationError, len(head) + 1))
+        if not ids or not ids[0].startswith("{"):
+            rest = fh.read()
+            ids += id_lines(decode_text(rest, path, CurationError, len(head) + 1))
+            hasher = hashlib.sha256(b"".join(head))
+            hasher.update(rest)
+            note_digest("read", path, hasher.hexdigest())
+            return ids
         curated = iter_jsonl(
             path,
             CurationError,

@@ -6,10 +6,11 @@ output file. Re-running a command with the recorded config and inputs
 reproduces byte-identical outputs; the manifest itself is the only file
 that carries wall-clock timestamps.
 
-A fingerprint is of the bytes the command read or wrote. A layer that
-hashes a whole file anyway as it reads or writes it notes that digest
-(note_digest), and the manifest takes it from there instead of reading
-the file again; any other file is hashed when it is added.
+A fingerprint is of the bytes the command read or wrote. The layer that
+reads or writes a whole file hashes it in the same pass and notes that
+digest (artifact.note_digest), and the manifest takes it from there
+instead of reading the file again; a file no layer noted is hashed when
+it is added.
 """
 
 from __future__ import annotations
@@ -21,27 +22,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .artifact import SurgcurateError, read_json, write_atomic
+from .artifact import SurgcurateError, noted_digest, read_json, write_atomic
 
 
 class RunManifestError(SurgcurateError):
     """A run manifest file could not be decoded."""
-
-
-#: ("read" | "written", path) -> SHA-256 hex digest of the whole file as the
-#: running command read or wrote it, noted in passing by the layer that did.
-#: cli._command empties it before each command body runs.
-_digests: dict[tuple[str, Path], str] = {}
-
-
-def note_digest(how: str, path: str | Path, hexdigest: str) -> None:
-    """Record the SHA-256 of the bytes just read from (how="read") or
-    written to (how="written") the whole file at `path`."""
-    _digests[how, Path(path)] = hexdigest
-
-
-def forget_digests() -> None:
-    _digests.clear()
 
 
 def fingerprint_file(path: str | Path) -> str:
@@ -69,11 +54,11 @@ class RunManifest:
 
     def add_input(self, path: str | Path) -> None:
         """Fingerprint the bytes last read from `path`, or its current bytes."""
-        self.inputs[str(path)] = _digests.get(("read", Path(path))) or fingerprint_file(path)
+        self.inputs[str(path)] = noted_digest("read", path) or fingerprint_file(path)
 
     def add_output(self, path: str | Path) -> None:
         """Fingerprint the bytes last written to `path`, or its current bytes."""
-        self.outputs[str(path)] = _digests.get(("written", Path(path))) or fingerprint_file(path)
+        self.outputs[str(path)] = noted_digest("written", path) or fingerprint_file(path)
 
     def verify_inputs(self) -> list[str]:
         """Paths whose current contents no longer match the recorded hash;

@@ -21,14 +21,13 @@ reads) holds no payload copy: one ROW_BLOCK-row f32 buffer, scanned,
 normalised and handed on one block at a time.
 
 Every store file and every blob is hashed whole as it is read or written,
-and that SHA-256 is noted for the run manifest (manifest.note_digest), so a
+and that SHA-256 is noted for the run manifest (artifact.note_digest), so a
 command hashes each of those bytes once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,8 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .artifact import SurgcurateError, read_lines, write_atomic
-from .manifest import note_digest
+from .artifact import SurgcurateError, note_digest, read_lines, write_atomic
 
 MAGIC = b"SURGEMB1"
 HEADER_BYTES = len(MAGIC) + 16
@@ -135,20 +133,17 @@ def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
     hasher = hashlib.sha256()
 
     def chunks():
-        """Header, payload, then one chunk per id; the checksum is taken as they stream."""
+        """Header, payload, one chunk per id, then the checksum: the digest
+        write_atomic has taken of the chunks before it."""
         header = MAGIC + matrix.n_rows.to_bytes(8, "little") + matrix.dim.to_bytes(8, "little")
         ids = (len(raw).to_bytes(4, "little") + raw for raw in (rid.encode("utf-8") for rid in matrix.row_ids))
         payload = np.ascontiguousarray(matrix.data, dtype="<f4").reshape(-1).view(np.uint8)
-        for chunk in itertools.chain([header, payload], ids):
-            hasher.update(chunk)
-            yield chunk
-        checksum = hasher.digest()
-        hasher.update(checksum)  # now the whole file's hash
-        yield checksum
+        yield header
+        yield payload
+        yield from ids
+        yield hasher.digest()
 
-    written = write_atomic(path, chunks())
-    note_digest("written", written, hasher.hexdigest())
-    return written
+    return write_atomic(path, chunks(), hasher)
 
 
 class StoreReader:

@@ -6,9 +6,14 @@ runtime budgets are asserted alongside the numeric tolerances.
 
 import functools
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,7 @@ from .oracles import brute_force_best_lloyd, simulate_equal_split_allocation
 from .test_store import _rebuild_with_payload
 
 TOL_POINTS = Fraction(1, 100)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def criterion(number, description, budget_s):
@@ -207,6 +213,20 @@ GOLDEN_PIPELINE_SHA256 = {
 }
 
 
+def _golden_pipeline(paths, out, workers):
+    """The criterion-7 command lines, writing GOLDEN_PIPELINE_SHA256's
+    files into `out`."""
+    tree, curated, batches = (str(out / name) for name in GOLDEN_PIPELINE_SHA256)
+    return [
+        ["cluster", "--store", str(paths["store"]), "--out", tree,
+         "--levels", "16,4", "--seed", "5", "--workers", str(workers)],
+        ["curate", "--store", str(paths["store"]), "--tree", tree,
+         "--out", curated, "--fraction", "0.10", "--workers", str(workers)],
+        ["sample", "--unlabeled", curated, "--clinical", str(paths["clinical_ids"]),
+         "--out", batches, "--batch", "32", "--n", "200", "--seed", "5"],
+    ]
+
+
 @criterion(7, "pipeline determinism across thread counts and reruns", budget_s=120)
 def test_pipeline_determinism(tmp_path):
     paths = write_fixture_corpus(tmp_path / "fixture")
@@ -215,20 +235,10 @@ def test_pipeline_determinism(tmp_path):
     def run_pipeline(tag, workers):
         out = tmp_path / tag
         out.mkdir()
-        tree = out / "tree.sctree"
-        curated = out / "curated.jsonl"
-        batches = out / "batches.jsonl"
-        for args in (
-            ["cluster", "--store", str(paths["store"]), "--out", str(tree),
-             "--levels", "16,4", "--seed", "5", "--workers", str(workers)],
-            ["curate", "--store", str(paths["store"]), "--tree", str(tree),
-             "--out", str(curated), "--fraction", "0.10", "--workers", str(workers)],
-            ["sample", "--unlabeled", str(curated), "--clinical", str(paths["clinical_ids"]),
-             "--out", str(batches), "--batch", "32", "--n", "200", "--seed", "5"],
-        ):
+        for args in _golden_pipeline(paths, out, workers):
             result = runner.invoke(cli_main, args, env={})
             assert result.exit_code == 0, result.output
-        return [tree.read_bytes(), curated.read_bytes(), batches.read_bytes()]
+        return [(out / name).read_bytes() for name in GOLDEN_PIPELINE_SHA256]
 
     single = run_pipeline("w1", 1)
     eight = run_pipeline("w8", 8)
@@ -237,6 +247,45 @@ def test_pipeline_determinism(tmp_path):
     assert single == rerun, "artifacts differ across reruns with the same root seed"
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in zip(GOLDEN_PIPELINE_SHA256, single)}
     assert digests == GOLDEN_PIPELINE_SHA256, "artifacts differ from the pinned golden fingerprints"
+
+
+#: Runs the argv lists of the JSON list in argv[1], in order, in one process.
+_RUN_COMMANDS = """
+import json, sys
+from surgcurate import cli
+for argv in json.loads(sys.argv[1]):
+    cli.main.main(args=argv, prog_name="surgcurate", standalone_mode=False)
+"""
+
+
+def _curated_ranks(path):
+    """The curated file's header, and each record without its distance."""
+    header, *records = (json.loads(line) for line in path.read_text("utf-8").splitlines())
+    return header, [(r["clip_id"], r["leaf"], r["rank"]) for r in records]
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_pipeline_bytes_under_other_blas_kernels(tmp_path, coretype):
+    """The criterion-7 pipeline run with OpenBLAS held to another CPU's
+    kernels (OPENBLAS_CORETYPE; a plain rerun where the BLAS ignores it)
+    writes the pinned tree and batches. The curated file keeps its header
+    and every record's clip, leaf and rank; its distances may still differ
+    in the last ulp, because each is recorded from a BLAS dot whose
+    summation order depends on the kernel."""
+    paths = write_fixture_corpus(tmp_path / "fixture")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    outs = {}
+    for tag, extra in (("default", {}), (coretype, {"OPENBLAS_CORETYPE": coretype})):
+        out = outs[tag] = tmp_path / tag
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(_golden_pipeline(paths, out, workers=1))],
+            capture_output=True, text=True, env={**env, **extra}, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("tree.sctree", "batches.jsonl"):
+        assert hashlib.sha256((outs[coretype] / name).read_bytes()).hexdigest() == GOLDEN_PIPELINE_SHA256[name], name
+    assert _curated_ranks(outs[coretype] / "curated.jsonl") == _curated_ranks(outs["default"] / "curated.jsonl")
 
 
 @criterion(8, "store roundtrip on 100 random matrices plus corruption rejection", budget_s=30)

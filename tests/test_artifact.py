@@ -16,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surgcurate
-from surgcurate.artifact import decode_line, iter_jsonl, read_json, read_lines, write_atomic
+from surgcurate.artifact import (
+    decode_line,
+    forget_digests,
+    iter_jsonl,
+    noted_digest,
+    read_json,
+    read_lines,
+    write_atomic,
+)
 from surgcurate.clustering import TREE_MAGIC, BadTreeFile, ClusterTree, build_hierarchy
 from surgcurate.manifest import RunManifest, RunManifestError
 from surgcurate.store import MAGIC, EmbeddingMatrix, SizeMismatch, StoreError, read_store, write_store
@@ -183,6 +191,37 @@ class TestDecode:
             assert (got_docs, got_error) == (want_docs, None)
         else:
             assert got_error == f"{path}:{want_error}"
+
+    def test_jsonl_notes_the_digest_of_a_whole_read_only(self, tmp_path):
+        """Every line is hashed, blank ones too; a read that stops early or
+        fails notes nothing."""
+        path = tmp_path / "x.jsonl"
+        raw = b'\n{"id": "a"}\r\n  \n{"id": "b"}'
+        path.write_bytes(raw)
+        forget_digests()
+        partial = iter_jsonl(path, Malformed, lambda doc: doc["id"])
+        assert next(partial) == "a"
+        partial.close()
+        assert noted_digest("read", path) is None
+        assert list(iter_jsonl(path, Malformed, lambda doc: doc["id"])) == ["a", "b"]
+        assert noted_digest("read", path) == hashlib.sha256(raw).hexdigest()
+        forget_digests()
+        path.write_bytes(raw + b"\nnot json\n")
+        with pytest.raises(Malformed):
+            list(iter_jsonl(path, Malformed, lambda doc: doc["id"]))
+        assert noted_digest("read", path) is None
+
+    def test_whole_file_helpers_note_the_bytes_they_read_or_wrote(self, tmp_path):
+        forget_digests()
+        ids, doc = tmp_path / "ids.txt", tmp_path / "x.json"
+        write_atomic(ids, ["a\n", b"b\n"])
+        write_atomic(doc, ['{"a": 1}'])
+        assert noted_digest("written", ids) == hashlib.sha256(b"a\nb\n").hexdigest()
+        assert read_lines(ids, Malformed) == ["a", "b"]
+        assert read_json(doc, Malformed, lambda d: d["a"]) == 1
+        for path in (ids, doc):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert noted_digest("read", path) == noted_digest("written", path) == digest
 
     def test_json_document(self, tmp_path):
         path = tmp_path / "x.json"

@@ -679,6 +679,42 @@ class TestFullPipeline:
         assert run.inputs[str(tree)] == hashlib.sha256(read).hexdigest()
         assert run.verify_inputs() == [str(tree)]
 
+    @pytest.mark.parametrize(
+        "command,wrapped,replaced",
+        [
+            ("sample", "write_batch_manifest", "unlabeled"),
+            ("sample", "write_batch_manifest", "clinical"),
+            ("split", "generate_split_manifest", "corpus"),
+            ("stats", "corpus_stats", "corpus"),
+        ],
+    )
+    def test_run_manifest_records_the_input_bytes_read(self, tmp_path, monkeypatch, command, wrapped, replaced):
+        """An input replaced once the command has read it is recorded with
+        the bytes the reader read, and verify_inputs reports it as stale."""
+        paths = write_fixture_corpus(tmp_path, dim=8)
+        inputs = {"corpus": paths["corpus"], "clinical": paths["clinical_ids"], "unlabeled": tmp_path / "u.txt"}
+        inputs["unlabeled"].write_text("x1\nx2\n", encoding="utf-8")
+        path = inputs[replaced]
+        read = path.read_bytes()
+
+        def replace_then_run(*args, _fn=getattr(cli, wrapped), **kwargs):
+            path.write_bytes(read + b"\n")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, wrapped, replace_then_run)
+        out = tmp_path / "out"
+        argv = {
+            "sample": ["sample", "--unlabeled", str(inputs["unlabeled"]), "--clinical", str(inputs["clinical"]),
+                       "--n", "3"],
+            "split": ["split", "--dataset", "web-edu", "--corpus", str(inputs["corpus"])],
+            "stats": ["stats", "--corpus", str(inputs["corpus"])],
+        }[command]
+        self._run([*argv, "--out", str(out)])
+        run = RunManifest.load(manifest_path_for(out))
+        assert run.inputs[str(path)] == hashlib.sha256(read).hexdigest()
+        assert run.verify_inputs() == [str(path)]
+        assert run.outputs[str(out)] == hashlib.sha256(out.read_bytes()).hexdigest()
+
     def test_split_tiers_from_external_files(self, tmp_path):
         official = tmp_path / "official.json"
         official.write_text(json.dumps({"v1": "train", "v2": "test"}), encoding="utf-8")

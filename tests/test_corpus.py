@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from surgcurate import corpus
+from surgcurate.artifact import iter_jsonl
 from surgcurate.corpus import (
     ClipRecord,
     CorpusIndex,
@@ -295,4 +298,176 @@ class TestManifestIO:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json at all\n", encoding="utf-8")
         with pytest.raises(ManifestParseError):
+            read_corpus_manifest(path)
+
+
+def _reference_records(path):
+    return list(iter_jsonl(path, ManifestParseError, record_from_json))
+
+
+def _outcome(read, path) -> tuple[str, str]:
+    """("ok", repr of the records) or (exception class, message); repr
+    tells -0.0 from 0.0, which == does not."""
+    try:
+        return "ok", repr(read(path))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: Id characters a JSON string may carry raw or must escape.
+_ID_TEXT = st.text(
+    alphabet=st.sampled_from(["a", "7", "é", '"', "\\", "\x00", "\x1f", "\x7f", " ", "٣", "\U0001f600"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=5,
+)
+
+
+@st.composite
+def _string_token(draw, text=_ID_TEXT):
+    """A JSON string as write_corpus_manifest writes it, with raw UTF-8, or
+    with its characters unescaped (invalid when it holds a quote, a
+    backslash or a control character)."""
+    value = draw(text)
+    form = draw(st.sampled_from(["ascii", "utf-8", "raw"]))
+    if form == "raw":
+        return f'"{value}"'
+    return json.dumps(value, ensure_ascii=form == "ascii")
+
+
+_BIG = "1" + "0" * 4999  # 5,000 digits: past int's default conversion limit
+_ODD_NUMBERS = ["0", "-0", "-0.0", "007", "1.", ".5", "1e3", "1E+2", "2.5e-3", "1e400", "-1e400", "Infinity", "NaN",
+                "1" + "0" * 400, _BIG, "-" + _BIG, "٣", "1٣", "true", "null", '"5"']
+_INT_TOKEN = st.integers(min_value=-(10**20), max_value=10**20).map(str) | st.sampled_from(_ODD_NUMBERS)
+_DURATION_TOKEN = (
+    st.integers(min_value=-3, max_value=10**6).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(_ODD_NUMBERS)
+)
+_FPS_TOKEN = (
+    st.integers(min_value=-2, max_value=10**20).map(str)
+    | st.floats(min_value=-1, max_value=120, allow_nan=False).map(repr)
+    | st.sampled_from(['"30000/1001"', '"30"', '"1/0"', '"abc"', '"\\u0033"', "12345678901234567891", *_ODD_NUMBERS])
+)
+_ENUM_TOKEN = _string_token(
+    st.sampled_from([*(s.value for s in SourceStream), *(d.value for d in Domain), "Telepathic"])
+)
+
+
+@st.composite
+def _record_line(draw) -> str:
+    """One line in write_corpus_manifest's key order, each value one JSON
+    text of the form the fast path takes, or of another form."""
+    strings = _string_token()
+    if draw(st.booleans()):
+        values = {
+            "clip_id": draw(strings), "embedding_row": draw(st.just("null") | _INT_TOKEN),
+            "end_frame": draw(_INT_TOKEN), "kind": '"clip"', "start_frame": draw(_INT_TOKEN),
+            "video_id": draw(strings),
+        }
+    else:
+        values = {
+            "dataset_id": draw(strings), "domain": draw(_ENUM_TOKEN), "duration_s": draw(_DURATION_TOKEN),
+            "fps": draw(_FPS_TOKEN), "frame_count": draw(_INT_TOKEN), "kind": '"video"',
+            "source": draw(_ENUM_TOKEN), "video_id": draw(strings),
+        }
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in values.items()) + "}"
+
+
+_RECORDS = st.one_of(
+    st.builds(
+        ClipRecord, _ID_TEXT, _ID_TEXT, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30),
+        st.none() | st.integers(-1, 10**12),
+    ),
+    st.builds(
+        VideoRecord, _ID_TEXT, st.sampled_from(SourceStream), _ID_TEXT, st.sampled_from(Domain),
+        st.integers(0, 10**30),
+        st.sampled_from([Fraction(25), Fraction(30000, 1001), Fraction(1, 3)])
+        | st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+        st.floats(min_value=0, max_value=1e300) | st.integers(0, 10**6).map(float),
+    ),
+)
+
+
+def _mutate(line: bytes, how: str, cut: int) -> bytes:
+    """One canonical line (with its newline) altered as a hand-edited or
+    damaged manifest might be."""
+    doc = json.loads(line)
+    if how == "reordered":
+        return json.dumps(dict(reversed(doc.items()))).encode() + b"\n"
+    if how == "duplicate-key":
+        key = sorted(doc)[cut % len(doc)]
+        return line[:1] + json.dumps({key: None}).encode()[1:-1] + b", " + line[1:]
+    if how == "spaces":
+        return line.replace(b", ", b" ,  ", 1 + cut % 3)
+    if how == "crlf":
+        return line[:-1] + b"\r\n"
+    if how == "bom":
+        return b"\xef\xbb\xbf" + line
+    if how == "not-utf8":
+        return line[: cut % len(line)] + b"\xff" + line[cut % len(line):]
+    assert how == "truncated"  # the file's last line, cut short, without a newline
+    return line[: cut % len(line)]
+
+
+class TestManifestFastPath:
+    """read_corpus_manifest against the reference reader, decode_line and
+    record_from_json on every line: the same records (by repr), or the
+    same exception class and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=_record_line())
+    @example(line='{"dataset_id": "d", "domain": "Mixed", "duration_s": -0, "fps": 30, "frame_count": 1, '
+                  '"kind": "video", "source": "Private", "video_id": "v"}')
+    @example(line='{"dataset_id": "d", "domain": "Mixed", "duration_s": -0.0, "fps": 30.0, "frame_count": -0, '
+                  '"kind": "video", "source": "Private", "video_id": "v"}')
+    @example(line='{"clip_id": "c", "embedding_row": null, "end_frame": ' + _BIG + ', "kind": "clip", '
+                  '"start_frame": 0, "video_id": "v"}')
+    @example(line='{"dataset_id": "d", "domain": "Mixed", "duration_s": 1e400, "fps": "30000/1001", '
+                  '"frame_count": 1, "kind": "video", "source": "Private", "video_id": "v"}')
+    @example(line='{"dataset_id": "d", "domain": "Mixed", "duration_s": 1, "fps": 12345678901234567891, '
+                  '"frame_count": 1, "kind": "video", "source": "Private", "video_id": "v"}')
+    def test_generated_lines(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("fast") / "c.jsonl"
+        path.write_bytes(b'{"kind": "clip", "clip_id": "c0", "video_id": "v", "start_frame": 0, "end_frame": 1}\n'
+                         + line.encode("utf-8") + b"\n")
+        assert _outcome(read_corpus_manifest, path) == _outcome(_reference_records, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=st.lists(_RECORDS, min_size=1, max_size=4),
+        how=st.sampled_from(["none", "reordered", "duplicate-key", "spaces", "crlf", "bom", "not-utf8", "truncated"]),
+        at=st.integers(0, 3),
+        cut=st.integers(0, 10**6),
+    )
+    def test_written_and_mutated_lines(self, tmp_path_factory, records, how, at, cut):
+        path = tmp_path_factory.mktemp("fast") / "c.jsonl"
+        write_corpus_manifest(records, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        if how == "truncated":
+            lines[-1] = _mutate(lines[-1], how, cut)
+        elif how != "none":
+            at %= len(lines)
+            lines[at] = _mutate(lines[at], how, cut)
+        path.write_bytes(b"".join(lines))
+        assert _outcome(read_corpus_manifest, path) == _outcome(_reference_records, path)
+
+    @pytest.mark.parametrize("records", ["fixture", "paper-scale"])
+    def test_written_lines_all_take_the_fast_path(self, tmp_path, monkeypatch, fixture_corpus, records):
+        """If record_to_json gains a field, this fails rather than every
+        line silently taking the reference path."""
+        records = fixture_corpus.records if records == "fixture" else paper_scale_inventory()
+        path = tmp_path / "c.jsonl"
+        write_corpus_manifest(records, path)
+        decoded = []
+        decode = corpus.decode_line
+        monkeypatch.setattr(corpus, "decode_line", lambda line: decoded.append(line) or decode(line))
+        assert repr(read_corpus_manifest(path)) == repr(records)
+        assert decoded == []
+
+    def test_parse_error_names_the_line(self, tmp_path, fixture_corpus):
+        path = tmp_path / "c.jsonl"
+        write_corpus_manifest(fixture_corpus.records[:3], path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"\n" + lines[1].replace(b'"kind": "', b'"kind": "x') + lines[2])
+        with pytest.raises(ManifestParseError, match=rf"^{path}:3: ManifestParseError: unknown record kind 'x"):
             read_corpus_manifest(path)

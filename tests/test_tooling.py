@@ -14,6 +14,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from surgcurate import cli, manifest
+from surgcurate.config import SCHEMAS
 from surgcurate.synthetic import write_fixture_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,27 +73,103 @@ def test_rebound_cli_names_are_the_ones_the_commands_call(tmp_path, monkeypatch)
     assert calls == {"read_store": 1, "l2_normalize": 1, "build_hierarchy": 1, "curate": 1, "write_batch_manifest": 1}
 
 
-def test_ingest_cluster_curate_hash_the_store_and_blobs_once(tmp_path, monkeypatch):
-    """The run manifests take the store's, the blobs' and the read tree's
-    fingerprints from the pass that read or wrote them: fingerprint_file,
-    which --trace 1 reports as manifest.fingerprint, hashes only the files
-    no layer hashed."""
+def _every_command(tmp_path) -> list[tuple[str, list[str]]]:
+    """(label, argv) for a run of every configured command, in an order
+    where each reads what the ones before wrote, and for each way sample
+    and split read their inputs."""
     paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
+    store, tree, curated = str(tmp_path / "s.semb"), str(tmp_path / "t.sctree"), str(tmp_path / "c.jsonl")
+    corpus, clinical = str(paths["corpus"]), str(paths["clinical_ids"])
+    (tmp_path / "u.txt").write_text("x1\nx2\n", encoding="utf-8")
+    videos = [f"v{i}" for i in range(6)]
+    (tmp_path / "videos.txt").write_text("\n".join(videos) + "\n", encoding="utf-8")
+    (tmp_path / "strata.json").write_text(json.dumps({v: v < "v3" for v in videos}), encoding="utf-8")
+    (tmp_path / "official.json").write_text(json.dumps({"v1": "train", "v2": "test"}), encoding="utf-8")
+    (tmp_path / "preds.csv").write_text("sample_id,predicted,label\ns1,x,x\n", encoding="utf-8")
+    scores = str(tmp_path / "scores.csv")
+    return [
+        ("ingest", ["ingest", "--blobs", str(paths["raw_blobs"]), "--ids", str(paths["raw_ids"]), "--dim", "8",
+                    "--out", store]),
+        ("cluster", ["cluster", "--store", store, "--levels", "4", "--out", tree]),
+        ("curate", ["curate", "--store", store, "--tree", tree, "--out", curated]),
+        ("sample curated", ["sample", "--unlabeled", curated, "--clinical", clinical, "--n", "3",
+                            "--out", str(tmp_path / "b1.jsonl")]),
+        ("sample list", ["sample", "--unlabeled", str(tmp_path / "u.txt"), "--clinical", clinical, "--n", "3",
+                         "--out", str(tmp_path / "b2.jsonl")]),
+        ("split corpus", ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", str(tmp_path / "s1.json")]),
+        ("split videos", ["split", "--dataset", "d", "--videos", str(tmp_path / "videos.txt"),
+                          "--stratify-by", str(tmp_path / "strata.json"), "--out", str(tmp_path / "s2.json")]),
+        ("split official", ["split", "--dataset", "d", "--official", str(tmp_path / "official.json"),
+                            "--out", str(tmp_path / "s3.json")]),
+        ("stats", ["stats", "--corpus", corpus, "--out", str(tmp_path / "stats.md")]),
+        ("evaluate", ["evaluate", "--predictions", str(tmp_path / "preds.csv"), "--dataset", "cholec80",
+                      "--model", "m", "--out", scores]),
+        ("report", ["report", "--scores", scores, "--out", str(tmp_path / "report.md")]),
+    ]
+
+
+def test_commands_hash_each_file_in_the_pass_that_used_it(tmp_path, monkeypatch):
+    """The run manifests take every fingerprint from the pass that read or
+    wrote the file: fingerprint_file, which --trace 1 reports as
+    manifest.fingerprint, hashes only the files that no shared reader
+    reads. Those are evaluate's predictions CSV and report's score CSVs,
+    which the csv module reads."""
     hashed = []
     fingerprint = manifest.fingerprint_file
     monkeypatch.setattr(manifest, "fingerprint_file", lambda path: hashed.append(Path(path).name) or fingerprint(path))
-    store, tree, curated = str(tmp_path / "s.semb"), str(tmp_path / "t.sctree"), str(tmp_path / "c.jsonl")
     per_command = {}
-    for argv in (
-        ["ingest", "--blobs", str(paths["raw_blobs"]), "--ids", str(paths["raw_ids"]), "--dim", "8", "--out", store],
-        ["cluster", "--store", store, "--levels", "4", "--out", tree],
-        ["curate", "--store", store, "--tree", tree, "--out", curated],
-    ):
+    for label, argv in _every_command(tmp_path):
         hashed.clear()
         result = CliRunner().invoke(cli.main, argv, env={})
         assert result.exit_code == 0, result.output
-        per_command[argv[0]] = sorted(hashed)
-    assert per_command == {"ingest": ["raw_ids.txt"], "cluster": ["t.sctree"], "curate": ["c.jsonl"]}
+        per_command[label] = sorted(hashed)
+    assert {label: files for label, files in per_command.items() if files} == {
+        "evaluate": ["preds.csv"],
+        "report": ["scores.csv"],
+    }
+
+
+#: (command, option) declared for a command whose body does not read it -> why it stays.
+_UNREAD_OPTIONS = {
+    ("curate", "seed"): "perfbench passes them; drop with ROADMAP item 1's benchmark follow-up",
+    ("curate", "workers"): "perfbench passes them; drop with ROADMAP item 1's benchmark follow-up",
+}
+
+
+def test_every_declared_option_is_read_by_its_command(tmp_path, monkeypatch):
+    """Each option _command declares for a command (its SCHEMAS section and
+    the [global] flags it names) is read from the resolved config by the
+    command's body, or is in _UNREAD_OPTIONS with a reason; an option
+    nothing reads is accepted, resolved and recorded for nothing."""
+    wrapper = cli.stats.callback.__code__  # _command's wrapper reads the root seed for every command
+    read = {}
+
+    class Spy(dict):
+        def __getitem__(self, key):
+            if sys._getframe(1).f_code is not wrapper:
+                read[self.command].add(key)
+            return super().__getitem__(key)
+
+    def spying(command, *args, _resolve=cli.resolve_config):
+        cfg = Spy(_resolve(command, *args))
+        cfg.command = command
+        read.setdefault(command, set())
+        return cfg
+
+    monkeypatch.setattr(cli, "resolve_config", spying)
+    for _, argv in _every_command(tmp_path):
+        result = CliRunner().invoke(cli.main, argv, env={})
+        assert result.exit_code == 0, result.output
+    options = {o.name for section in SCHEMAS.values() for o in section}
+    unread = {
+        (name, param.name)
+        for name, command in cli.main.commands.items()
+        for param in command.params
+        if param.name in options and param.name not in read[name]
+    }
+    assert set(read) == {name for name, command in cli.main.commands.items() if "config_file" in
+                         {p.name for p in command.params}}
+    assert unread == set(_UNREAD_OPTIONS)
 
 
 #: Runs each argv of the JSON list in argv[1] in one fresh process and

@@ -35,21 +35,6 @@ from .corpus import (
     validate_corpus,
     write_corpus_manifest,
 )
-from .metrics import (
-    DomainReport,
-    EvalRecord,
-    MissingDomain,
-    MissingVariant,
-    Prediction,
-    ScoreTable,
-    acc_at_1,
-    domain_macro,
-    emit_report,
-    model_delta,
-    overall_macro,
-    prompt_delta,
-    worst_domain,
-)
 from .seeding import derive_seed
 from .splits import (
     EmptyDataset,
@@ -63,9 +48,10 @@ from .splits import (
     version_manifest,
 )
 
-#: Exports of the numpy-backed layers -> their module, imported on first
-#: access (PEP 562), so `import surgcurate` and the commands that never
-#: touch an array do not load numpy.
+#: Exports of the numpy-backed layers and of metrics -> their module,
+#: imported on first access (PEP 562), so `import surgcurate` and the
+#: commands that never touch an array do not load numpy, and only the
+#: commands that score or report import metrics.
 _LAZY = {
     "ClusterModel": "clustering",
     "ClusterTree": "clustering",
@@ -79,6 +65,19 @@ _LAZY = {
     "FractionOutOfRange": "curation",
     "allocate_budget": "curation",
     "curate": "curation",
+    "DomainReport": "metrics",
+    "EvalRecord": "metrics",
+    "MissingDomain": "metrics",
+    "MissingVariant": "metrics",
+    "Prediction": "metrics",
+    "ScoreTable": "metrics",
+    "acc_at_1": "metrics",
+    "domain_macro": "metrics",
+    "emit_report": "metrics",
+    "model_delta": "metrics",
+    "overall_macro": "metrics",
+    "prompt_delta": "metrics",
+    "worst_domain": "metrics",
     "BatchMode": "mixer",
     "BatchSpec": "mixer",
     "EmptyPool": "mixer",

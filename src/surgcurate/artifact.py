@@ -7,8 +7,8 @@ one, never a torn one. The temporary file is created with mode 0o666 and
 the umask applies, as with open(). Writes are not fsynced: an artifact
 survives a killed process, not a power loss.
 
-read_json, parse_lines (and iter_jsonl on it) and read_lines turn
-malformed input (bad JSON, text that is not UTF-8, a missing key, or a
+read_json, parse_lines (and iter_jsonl on it), read_text and read_lines
+turn malformed input (bad JSON, text that is not UTF-8, a missing key, or a
 value of the wrong type or range) into the caller's typed error, with a
 message naming the file and line. Each layer's typed errors derive from
 SurgcurateError, which the CLI maps to exit code 1.
@@ -182,10 +182,15 @@ def id_lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
-def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
-    """id_lines of a UTF-8 text file; text that is not UTF-8 raises `error`
-    naming path:line."""
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file, read and hashed in one pass; text that is
+    not UTF-8 raises `error` naming path:line."""
     data = Path(path).read_bytes()
-    ids = id_lines(decode_text(data, path, error))
+    text = decode_text(data, path, error)
     note_digest("read", path, hashlib.sha256(data).hexdigest())
-    return ids
+    return text
+
+
+def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
+    """id_lines of a UTF-8 text file (read_text)."""
+    return id_lines(read_text(path, error))

@@ -36,14 +36,6 @@ from .corpus import (
     validate_corpus,
 )
 from .manifest import RunManifest, manifest_path_for, utc_now
-from .metrics import (
-    acc_at_1,
-    emit_report,
-    read_predictions_csv,
-    read_scores_csv,
-    reference_report_tables,
-    score_report_tables,
-)
 from .seeding import derive_seed
 from .splits import (
     Split,
@@ -57,9 +49,10 @@ from .splits import (
     verify_disjoint,
 )
 
-#: Names of the numpy-backed layers -> their module, imported on first
-#: access (PEP 562), so split verify, stats, evaluate and report start
-#: without numpy. Command bodies read them as attributes of this module
+#: Names of the numpy-backed layers and of metrics -> their module,
+#: imported on first access (PEP 562), so split, split verify, stats,
+#: evaluate and report start without numpy, and only evaluate and report
+#: import metrics. Command bodies read them as attributes of this module
 #: (`_cli.read_store`), so a name rebound on the module takes effect.
 _LAZY = {
     "ingest_raw_blobs": "store",
@@ -72,6 +65,12 @@ _LAZY = {
     "read_pool_ids": "curation",
     "MixPolicy": "mixer",
     "write_batch_manifest": "mixer",
+    "acc_at_1": "metrics",
+    "emit_report": "metrics",
+    "read_predictions_csv": "metrics",
+    "read_scores_csv": "metrics",
+    "reference_report_tables": "metrics",
+    "score_report_tables": "metrics",
 }
 
 
@@ -379,8 +378,8 @@ def split_verify(_cfg, manifest_path, corpus_path):
 def evaluate(cfg, predictions, dataset, model, variant, out):
     """Score a predictions file (Acc@1) and optionally emit a scores row."""
     pred_file = _require(predictions, "predictions file")
-    records = read_predictions_csv(pred_file)
-    acc = acc_at_1(records)
+    records = _cli.read_predictions_csv(pred_file)
+    acc = _cli.acc_at_1(records)
     click.echo(f"{dataset}/{model}" + (f"/{variant}" if variant else "") + f": Acc@1 {format_points(acc)} ({len(records)} samples)")
     if not out:
         return None
@@ -398,15 +397,15 @@ def report(cfg, scores_paths, domain_map_path, reference, out):
     domain_map = DomainMap.from_file(_require(domain_map_path, "domain map")) if domain_map_path else DomainMap.default()
 
     if reference:
-        tables = reference_report_tables()
+        tables = _cli.reference_report_tables()
         inputs: list[Path] = []
     else:
         if not scores_paths:
             raise ConfigError("--scores is required unless --reference is given")
         inputs = [_require(p, "scores file") for p in scores_paths]
-        tables = score_report_tables([rec for path in inputs for rec in read_scores_csv(path)], domain_map)
+        tables = _cli.score_report_tables([rec for path in inputs for rec in _cli.read_scores_csv(path)], domain_map)
 
-    text = emit_report(tables, format=cfg["format"])
+    text = _cli.emit_report(tables, format=cfg["format"])
     if not out:
         click.echo(text, nl=False)
         return None

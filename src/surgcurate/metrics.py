@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .apportion import as_fraction, format_points, round_to_points
-from .artifact import SurgcurateError
+from .artifact import SurgcurateError, read_text
 from .corpus import CLINICAL_DOMAINS, Domain, DomainMap
 
 Rational = Union[int, float, str, Fraction]
+T = TypeVar("T")
 
 
 class MetricsError(SurgcurateError):
@@ -265,33 +266,41 @@ def emit_report(tables: ScoreTable | Iterable[ScoreTable], format: str = "markdo
 # -- CSV ingestion ------------------------------------------------------------
 
 
+def _read_csv(path: str | Path, required: set[str], message: str, build: Callable[[dict[str, str]], T]) -> list[T]:
+    """build(row) for each row of a UTF-8 CSV file with the `required`
+    columns, read and hashed in one pass (artifact.read_text). Text that is
+    not UTF-8, that the csv module rejects, or a row build raises
+    ValueError or TypeError on, is a MetricsError naming path:line;
+    missing columns raise MetricsError(f"{path}: {message}")."""
+    reader = csv.DictReader(io.StringIO(read_text(path, MetricsError), newline=""))
+    try:
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise MetricsError(f"{path}: {message}")
+        return [build(row) for row in reader]
+    except (csv.Error, ValueError, TypeError) as exc:
+        raise MetricsError(f"{path}:{reader.reader.line_num}: {type(exc).__name__}: {exc}") from exc
+
+
 def read_predictions_csv(path: str | Path) -> list[Prediction]:
     """Predictions CSV: sample_id, predicted, label."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"sample_id", "predicted", "label"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise MetricsError(f"{path}: predictions CSV needs columns {sorted(required)}")
-        return [Prediction(r["sample_id"], r["predicted"], r["label"]) for r in reader]
+    required = {"sample_id", "predicted", "label"}
+    return _read_csv(
+        path, required, f"predictions CSV needs columns {sorted(required)}",
+        lambda row: Prediction(row["sample_id"], row["predicted"], row["label"]),
+    )
 
 
 def read_scores_csv(path: str | Path) -> list[EvalRecord]:
     """Scores CSV: dataset, model, variant (optional), acc."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"dataset", "model", "acc"} <= set(reader.fieldnames):
-            raise MetricsError(f"{path}: scores CSV needs columns dataset, model, acc")
-        out = []
-        for row in reader:
-            out.append(
-                EvalRecord(
-                    dataset_id=row["dataset"],
-                    model_id=row["model"],
-                    variant=row.get("variant") or None,
-                    accuracy=as_fraction(row["acc"]),
-                )
-            )
-        return out
+    return _read_csv(
+        path, {"dataset", "model", "acc"}, "scores CSV needs columns dataset, model, acc",
+        lambda row: EvalRecord(
+            dataset_id=row["dataset"],
+            model_id=row["model"],
+            variant=row.get("variant") or None,
+            accuracy=as_fraction(row["acc"]),
+        ),
+    )
 
 
 # -- shipped reference fixtures -----------------------------------------------

@@ -4,7 +4,9 @@ Split provenance follows a strict three-tier priority: an official
 benchmark partition wins over a community split, which wins over a seeded
 ratio split generated here. Manifest versions are the SHA-256 of the
 canonical assignment payload, so identical splits always share a version
-no matter how the file was formatted.
+no matter how the file was formatted. A seeded split draws its shuffle
+with seeding.permutation, in pure Python, so its bytes do not depend on
+the installed numpy, and no split loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .apportion import largest_remainder
 from .artifact import SurgcurateError, read_json, write_atomic
 from .corpus import ClipRecord, CorpusIndex
 from .manifest import utc_now
-from .seeding import derive_seed
+from .seeding import derive_seed, permutation
 
 
 class SplitError(SurgcurateError):
@@ -81,8 +83,13 @@ def ratio_split(
     """Seeded video-level split with largest-remainder counts.
 
     Count ties resolve in the order Train > Val > Test. The id list is
-    canonicalized by sorting before the shuffle, so the result is a
-    function of the video *set*, the ratios, and the seed.
+    canonicalized by sorting, then shuffled by seeding.permutation(seed, n)
+    (SeedSequence -> PCG64 -> Fisher-Yates, the draw of numpy's
+    default_rng(seed).permutation written out without numpy), so the
+    result is a function of the video *set*, the ratios, and the seed,
+    whatever numpy version is installed. The seed must be an integer
+    >= 0: None or a non-integer raises TypeError, a negative seed
+    ValueError.
 
     `strata` (optional, off by default) maps video ids to labels; each
     stratum is then split independently at the same ratios, with the
@@ -112,11 +119,7 @@ def ratio_split(
         )
     n = len(ids)
     n_train, n_val, _ = split_counts_for(n, ratios)
-
-    import numpy as np  # here, not at module level: only this draw needs numpy
-
-    rng = np.random.default_rng(seed)
-    shuffled = [ids[i] for i in rng.permutation(n)]
+    shuffled = [ids[i] for i in permutation(seed, n)]
     assignment = {}
     for vid in shuffled[:n_train]:
         assignment[vid] = Split.TRAIN

@@ -279,6 +279,31 @@ _MALFORMED_INPUTS = {
         ["stats", "--corpus", "c.jsonl", "--out", "nodir/x.md"],
         "FileNotFoundError", "nodir",
     ),
+    "predictions-csv-not-utf8": (
+        {"p.csv": b"sample_id,predicted,label\ns1,\xff,x\n"},
+        ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m"],
+        "MetricsError", "p.csv:2",
+    ),
+    "scores-csv-not-utf8": (
+        {"s.csv": b"dataset,model,variant,acc\ncholec80,m,,50\ncholec80,n,,\xfe\n"},
+        ["report", "--scores", "s.csv"],
+        "MetricsError", "s.csv:3",
+    ),
+    "scores-acc-not-a-number": (
+        {"s.csv": "dataset,model,variant,acc\ncholec80,m,,abc\n"},
+        ["report", "--scores", "s.csv"],
+        "MetricsError", "s.csv:2",
+    ),
+    "scores-row-without-acc": (
+        {"s.csv": "dataset,model,variant,acc\ncholec80,m,,50\ncholec80,n\n"},
+        ["report", "--scores", "s.csv"],
+        "MetricsError", "s.csv:3",
+    ),
+    "predictions-field-past-the-csv-limit": (
+        {"p.csv": "sample_id,predicted,label\ns1,x,x\ns2," + "y" * 200_000 + ",x\n"},
+        ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m"],
+        "MetricsError", "p.csv:3",
+    ),
     "evaluate-out-in-missing-dir": (
         {"p.csv": "sample_id,predicted,label\ns1,x,x\n"},
         ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m", "--out", "nodir/x.csv"],

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surgcurate.apportion import format_points, round_to_points
+from surgcurate.artifact import forget_digests, noted_digest
 from surgcurate.corpus import UnknownDataset
 from surgcurate.metrics import (
     ColumnMismatch,
@@ -14,6 +16,7 @@ from surgcurate.metrics import (
     EmptyEvaluation,
     EvalRecord,
     InconsistentAccuracy,
+    MetricsError,
     MissingDomain,
     MissingVariant,
     Prediction,
@@ -30,6 +33,8 @@ from surgcurate.metrics import (
     model_delta,
     overall_macro,
     prompt_delta,
+    read_predictions_csv,
+    read_scores_csv,
     worst_domain,
 )
 
@@ -244,3 +249,26 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(ScoreTable("", "r", [], []), format="html")
+
+
+class TestCsvReaders:
+    def test_rows_split_as_the_csv_module_splits_a_file_opened_with_newline_empty(self, tmp_path):
+        """CRLF and lone-CR line ends, and line ends inside quoted fields."""
+        path = tmp_path / "p.csv"
+        path.write_bytes(b'sample_id,predicted,label\r\ns1,x,x\r\n"s\r\n2",y,x\rs3,z,"z\nq"\n\n')
+        assert read_predictions_csv(path) == [
+            Prediction("s1", "x", "x"), Prediction("s\r\n2", "y", "x"), Prediction("s3", "z", "z\nq"),
+        ]
+
+    def test_the_bytes_read_are_the_digest_noted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"dataset,model,variant,acc\ncholec80,m,,50.5\n")
+        forget_digests()
+        assert read_scores_csv(path) == [EvalRecord("cholec80", "m", None, accuracy=Fraction(101, 2))]
+        assert noted_digest("read", path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_missing_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("sample_id,label\ns1,x\n", encoding="utf-8")
+        with pytest.raises(MetricsError, match="p.csv: predictions CSV needs columns"):
+            read_predictions_csv(path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surgcurate.corpus import ClipRecord
-from surgcurate.seeding import derive_seed
+from surgcurate.seeding import derive_seed, permutation
 from surgcurate.splits import (
     EmptyDataset,
     Split,
@@ -123,6 +123,46 @@ class TestRatioSplit:
         again = ratio_split(ids, seed=seed)
         assert assignment == again
         assert version_manifest(assignment) == version_manifest(again)
+
+
+#: (seed, n) -> numpy.random.default_rng(seed).permutation(n), recorded
+#: with numpy 2.4; literals, so the split draw stays pinned whatever numpy
+#: is installed, or none.
+_KNOWN_PERMUTATIONS = {
+    (0, 10): [4, 6, 2, 7, 3, 5, 9, 0, 8, 1],
+    (2**32 - 1, 12): [1, 4, 0, 6, 8, 7, 10, 3, 11, 5, 2, 9],
+    (2**32, 12): [0, 7, 1, 11, 3, 10, 4, 6, 9, 8, 2, 5],
+    (2**64 - 1, 9): [8, 7, 3, 0, 4, 6, 1, 2, 5],
+    (2**200 + 1, 8): [6, 2, 4, 3, 1, 5, 7, 0],
+    (derive_seed(7, "split-cholec80"), 16): [14, 13, 1, 7, 9, 2, 10, 0, 4, 8, 6, 11, 15, 5, 3, 12],
+}
+
+
+class TestSplitDraw:
+    @pytest.mark.parametrize("seed, n", _KNOWN_PERMUTATIONS)
+    def test_known_permutations(self, seed, n):
+        assert permutation(seed, n) == _KNOWN_PERMUTATIONS[seed, n]
+
+    def test_known_paper_scale_versions(self):
+        """The manifest versions numpy's draw gave for the paper's 10,535
+        videos at the split-web-edu seed of root 7, and for 8:1:1 over 101."""
+        ids = [f"v{i:05d}" for i in range(10535)]
+        manifest = generate_split_manifest(
+            "web-edu", ids, seed=derive_seed(7, "split-web-edu"), created_at="2026-01-01T00:00:00+00:00"
+        )
+        assert manifest.version == "67bb98931be5751d4faa5ddf9459126ed8108dfe136931c3b89703bbaac13ab6"
+        assert version_manifest(ratio_split(ids[:101], ratios=(8, 1, 1), seed=0)) == (
+            "f2d14aee9dc53daa9b10a01fab7f76d7454fcf74c75ea982647c099c5537e497"
+        )
+
+    @pytest.mark.parametrize("seed", [None, 1.0, "7"])
+    def test_seed_that_is_not_an_integer_is_a_type_error(self, seed):
+        with pytest.raises(TypeError):
+            ratio_split(["a", "b", "c"], seed=seed)
+
+    def test_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ratio_split(["a", "b", "c"], seed=-1)
 
 
 class TestVersioning:

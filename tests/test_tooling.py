@@ -1,6 +1,6 @@
 """Guards on the names the package exposes: the benchmark tooling reaches
 into the package by name, every export needs a user outside the tests, and
-the numpy-backed layers load only when a command uses them."""
+the numpy-backed layers and metrics load only when a command uses them."""
 
 import ast
 import importlib
@@ -111,9 +111,7 @@ def _every_command(tmp_path) -> list[tuple[str, list[str]]]:
 def test_commands_hash_each_file_in_the_pass_that_used_it(tmp_path, monkeypatch):
     """The run manifests take every fingerprint from the pass that read or
     wrote the file: fingerprint_file, which --trace 1 reports as
-    manifest.fingerprint, hashes only the files that no shared reader
-    reads. Those are evaluate's predictions CSV and report's score CSVs,
-    which the csv module reads."""
+    manifest.fingerprint, hashes no file after any command body."""
     hashed = []
     fingerprint = manifest.fingerprint_file
     monkeypatch.setattr(manifest, "fingerprint_file", lambda path: hashed.append(Path(path).name) or fingerprint(path))
@@ -123,10 +121,7 @@ def test_commands_hash_each_file_in_the_pass_that_used_it(tmp_path, monkeypatch)
         result = CliRunner().invoke(cli.main, argv, env={})
         assert result.exit_code == 0, result.output
         per_command[label] = sorted(hashed)
-    assert {label: files for label, files in per_command.items() if files} == {
-        "evaluate": ["preds.csv"],
-        "report": ["scores.csv"],
-    }
+    assert {label: files for label, files in per_command.items() if files} == {}
 
 
 #: (command, option) declared for a command whose body does not read it -> why it stays.
@@ -173,29 +168,36 @@ def test_every_declared_option_is_read_by_its_command(tmp_path, monkeypatch):
 
 
 #: Runs each argv of the JSON list in argv[1] in one fresh process and
-#: prints, after each, whether numpy has been imported.
-_NUMPY_PROBE = """
+#: prints, after each, whether numpy and surgcurate.metrics have been imported.
+_IMPORT_PROBE = """
 import json, sys
 from surgcurate import cli, manifest
 loaded = []
 for argv in json.loads(sys.argv[1]):
     cli.main.main(args=argv, prog_name="surgcurate", standalone_mode=False)
-    loaded.append("numpy" in sys.modules)
+    loaded.append(["numpy" in sys.modules, "surgcurate.metrics" in sys.modules])
 print(json.dumps(loaded))
 """
 
 
 def test_record_commands_run_without_numpy(tmp_path):
-    """split verify, stats, evaluate and report import no numpy; cluster,
-    run after them in the same process, does."""
+    """Every tier of split, split verify, stats, evaluate and report import
+    no numpy, and only evaluate and report import metrics; cluster, run
+    after them in the same process, imports numpy."""
     paths = write_fixture_corpus(tmp_path, dim=8)
     corpus, split = str(paths["corpus"]), str(tmp_path / "split.json")
-    result = CliRunner().invoke(cli.main, ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", split], env={})
-    assert result.exit_code == 0, result.output
+    videos = [f"v{i}" for i in range(6)]
+    (tmp_path / "videos.txt").write_text("\n".join(videos) + "\n", encoding="utf-8")
+    (tmp_path / "strata.json").write_text(json.dumps({v: v < "v3" for v in videos}), encoding="utf-8")
+    (tmp_path / "official.json").write_text(json.dumps({"v1": "train", "v2": "test"}), encoding="utf-8")
     preds = tmp_path / "preds.csv"
     preds.write_text("sample_id,predicted,label\ns1,x,x\ns2,y,x\n", encoding="utf-8")
     scores = str(tmp_path / "scores.csv")
     commands = [
+        ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", split],
+        ["split", "--dataset", "d", "--videos", str(tmp_path / "videos.txt"),
+         "--stratify-by", str(tmp_path / "strata.json"), "--out", str(tmp_path / "s2.json")],
+        ["split", "--dataset", "d", "--official", str(tmp_path / "official.json"), "--out", str(tmp_path / "s3.json")],
         ["split", "verify", "--manifest", split, "--corpus", corpus],
         ["stats", "--corpus", corpus, "--scale-comparison", "--out", str(tmp_path / "stats.md")],
         ["evaluate", "--predictions", str(preds), "--dataset", "cholec80", "--model", "m", "--out", scores],
@@ -204,23 +206,42 @@ def test_record_commands_run_without_numpy(tmp_path):
     ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+    numpy, metrics = zip(*json.loads(proc.stdout.splitlines()[-1]))
+    assert numpy == (False,) * 7 + (True,)
+    assert metrics == (False,) * 5 + (True,) * 3
 
 
-def _module_names(tree: ast.Module) -> set[str]:
-    """Names a file binds to a module: `import m`, and a package module taken
-    by `from surgcurate import m` or `from . import m`."""
-    names = set()
+def _module_names(tree: ast.Module) -> dict[str, str]:
+    """Names a file binds to a module -> that module: `import m` (and
+    `import m as n`), and a package module taken by `from surgcurate import m`
+    or `from . import m`."""
+    names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            names |= {alias.asname or alias.name.partition(".")[0]: alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("surgcurate", 0), (None, 1)):
-            names |= {alias.asname or alias.name for alias in node.names if (PACKAGE / f"{alias.name}.py").exists()}
+            names |= {
+                alias.asname or alias.name: f"surgcurate.{alias.name}"
+                for alias in node.names if (PACKAGE / f"{alias.name}.py").exists()
+            }
     return names
+
+
+def test_only_the_array_layers_import_numpy():
+    """numpy is a dependency of the layers that hold arrays (and of the
+    synthetic fixtures), not of the record commands' modules."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        modules = [*_module_names(tree).values()]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+        if any(module.partition(".")[0] == "numpy" for module in modules):
+            importers.append(path.stem)
+    assert importers == ["clustering", "curation", "mixer", "store", "synthetic"]
 
 
 def _references(path: Path):

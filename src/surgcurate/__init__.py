@@ -48,10 +48,10 @@ from .splits import (
     version_manifest,
 )
 
-#: Exports of the numpy-backed layers and of metrics -> their module,
-#: imported on first access (PEP 562), so `import surgcurate` and the
-#: commands that never touch an array do not load numpy, and only the
-#: commands that score or report import metrics.
+#: Exports of the numpy-backed layers, of the store file format and of
+#: metrics -> their module, imported on first access (PEP 562), so `import
+#: surgcurate` and the commands that never touch an array do not load numpy,
+#: and only the commands that score or report import metrics.
 _LAZY = {
     "ClusterModel": "clustering",
     "ClusterTree": "clustering",
@@ -86,15 +86,15 @@ _LAZY = {
     "expected_clinical_fraction": "mixer",
     "sample_stream": "mixer",
     "write_batch_manifest": "mixer",
-    "BadMagic": "store",
-    "ChecksumMismatch": "store",
     "EmbeddingMatrix": "store",
-    "NonFiniteValue": "store",
-    "SizeMismatch": "store",
-    "ZeroRow": "store",
     "l2_normalize": "store",
     "read_store": "store",
     "write_store": "store",
+    "BadMagic": "storefile",
+    "ChecksumMismatch": "storefile",
+    "NonFiniteValue": "storefile",
+    "SizeMismatch": "storefile",
+    "ZeroRow": "storefile",
 }
 
 

@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from .apportion import as_fraction, format_points
-from .artifact import SurgcurateError, forget_digests, read_json, read_lines, write_atomic
+from .artifact import SurgcurateError, forget_digests, read_json, write_atomic
 from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
     CorpusIndex,
@@ -45,17 +45,20 @@ from .splits import (
     generate_split_manifest,
     make_manifest,
     parse_ratios,
+    read_video_list,
     resolve_tier,
     verify_disjoint,
 )
 
-#: Names of the numpy-backed layers and of metrics -> their module,
-#: imported on first access (PEP 562), so split, split verify, stats,
-#: evaluate and report start without numpy, and only evaluate and report
-#: import metrics. Command bodies read them as attributes of this module
-#: (`_cli.read_store`), so a name rebound on the module takes effect.
+#: Names of the store, numpy-backed and metrics layers -> their module,
+#: imported on first access (PEP 562), so ingest (storefile), split, split
+#: verify, stats, evaluate and report run without numpy, and only evaluate
+#: and report import metrics. Command bodies read them as attributes of this
+#: module (`_cli.read_store`), so a name rebound on the module takes effect.
+#: No command calls write_store; it stays resolvable here for the callers
+#: that rebind it by name.
 _LAZY = {
-    "ingest_raw_blobs": "store",
+    "ingest_raw_blobs": "storefile",
     "write_store": "store",
     "read_store": "store",
     "l2_normalize": "store",
@@ -209,9 +212,8 @@ def ingest(cfg, blobs, ids, out):
     """Build one embedding store from raw f32 blobs plus an id list."""
     blob_dir = _require(blobs, "blob directory")
     id_file = _require(ids, "id list")
-    matrix = _cli.ingest_raw_blobs(blob_dir, id_file, cfg["dim"])
-    _cli.write_store(matrix, out)
-    click.echo(f"ingested {matrix.n_rows} rows of dim {matrix.dim} -> {out}")
+    n_rows = _cli.ingest_raw_blobs(blob_dir, id_file, cfg["dim"], out)
+    click.echo(f"ingested {n_rows} rows of dim {cfg['dim']} -> {out}")
     return Provenance(out, sorted(p for p in blob_dir.iterdir() if p.is_file()) + [id_file])
 
 
@@ -314,7 +316,7 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
         if videos is not None:
             video_file = _require(videos, "video list")
             inputs.append(video_file)
-            video_ids = read_lines(video_file, SplitError)
+            video_ids = read_video_list(video_file)
         elif corpus_path is not None:
             corpus_file = _require(corpus_path, "corpus manifest")
             inputs.append(corpus_file)

@@ -269,16 +269,26 @@ def emit_report(tables: ScoreTable | Iterable[ScoreTable], format: str = "markdo
 def _read_csv(path: str | Path, required: set[str], message: str, build: Callable[[dict[str, str]], T]) -> list[T]:
     """build(row) for each row of a UTF-8 CSV file with the `required`
     columns, read and hashed in one pass (artifact.read_text). Text that is
-    not UTF-8, that the csv module rejects, or a row build raises
-    ValueError or TypeError on, is a MetricsError naming path:line;
-    missing columns raise MetricsError(f"{path}: {message}")."""
-    reader = csv.DictReader(io.StringIO(read_text(path, MetricsError), newline=""))
+    not UTF-8, that the csv module rejects, a row whose field count is not
+    the header's, or a row build raises ValueError or TypeError on, is a
+    MetricsError naming path:line; missing columns raise
+    MetricsError(f"{path}: {message}"). Blank lines are skipped, as
+    csv.DictReader skips them; `row` maps each header field to its value."""
+    rows = csv.reader(io.StringIO(read_text(path, MetricsError), newline=""))
     try:
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        header = next(rows, None)
+        if header is None or not required <= set(header):
             raise MetricsError(f"{path}: {message}")
-        return [build(row) for row in reader]
+        width, built = len(header), []
+        for row in rows:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise MetricsError(f"{path}:{rows.line_num}: {len(row)} fields where the header has {width}")
+            built.append(build(dict(zip(header, row))))
+        return built
     except (csv.Error, ValueError, TypeError) as exc:
-        raise MetricsError(f"{path}:{reader.reader.line_num}: {type(exc).__name__}: {exc}") from exc
+        raise MetricsError(f"{path}:{rows.line_num}: {type(exc).__name__}: {exc}") from exc
 
 
 def read_predictions_csv(path: str | Path) -> list[Prediction]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .apportion import largest_remainder
-from .artifact import SurgcurateError, read_json, write_atomic
+from .artifact import SurgcurateError, read_json, read_text, write_atomic
 from .corpus import ClipRecord, CorpusIndex
 from .manifest import utc_now
 from .seeding import derive_seed, permutation
@@ -74,6 +74,24 @@ def parse_ratios(text: str) -> tuple[int, int, int]:
     return ratios  # type: ignore[return-value]
 
 
+def read_video_list(path: str | Path) -> list[str]:
+    """The video ids of a UTF-8 list file, one per line, blank lines
+    skipped, read and hashed in one pass (artifact.read_text). Text that is
+    not UTF-8, or an id listed a second time, is a SplitError naming
+    path:line."""
+    ids: list[str] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(read_text(path, SplitError).splitlines(), start=1):
+        vid = line.strip()
+        if not vid:
+            continue
+        if vid in seen:
+            raise SplitError(f"{path}:{lineno}: video id {vid!r} is listed twice")
+        seen.add(vid)
+        ids.append(vid)
+    return ids
+
+
 def ratio_split(
     video_ids: Sequence[str],
     ratios: Sequence[int] = DEFAULT_RATIOS,
@@ -87,7 +105,8 @@ def ratio_split(
     (SeedSequence -> PCG64 -> Fisher-Yates, the draw of numpy's
     default_rng(seed).permutation written out without numpy), so the
     result is a function of the video *set*, the ratios, and the seed,
-    whatever numpy version is installed. The seed must be an integer
+    whatever numpy version is installed. An id listed twice is a
+    SplitError naming the first one repeated. The seed must be an integer
     >= 0: None or a non-integer raises TypeError, a negative seed
     ValueError.
 
@@ -99,7 +118,11 @@ def ratio_split(
     if not ids:
         raise EmptyDataset("cannot split zero videos")
     if len(set(ids)) != len(ids):
-        raise ValueError("video ids must be unique")
+        seen: set[str] = set()
+        for vid in video_ids:
+            if vid in seen:
+                raise SplitError(f"video id {vid!r} is listed twice")
+            seen.add(vid)
 
     if strata is not None:
         missing = [v for v in ids if v not in strata]

@@ -1,28 +1,23 @@
-"""Bit-exact binary storage of per-clip embedding vectors.
+"""The array layer of the SURGEMB1 embedding store: an EmbeddingMatrix
+in memory, its readers, and L2 normalisation.
 
-File layout (all integers little-endian):
-
-    8 bytes   magic "SURGEMB1"
-    u64       n_rows
-    u64       dim
-    f32[...]  row-major payload, n_rows * dim values
-    id table  n_rows entries of (u32 byte length, UTF-8 clip id)
-    32 bytes  SHA-256 of all preceding bytes
-
+The file format (layout, constants, typed errors, id table), its one
+writer and the numpy-free ingest live in storefile; this module re-exports
+the errors and its write_store(matrix, path) calls storefile's writer.
 Stores are write-once and then shared read-only. Identical matrices
 produce byte-identical files.
 
-Reading, ingesting and normalising hold one f32 copy of the payload plus
-bounded temporaries: files are read straight into the one array,
-normalising rescales that array in place, and whole-matrix passes walk the
-rows in blocks of ROW_BLOCK rows. read_store and the streamed pass share
-one parser, StoreReader. The stream (StoreReader.blocks, which curate
-reads) holds no payload copy: one ROW_BLOCK-row f32 buffer, scanned,
-normalised and handed on one block at a time.
+Reading and normalising hold one f32 copy of the payload plus bounded
+temporaries: files are read straight into the one array, normalising
+rescales that array in place, and whole-matrix passes walk the rows in
+blocks of ROW_BLOCK rows. read_store and the streamed pass share one
+parser, StoreReader. The stream (StoreReader.blocks, which curate reads)
+holds no payload copy: one ROW_BLOCK-row f32 buffer, scanned, normalised
+and handed on one block at a time.
 
-Every store file and every blob is hashed whole as it is read or written,
-and that SHA-256 is noted for the run manifest (artifact.note_digest), so a
-command hashes each of those bytes once.
+Every store file is hashed whole as it is read or written, and that
+SHA-256 is noted for the run manifest (artifact.note_digest), so a command
+hashes each of those bytes once.
 """
 
 from __future__ import annotations
@@ -36,12 +31,23 @@ from typing import Iterator
 
 import numpy as np
 
-from .artifact import SurgcurateError, note_digest, read_lines, write_atomic
+from .artifact import note_digest
+from .storefile import (  # the errors are re-exported
+    CHECKSUM_BYTES,
+    HEADER_BYTES,
+    MAGIC,
+    BadMagic,
+    BadRowId,
+    ChecksumMismatch,
+    DuplicateRowId,
+    NonFiniteValue,
+    SizeMismatch,
+    StoreError,
+    ZeroRow,
+    decode_id_table,
+    write_store_file,
+)
 
-MAGIC = b"SURGEMB1"
-HEADER_BYTES = len(MAGIC) + 16
-CHECKSUM_BYTES = 32
-DEFAULT_DIM = 768
 _MAX_AXIS = np.iinfo(np.intp).max // 4  # the longest f32 axis numpy can shape
 _READ_BLOCK = 1 << 22  # bytes hashed per payload read
 #: Rows per block of a whole-matrix pass (1.5 MiB of f64 at d = 768). Kept
@@ -54,44 +60,6 @@ def row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """(start, end) spans of ROW_BLOCK rows covering range(n), in order."""
     for s in range(0, n, ROW_BLOCK):
         yield s, min(s + ROW_BLOCK, n)
-
-
-class StoreError(SurgcurateError):
-    """Base for embedding-store failures."""
-
-
-class BadMagic(StoreError):
-    pass
-
-
-class SizeMismatch(StoreError):
-    pass
-
-
-class ChecksumMismatch(StoreError):
-    pass
-
-
-class NonFiniteValue(StoreError):
-    def __init__(self, row: int, clip_id: str | None = None):
-        self.row = row
-        self.clip_id = clip_id
-        ident = f" ({clip_id})" if clip_id else ""
-        super().__init__(f"non-finite value in row {row}{ident}")
-
-
-class ZeroRow(StoreError):
-    def __init__(self, row: int):
-        self.row = row
-        super().__init__(f"row {row} is all zeros and cannot be normalized")
-
-
-class DuplicateRowId(StoreError):
-    pass
-
-
-class BadRowId(StoreError):
-    """A row id in the id table is not valid UTF-8."""
 
 
 @dataclass
@@ -130,20 +98,8 @@ class EmbeddingMatrix:
 def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
     """Serialize a validated matrix; byte-identical for identical input."""
     matrix.validate_finite()
-    hasher = hashlib.sha256()
-
-    def chunks():
-        """Header, payload, one chunk per id, then the checksum: the digest
-        write_atomic has taken of the chunks before it."""
-        header = MAGIC + matrix.n_rows.to_bytes(8, "little") + matrix.dim.to_bytes(8, "little")
-        ids = (len(raw).to_bytes(4, "little") + raw for raw in (rid.encode("utf-8") for rid in matrix.row_ids))
-        payload = np.ascontiguousarray(matrix.data, dtype="<f4").reshape(-1).view(np.uint8)
-        yield header
-        yield payload
-        yield from ids
-        yield hasher.digest()
-
-    return write_atomic(path, chunks(), hasher)
+    payload = np.ascontiguousarray(matrix.data, dtype="<f4").reshape(-1).view(np.uint8)
+    return write_store_file(path, matrix.dim, payload, matrix.row_ids)
 
 
 class StoreReader:
@@ -224,24 +180,7 @@ class StoreReader:
         self._hasher.update(checksum)
         note_digest("read", self.path, self._hasher.hexdigest())
 
-        row_ids: list[str] = []
-        offset = 0
-        for _ in range(self.n_rows):
-            if len(table) < offset + 4:
-                raise SizeMismatch(f"{self.path}: id table truncated")
-            length = int.from_bytes(table[offset : offset + 4], "little")
-            offset += 4
-            if len(table) < offset + length:
-                raise SizeMismatch(f"{self.path}: id table truncated")
-            try:
-                row_ids.append(table[offset : offset + length].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise BadRowId(f"{self.path}: id of row {len(row_ids)} is not UTF-8 ({exc.reason})") from exc
-            offset += length
-        if offset != len(table):
-            raise SizeMismatch(f"{self.path}: {len(table) - offset} unexpected trailing bytes")
-        if len(set(row_ids)) != len(row_ids):
-            raise DuplicateRowId(f"{self.path}: row ids must be unique")
+        row_ids = decode_id_table(table, self.n_rows, self.path)
         if self._nonfinite is not None:
             raise NonFiniteValue(self._nonfinite, row_ids[self._nonfinite])
         if self._zero is not None:
@@ -318,40 +257,4 @@ def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
         zero = _normalize_rows(matrix.data[s:e])
         if zero is not None:
             raise ZeroRow(s + zero)
-    return matrix
-
-
-def ingest_raw_blobs(
-    blob_dir: str | Path, id_file: str | Path, dim: int = DEFAULT_DIM
-) -> EmbeddingMatrix:
-    """Assemble one matrix from a directory of raw little-endian f32 blobs.
-
-    Blob files are concatenated in sorted filename order; each file must
-    hold a whole number of dim-sized rows. The sidecar id file lists one
-    clip id per row, in the same order. Each blob is hashed from the rows
-    it was read into, and its SHA-256 noted for the run manifest.
-    """
-    blob_dir = Path(blob_dir)
-    files = sorted(p for p in blob_dir.iterdir() if p.is_file())
-    if not files:
-        raise SizeMismatch(f"{blob_dir}: no blob files found")
-    sizes = [p.stat().st_size for p in files]
-    for p, size in zip(files, sizes):
-        if size % (4 * dim) != 0:
-            raise SizeMismatch(f"{p}: size {size} is not a multiple of {4 * dim}")
-    data = np.empty((sum(sizes) // (4 * dim), dim), dtype="<f4")
-    raw = data.reshape(-1).view(np.uint8)
-    offset = 0
-    for p, size in zip(files, sizes):
-        block = raw[offset : offset + size]
-        with open(p, "rb") as fh:
-            if fh.readinto(block) != size:
-                raise SizeMismatch(f"{p}: changed size while it was read")
-        note_digest("read", p, hashlib.sha256(block).hexdigest())
-        offset += size
-    row_ids = read_lines(id_file, StoreError)
-    if len(row_ids) != data.shape[0]:
-        raise SizeMismatch(f"{len(row_ids)} ids for {data.shape[0]} embedding rows")
-    matrix = EmbeddingMatrix(data, row_ids)
-    matrix.validate_finite()
     return matrix

@@ -221,6 +221,26 @@ _MALFORMED_INPUTS = {
         ["split", "--dataset", "d", "--videos", "v.txt", "--out", "m.json"],
         "SplitError", "v.txt:3",
     ),
+    "video-list-repeats-an-id": (
+        {"v.txt": "v1\nv2\n\nv1\nv2\n"},
+        ["split", "--dataset", "d", "--videos", "v.txt", "--out", "m.json"],
+        "SplitError", "v.txt:4: video id 'v1' is listed twice",
+    ),
+    "predictions-row-missing-a-field": (
+        {"p.csv": "sample_id,predicted,label\ns1,x,x\ns2,x\n"},
+        ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m"],
+        "MetricsError", "p.csv:3",
+    ),
+    "predictions-row-with-an-extra-field": (
+        {"p.csv": "sample_id,predicted,label\ns1,x,x,x\n"},
+        ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m"],
+        "MetricsError", "p.csv:2",
+    ),
+    "scores-row-with-an-extra-field": (
+        {"s.csv": "dataset,model,variant,acc\ncholec80,m,,50\ncholec80,m2,,50,9\n"},
+        ["report", "--scores", "s.csv"],
+        "MetricsError", "s.csv:3",
+    ),
     "split-manifest-without-assignment": (
         {"m.json": '{"dataset_id": "d", "tier": "Ours", "version": "", "created_at": ""}', "c.jsonl": ""},
         ["split", "verify", "--manifest", "m.json", "--corpus", "c.jsonl"],

@@ -267,6 +267,23 @@ class TestCsvReaders:
         assert read_scores_csv(path) == [EvalRecord("cholec80", "m", None, accuracy=Fraction(101, 2))]
         assert noted_digest("read", path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize(
+        "rows, line, fields",
+        [("s1,x,x\ns2,x\n", 3, 2), ("s1,x,x,y\n", 2, 4), ("s1,x,x\n\n\"s\n2\",y,x,\n", 5, 4)],
+        ids=["short-row", "long-row", "long-row-after-a-blank-and-a-quoted-line-end"],
+    )
+    def test_a_row_whose_field_count_is_not_the_headers_names_its_line(self, tmp_path, rows, line, fields):
+        path = tmp_path / "p.csv"
+        path.write_text("sample_id,predicted,label\n" + rows, encoding="utf-8")
+        with pytest.raises(MetricsError, match=f"p.csv:{line}: {fields} fields where the header has 3$"):
+            read_predictions_csv(path)
+
+    def test_a_scores_row_with_an_extra_field_is_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("dataset,model,variant,acc\ncholec80,m,,50.5,7\n", encoding="utf-8")
+        with pytest.raises(MetricsError, match="s.csv:2: 5 fields where the header has 4$"):
+            read_scores_csv(path)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("sample_id,label\ns1,x\n", encoding="utf-8")

@@ -66,8 +66,8 @@ class TestRatioSplit:
             ratio_split([], seed=0)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_split(["a", "a", "b"], seed=0)
+        with pytest.raises(SplitError, match="^video id 'b' is listed twice$"):
+            ratio_split(["c", "b", "a", "b", "c"], seed=0)
 
     def test_seed_determinism_and_set_semantics(self):
         ids = [f"v{i}" for i in range(20)]

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from surgcurate import store
+from surgcurate import store, storefile
+from surgcurate.artifact import forget_digests, noted_digest
 from surgcurate.store import (
     BadMagic,
     BadRowId,
@@ -19,11 +20,12 @@ from surgcurate.store import (
     SizeMismatch,
     StoreError,
     ZeroRow,
-    ingest_raw_blobs,
     l2_normalize,
     read_store,
     write_store,
 )
+
+from surgcurate.storefile import first_nonfinite_row, ingest_raw_blobs
 
 from .oracles import l2_normalize_reference
 
@@ -247,26 +249,103 @@ class TestNormalize:
         assert np.array_equal(before, after)
 
 
+def _blobs(tmp_path, *blobs: bytes, ids="c0\nc1\nc2\n"):
+    """A blob directory holding a.f32, b.f32, ... and an id list."""
+    blob_dir = tmp_path / "blobs"
+    blob_dir.mkdir()
+    for name, blob in zip("abcdefgh", blobs):
+        (blob_dir / f"{name}.f32").write_bytes(blob)
+    id_file = tmp_path / "ids.txt"
+    id_file.write_bytes(ids if isinstance(ids, bytes) else ids.encode("utf-8"))
+    return blob_dir, id_file
+
+
+def _rows(*rows) -> bytes:
+    return np.array(rows, dtype="<f4").tobytes()
+
+
+#: u32 bit patterns of LE f32 values at the edges of the NaN/Inf test: +-Inf,
+#: quiet and signalling NaNs with either sign and with payloads, the largest
+#: finite magnitudes, exponents one short of all ones, subnormals and +-0.0.
+_EDGE_BITS = [
+    0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF,
+    0x7FA5A5A5, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F000000, 0xFF000000, 0x7F00FFFF, 0x00000001, 0x807FFFFF,
+    0x00000000, 0x80000000, 0x3F800000,
+]
+
+
 class TestIngest:
     def test_raw_blob_assembly(self, tmp_path):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((10, 4)).astype(np.float32)
-        blob_dir = tmp_path / "blobs"
-        blob_dir.mkdir()
-        (blob_dir / "b.f32").write_bytes(data[6:].astype("<f4").tobytes())
-        (blob_dir / "a.f32").write_bytes(data[:6].astype("<f4").tobytes())
-        ids = tmp_path / "ids.txt"
-        ids.write_text("\n".join(f"c{i}" for i in range(10)), encoding="utf-8")
-        m = ingest_raw_blobs(blob_dir, ids, dim=4)
+        blob_dir, ids = _blobs(tmp_path, ids="\n".join(f"c{i}" for i in range(10)))
+        (blob_dir / "b.f32").write_bytes(data[6:].tobytes())
+        (blob_dir / "a.f32").write_bytes(data[:6].tobytes())
         # files concatenate in sorted name order: a.f32 then b.f32
-        assert np.array_equal(m.data, data)
-        assert m.row_ids == [f"c{i}" for i in range(10)]
+        assert ingest_raw_blobs(blob_dir, ids, 4, tmp_path / "s.semb") == 10
+        back = read_store(tmp_path / "s.semb")
+        assert back.data.tobytes() == data.tobytes()
+        assert back.row_ids == [f"c{i}" for i in range(10)]
 
-    def test_ragged_blob_rejected(self, tmp_path):
-        blob_dir = tmp_path / "blobs"
-        blob_dir.mkdir()
-        (blob_dir / "a.f32").write_bytes(b"\x00" * 10)
-        ids = tmp_path / "ids.txt"
-        ids.write_text("c0\n", encoding="utf-8")
-        with pytest.raises(SizeMismatch):
-            ingest_raw_blobs(blob_dir, ids, dim=4)
+    def test_the_store_is_the_one_write_store_writes(self, tmp_path):
+        m = _matrix(9, 5, seed=4)
+        blob_dir, ids = _blobs(tmp_path, m.data[:2].tobytes(), b"", m.data[2:].tobytes(), ids="\n".join(m.row_ids))
+        ingest_raw_blobs(blob_dir, ids, 5, tmp_path / "ingested.semb")
+        assert (tmp_path / "ingested.semb").read_bytes() == write_store(m, tmp_path / "written.semb").read_bytes()
+
+    def test_blobs_and_store_digests_are_noted(self, tmp_path):
+        blob_dir, ids = _blobs(tmp_path, _rows([1, 2]), _rows([3, 4], [5, 6]))
+        forget_digests()
+        ingest_raw_blobs(blob_dir, ids, 2, tmp_path / "s.semb")
+        for how, path in [("read", blob_dir / "a.f32"), ("read", blob_dir / "b.f32"), ("read", ids),
+                          ("written", tmp_path / "s.semb")]:
+            assert noted_digest(how, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "blobs, ids, error, message",
+        [
+            ((), "c0\n", SizeMismatch, "{dir}: no blob files found"),
+            ((b"\x00" * 10,), "c0\n", SizeMismatch, "{dir}/a.f32: size 10 is not a multiple of 8"),
+            ((_rows([1, 2]), _rows([3, 4])), "c0\nc1\nc2\n", SizeMismatch, "3 ids for 2 embedding rows"),
+            ((_rows([1, 2], [3, 4], [5, 6]),), "c0\nc1\nc0\n", DuplicateRowId, "row ids must be unique"),
+            ((_rows([1, 2]),), b"\xffc0\n", StoreError, "{ids}:1: UnicodeDecodeError: 'utf-8' codec can't decode "
+             "byte 0xff in position 0: invalid start byte"),
+            ((_rows([1, 2], [3, 4]), _rows([5, float("nan")])), "c0\nc1\nc2\n", NonFiniteValue,
+             "non-finite value in row 2 (c2)"),
+            # two defects each: the first check the parent made is the one raised
+            ((b"\x00" * 10,), b"\xff\n", SizeMismatch, "{dir}/a.f32: size 10 is not a multiple of 8"),
+            ((_rows([1, float("inf")]),), b"\xff\n", StoreError, "{ids}:1: UnicodeDecodeError"),
+            ((_rows([float("-inf"), 2]),), "c0\nc1\n", SizeMismatch, "2 ids for 1 embedding rows"),
+            ((_rows([1, 2], [float("nan"), 4]),), "c0\nc0\n", DuplicateRowId, "row ids must be unique"),
+        ],
+        ids=["no-blobs", "ragged-blob", "id-count", "duplicate-id", "ids-not-utf8", "nan-row",
+             "ragged-before-ids", "ids-before-inf", "id-count-before-inf", "duplicate-before-nan"],
+    )
+    def test_bad_input_is_the_typed_error_and_writes_nothing(self, tmp_path, blobs, ids, error, message):
+        blob_dir, id_file = _blobs(tmp_path, *blobs, ids=ids)
+        with pytest.raises(StoreError) as err:
+            ingest_raw_blobs(blob_dir, id_file, 2, tmp_path / "s.semb")
+        assert type(err.value) is error
+        assert str(err.value).startswith(message.format(dir=blob_dir, ids=id_file))
+        assert not (tmp_path / "s.semb").exists()
+
+    def test_a_nan_row_names_its_clip_id(self, tmp_path):
+        blob_dir, ids = _blobs(tmp_path, _rows([1, 2], [3, 4]), _rows([5, 6], [float("nan"), 8]), ids="a\nb\nc\nd\n")
+        with pytest.raises(NonFiniteValue) as err:
+            ingest_raw_blobs(blob_dir, ids, 2, tmp_path / "s.semb")
+        assert (err.value.row, err.value.clip_id) == (3, "d")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_byte_scan_finds_the_row_isfinite_finds(self, data):
+        """first_nonfinite_row on the payload bytes names the row that
+        store._first_nonfinite names on the array, for any bit patterns,
+        shape and scan block."""
+        n = data.draw(st.integers(0, 9))
+        dim = data.draw(st.integers(1, 7))
+        bits = st.one_of(st.sampled_from(_EDGE_BITS), st.integers(0, 2**32 - 1))
+        words = data.draw(hnp.arrays(np.dtype("<u4"), (n, dim), elements=bits))
+        rows = words.view("<f4")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(storefile, "_SCAN_BLOCK", data.draw(st.sampled_from([4, 8, 12, 1 << 20])))
+            assert first_nonfinite_row(rows.tobytes(), dim) == store._first_nonfinite(rows)

@@ -180,11 +180,13 @@ print(json.dumps(loaded))
 """
 
 
-def test_record_commands_run_without_numpy(tmp_path):
-    """Every tier of split, split verify, stats, evaluate and report import
-    no numpy, and only evaluate and report import metrics; cluster, run
-    after them in the same process, imports numpy."""
-    paths = write_fixture_corpus(tmp_path, dim=8)
+def test_ingest_and_record_commands_run_without_numpy(tmp_path):
+    """ingest, every tier of split, split verify, stats, evaluate and report
+    import no numpy, and only evaluate and report import metrics; cluster,
+    run after them in the same process on the store ingest wrote, imports
+    numpy."""
+    paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
+    store = str(tmp_path / "ingested.semb")
     corpus, split = str(paths["corpus"]), str(tmp_path / "split.json")
     videos = [f"v{i}" for i in range(6)]
     (tmp_path / "videos.txt").write_text("\n".join(videos) + "\n", encoding="utf-8")
@@ -194,6 +196,7 @@ def test_record_commands_run_without_numpy(tmp_path):
     preds.write_text("sample_id,predicted,label\ns1,x,x\ns2,y,x\n", encoding="utf-8")
     scores = str(tmp_path / "scores.csv")
     commands = [
+        ["ingest", "--blobs", str(paths["raw_blobs"]), "--ids", str(paths["raw_ids"]), "--dim", "8", "--out", store],
         ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", split],
         ["split", "--dataset", "d", "--videos", str(tmp_path / "videos.txt"),
          "--stratify-by", str(tmp_path / "strata.json"), "--out", str(tmp_path / "s2.json")],
@@ -202,7 +205,7 @@ def test_record_commands_run_without_numpy(tmp_path):
         ["stats", "--corpus", corpus, "--scale-comparison", "--out", str(tmp_path / "stats.md")],
         ["evaluate", "--predictions", str(preds), "--dataset", "cholec80", "--model", "m", "--out", scores],
         ["report", "--scores", scores, "--out", str(tmp_path / "report.md")],
-        ["cluster", "--store", str(paths["store"]), "--levels", "4", "--workers", "1", "--out", str(tmp_path / "t.sctree")],
+        ["cluster", "--store", store, "--levels", "4", "--workers", "1", "--out", str(tmp_path / "t.sctree")],
     ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -211,8 +214,8 @@ def test_record_commands_run_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     numpy, metrics = zip(*json.loads(proc.stdout.splitlines()[-1]))
-    assert numpy == (False,) * 7 + (True,)
-    assert metrics == (False,) * 5 + (True,) * 3
+    assert numpy == (False,) * 8 + (True,)
+    assert metrics == (False,) * 6 + (True,) * 3
 
 
 def _module_names(tree: ast.Module) -> dict[str, str]:

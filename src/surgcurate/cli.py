@@ -28,7 +28,6 @@ from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
     CorpusIndex,
     DomainMap,
-    VideoRecord,
     corpus_stats,
     inventory_report,
     read_corpus_manifest,
@@ -320,8 +319,8 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
         elif corpus_path is not None:
             corpus_file = _require(corpus_path, "corpus manifest")
             inputs.append(corpus_file)
-            records = read_corpus_manifest(corpus_file)
-            video_ids = [r.video_id for r in records if isinstance(r, VideoRecord) and r.dataset_id == dataset]
+            videos = read_corpus_manifest(corpus_file, clips=False)
+            video_ids = [v.video_id for v in videos if v.dataset_id == dataset]
         else:
             raise ConfigError("tier-Ours splits need --videos or --corpus")
         strata = None

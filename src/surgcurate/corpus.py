@@ -1,17 +1,21 @@
 """Corpus data model: videos, clips, sources, domains, and inventory stats.
 
 The corpus manifest is UTF-8 JSON-lines, one record per line, with a
-"kind" field discriminating video records from clip records. The line
-form write_corpus_manifest writes is read on a fast path; any other form
-gives the same records and errors through json's decoder. Everything
-in this module is a pure function over immutable records; a CorpusIndex
-is built once and then shared read-only.
+"kind" field discriminating video records from clip records. It is read
+in blocks of whole lines: one findall of a pattern for the line form
+write_corpus_manifest writes takes every line of a block. A file with a
+line in any other form is read again one line at a time, and gives the
+same records and errors through json's decoder. Records are named tuples;
+everything in this module is a pure function over them, and a
+CorpusIndex is built once and then shared read-only.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
+import itertools
 import json
 import math
 import re
@@ -20,12 +24,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .apportion import as_fraction
-from .artifact import SurgcurateError, decode_line, parse_lines, read_json, text_field, write_atomic
+from .artifact import (
+    SurgcurateError,
+    decode_line,
+    note_digest,
+    parse_lines,
+    read_json,
+    text_field,
+    write_atomic,
+)
 
 
 class CorpusError(SurgcurateError):
@@ -67,10 +78,7 @@ CLINICAL_DOMAINS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class VideoRecord:
-    """One source video of the corpus."""
-
+class _VideoFields(NamedTuple):
     video_id: str
     source: SourceStream
     dataset_id: str
@@ -79,17 +87,34 @@ class VideoRecord:
     fps: Fraction
     duration_s: float
 
-    def __post_init__(self) -> None:
-        if self.frame_count < 0:
-            raise ValueError(f"{self.video_id}: frame_count must be >= 0")
-        if self.fps.numerator <= 0:  # a Fraction's denominator is positive
-            raise ValueError(f"{self.video_id}: fps must be positive")
-        if self.duration_s < 0:
-            raise ValueError(f"{self.video_id}: duration_s must be >= 0")
+
+class VideoRecord(_VideoFields):
+    """One source video of the corpus.
+
+    Records are named tuples: immutable, and they unpack and compare equal
+    to a plain tuple of the same fields. Every way of making one (the call,
+    _make, _replace, unpickling) runs the checks of __new__."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, video_id: str, source: SourceStream, dataset_id: str, domain: Domain,
+        frame_count: int, fps: Fraction, duration_s: float,
+    ) -> "VideoRecord":
+        if frame_count < 0:
+            raise ValueError(f"{video_id}: frame_count must be >= 0")
+        if fps.numerator <= 0:  # a Fraction's denominator is positive
+            raise ValueError(f"{video_id}: fps must be positive")
+        if duration_s < 0:
+            raise ValueError(f"{video_id}: duration_s must be >= 0")
+        return tuple.__new__(cls, (video_id, source, dataset_id, domain, frame_count, fps, duration_s))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "VideoRecord":
+        return cls(*iterable)  # NamedTuple's own _make calls tuple.__new__, skipping the checks
 
 
-@dataclass(frozen=True, slots=True)
-class ClipRecord:
+class ClipRecord(NamedTuple):
     """A frame interval of a parent video; the unit of curation.
 
     Intervals within one video may overlap (sliding-window clipping is
@@ -139,6 +164,8 @@ class DomainMap:
 
     @classmethod
     def default(cls) -> "DomainMap":
+        from importlib import resources  # here, not at import: it costs every command's start-up
+
         return cls.from_file(resources.files("surgcurate.data").joinpath("domain_map.json"))
 
     @classmethod
@@ -359,6 +386,8 @@ def _format_scale(stats: CorpusStats) -> str:
 
 def scale_comparison_report(stats: CorpusStats, ours_label: str = "Ours") -> str:
     """Markdown table comparing this corpus against shipped reference scales."""
+    from importlib import resources  # see DomainMap.default
+
     text = resources.files("surgcurate.data").joinpath("pretraining_scale_reference.csv").read_text("utf-8")
     rows = list(csv.DictReader(text.splitlines()))
     lines = [
@@ -476,14 +505,23 @@ _VALUE_FORMS = {
 }
 
 
-def _line_pattern(record: Record) -> re.Pattern[str]:
+def _line_form(record: Record) -> str:
     doc = record_to_json(record)
     fields = (f'"{key}": ' + (f'"{doc[key]}"' if key == "kind" else _VALUE_FORMS[key]) for key in sorted(doc))
-    return re.compile(r"\{" + ", ".join(fields) + r"\}\n?")
+    return r"\{" + ", ".join(fields) + r"\}"
 
 
-_CLIP_LINE = _line_pattern(ClipRecord("", "", 0, 0))
-_VIDEO_LINE = _line_pattern(VideoRecord("", SourceStream.PRIVATE, "", Domain.MIXED, 0, Fraction(1), 0.0))
+#: One whole line in either form, with its newline: fullmatch takes a line,
+#: findall every line of a block, one match per line. A match fills the
+#: five clip groups (clip_id, embedding_row, end_frame, start_frame,
+#: video_id) or the seven video groups (dataset_id, domain, duration_s,
+#: fps, frame_count, source, video_id); a clip's embedding_row group is
+#: never empty.
+_RECORD_LINE = re.compile(
+    rf"^(?:{_line_form(ClipRecord('', '', 0, 0))}"
+    rf"|{_line_form(VideoRecord('', SourceStream.PRIVATE, '', Domain.MIXED, 0, Fraction(1), 0.0))})$\n?",
+    re.MULTILINE,
+)
 
 
 def _json_number(text: str) -> int | float:
@@ -492,38 +530,141 @@ def _json_number(text: str) -> int | float:
     return float(text) if text.strip("-0123456789") else int(text)
 
 
+_SOURCES = {member.value: member for member in SourceStream}
+_DOMAINS = {member.value: member for member in Domain}
+
+
+def _video(
+    dataset_id: str, domain: str, duration: str, fps: str, frame_count: str, source: str, video_id: str
+) -> VideoRecord:
+    """The video of a line's video groups; ValueError, KeyError or
+    OverflowError where record_from_json may give another outcome (a value
+    out of range, an unknown enum value, a failed record check)."""
+    duration_s = float(_json_number(duration))  # JSON -0 is the int 0, so 0.0
+    if not math.isfinite(duration_s):
+        raise ValueError(f"duration_s {duration} is not finite")
+    fps_value = _parse_fps(fps[1:-1] if fps[0] == '"' else _json_number(fps))
+    # the enum tables give what SourceStream(source) and Domain(domain) give a str
+    return VideoRecord(
+        sys.intern(video_id), _SOURCES[source], sys.intern(dataset_id), _DOMAINS[domain], int(frame_count), fps_value, duration_s
+    )
+
+
+def _parse_block(block: bytes, clips: bool, append: Callable[[Record], object]) -> None:
+    """Append the record of each line of a block of whole lines (the last
+    may lack its newline), or with clips=False of each video line, when
+    every line is in write_corpus_manifest's form; a clip line is checked
+    all the same. ValueError, KeyError or OverflowError where
+    record_from_json may give another outcome: a line in another form,
+    bytes that are not UTF-8, or a value _video or int rejects."""
+    lines = _RECORD_LINE.findall(block.decode("utf-8"))
+    if len(lines) != block.count(b"\n") + (not block.endswith(b"\n")):
+        raise ValueError("a line is not in the written form")
+    intern = sys.intern
+    for clip_id, row, end, start, video_id, dataset_id, domain, duration, fps, frame_count, source, vid in lines:
+        if not row:
+            append(_video(dataset_id, domain, duration, fps, frame_count, source, vid))
+        elif clips:
+            clip = (clip_id, intern(video_id), int(start), int(end), None if row == "null" else int(row))
+            append(tuple.__new__(ClipRecord, clip))
+        else:  # the conversions the clip would make, so that the outcome is the same
+            int(start), int(end), row == "null" or int(row)
+
+
 def _record_from_line(line: bytes) -> Record:
     """record_from_json(decode_line(line)): the same record, or the same
-    exception. A line in write_corpus_manifest's form is built from its
-    match; if that raises, the reference path gives the outcome."""
+    exception. A line in write_corpus_manifest's form is built by
+    _parse_block; if that raises, the reference path gives the outcome."""
+    records: list[Record] = []
     try:
-        text = line.decode("utf-8")
-        if (m := _CLIP_LINE.fullmatch(text)) is not None:
-            clip_id, row, end, start, video_id = m.groups()
-            return ClipRecord(clip_id, sys.intern(video_id), int(start), int(end), None if row == "null" else int(row))
-        if (m := _VIDEO_LINE.fullmatch(text)) is not None:
-            dataset_id, domain, duration, fps, frame_count, source, video_id = m.groups()
-            duration_s = float(_json_number(duration))  # JSON -0 is the int 0, so 0.0
-            if math.isfinite(duration_s):
-                return VideoRecord(
-                    video_id=sys.intern(video_id),
-                    source=SourceStream(source),
-                    dataset_id=sys.intern(dataset_id),
-                    domain=Domain(domain),
-                    frame_count=int(frame_count),
-                    fps=_parse_fps(fps[1:-1] if fps[0] == '"' else _json_number(fps)),
-                    duration_s=duration_s,
-                )
-    except (ValueError, OverflowError):  # bad UTF-8, int digit limit, enum, record checks, float range
+        _parse_block(line, True, records.append)
+        return records[0]
+    except (ValueError, KeyError, OverflowError):
         pass  # the reference path raises the error, if there is one
     return record_from_json(decode_line(line))
 
 
-def read_corpus_manifest(path: str | Path) -> list[Record]:
-    """Every record of a corpus manifest, one line at a time; a malformed
-    line raises ManifestParseError naming path:line."""
-    return list(parse_lines(path, ManifestParseError, _record_from_line))
+#: Bytes read at a time by read_corpus_manifest.
+_BLOCK = 1 << 16
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """A binary file's bytes in blocks of whole lines (the last one may
+    lack its newline), each at most _BLOCK bytes unless it holds a longer
+    line."""
+    rest = b""
+    while data := fh.read(_BLOCK - len(rest) if len(rest) < _BLOCK else len(rest)):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        rest = data[cut:]
+    if rest:
+        yield rest
+
+
+def read_corpus_manifest(path: str | Path, *, clips: bool = True) -> list[Record]:
+    """Every record of a corpus manifest, or with clips=False only its
+    video records (every clip line is still checked); a malformed line
+    raises ManifestParseError naming path:line.
+
+    The file is read in blocks of whole lines, each hashed and decoded
+    once, and one findall builds the records of a block (_parse_block). A
+    block with any other line (blank, CRLF, another JSON form, malformed),
+    bytes that are not UTF-8, or a value that does not convert sends the
+    whole file through the reference path instead: parse_lines, one line
+    at a time, with _record_from_line, which gives the records or the
+    error."""
+    records: list[Record] = []
+    hasher = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in _blocks(fh):
+                hasher.update(block)
+                _parse_block(block, clips, records.append)
+    except (ValueError, KeyError, OverflowError):  # as in _record_from_line
+        read = parse_lines(path, ManifestParseError, _record_from_line)
+        return list(read) if clips else [rec for rec in read if isinstance(rec, VideoRecord)]
+    note_digest("read", path, hasher.hexdigest())
+    return records
+
+
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _manifest_line(record: Record) -> str:
+    """json.dumps(record_to_json(record), sort_keys=True) + "\n", formatted
+    straight from the fields when each has a type the template writes as
+    json does: an exact str, int or finite float, a Fraction fps, the
+    enums. Any other value (a bool, a NaN, an int subclass) takes json.dumps.
+    An exact int or float formats as its __repr__, which is what json writes."""
+    if type(record) is ClipRecord:
+        clip_id, video_id, start, end, row = record
+        if type(clip_id) is type(video_id) is str and type(start) is type(end) is int and (row is None or type(row) is int):
+            return (
+                f'{{"clip_id": {_ascii(clip_id)}, "embedding_row": {"null" if row is None else row}, '
+                f'"end_frame": {end}, "kind": "clip", "start_frame": {start}, "video_id": {_ascii(video_id)}}}\n'
+            )
+    elif type(record) is VideoRecord:
+        video_id, source, dataset_id, domain, frame_count, fps, duration_s = record
+        if (
+            type(video_id) is type(dataset_id) is str
+            and type(source) is SourceStream
+            and type(domain) is Domain
+            and type(frame_count) is int
+            and type(fps) is Fraction
+            and (type(duration_s) is int or type(duration_s) is float and math.isfinite(duration_s))
+        ):
+            fps = _fps_to_json(fps)  # an int, or a "p/q" string
+            return (
+                f'{{"dataset_id": {_ascii(dataset_id)}, "domain": {_ascii(domain.value)}, "duration_s": {duration_s}, '
+                f'"fps": {_ascii(fps) if type(fps) is str else fps}, "frame_count": {frame_count}, "kind": "video", '
+                f'"source": {_ascii(source.value)}, "video_id": {_ascii(video_id)}}}\n'
+            )
+    return json.dumps(record_to_json(record), sort_keys=True) + "\n"
 
 
 def write_corpus_manifest(records: Iterable[Record], path: str | Path) -> None:
-    write_atomic(path, (json.dumps(record_to_json(rec), sort_keys=True) + "\n" for rec in records))
+    lines = map(_manifest_line, records)
+    # 1,024 lines to a chunk: write_atomic encodes, hashes and writes per chunk
+    write_atomic(path, iter(lambda: "".join(itertools.islice(lines, 1024)), ""))

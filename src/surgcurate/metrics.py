@@ -16,7 +16,6 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
@@ -317,6 +316,8 @@ def read_scores_csv(path: str | Path) -> list[EvalRecord]:
 
 
 def _data_text(name: str) -> str:
+    from importlib import resources  # here, not at import: it costs every command's start-up
+
     return resources.files("surgcurate.data").joinpath(name).read_text("utf-8")
 
 

@@ -19,7 +19,7 @@ from surgcurate.curation import CurationError
 from surgcurate.manifest import RunManifest, RunManifestError, manifest_path_for
 from surgcurate.metrics import MetricsError
 from surgcurate.mixer import MixerError
-from surgcurate.splits import SplitError, SplitManifest
+from surgcurate.splits import Split, SplitError, SplitManifest, SplitTier, make_manifest
 from surgcurate.store import MAGIC, EmbeddingMatrix, StoreError, write_store
 from surgcurate.synthetic import write_fixture_corpus
 
@@ -188,10 +188,17 @@ _GOOD_VIDEO = {
 _GOOD_CLIP = {"kind": "clip", "clip_id": "c1", "video_id": "v1", "start_frame": 0, "end_frame": 10, "embedding_row": 0}
 
 
-def _corpus_with(video=None, clip=None) -> dict:
-    """A one-video, one-clip corpus manifest with fields of either record replaced."""
+def _corpus_with(video=None, clip=None, sort_keys=False) -> dict:
+    """A one-video, one-clip corpus manifest with fields of either record
+    replaced; with sort_keys, in the key order write_corpus_manifest writes."""
     lines = [{**_GOOD_VIDEO, **(video or {})}, {**_GOOD_CLIP, **(clip or {})}]
-    return {"c.jsonl": "\n".join(json.dumps(doc) for doc in lines) + "\n"}
+    return {"c.jsonl": "\n".join(json.dumps(doc, sort_keys=sort_keys) for doc in lines) + "\n"}
+
+
+#: A split manifest of the one-video corpus above.
+_SPLIT_OF_V1 = {"m.json": make_manifest("cholec80", {"v1": Split.TRAIN}, SplitTier.OFFICIAL, created_at="t").to_json_text()}
+_SPLIT_CORPUS = ["split", "--dataset", "cholec80", "--corpus", "c.jsonl", "--out", "m.json"]
+_VERIFY_CORPUS = ["split", "verify", "--manifest", "m.json", "--corpus", "c.jsonl"]
 
 
 #: case -> (files staged in the working directory, as text or raw bytes; argv; the typed error; text its message names)
@@ -293,6 +300,22 @@ _MALFORMED_INPUTS = {
     ),
     "corpus-duration-is-infinite": (
         _corpus_with(video={"duration_s": float("inf")}), ["stats", "--corpus", "c.jsonl"], "ManifestParseError", "c.jsonl:1",
+    ),
+    "split-corpus-start-frame-is-a-float": (
+        _corpus_with(clip={"start_frame": 1.9}, sort_keys=True), _SPLIT_CORPUS, "ManifestParseError", "c.jsonl:2",
+    ),
+    "split-verify-corpus-start-frame-is-a-float": (
+        {**_corpus_with(clip={"start_frame": 1.9}, sort_keys=True), **_SPLIT_OF_V1},
+        _VERIFY_CORPUS, "ManifestParseError", "c.jsonl:2",
+    ),
+    "split-corpus-end-frame-past-the-int-digit-limit": (
+        {"c.jsonl": _corpus_with(clip={"end_frame": 7}, sort_keys=True)["c.jsonl"].replace(
+            '"end_frame": 7', '"end_frame": 1' + "0" * 5000
+        )},
+        _SPLIT_CORPUS, "ManifestParseError", "c.jsonl:2",
+    ),
+    "split-corpus-video-frame-count-negative": (
+        _corpus_with(video={"frame_count": -1}, sort_keys=True), _SPLIT_CORPUS, "ManifestParseError", "c.jsonl:1",
     ),
     "stats-out-in-missing-dir": (
         {"c.jsonl": json.dumps(_GOOD_VIDEO)},

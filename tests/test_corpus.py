@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgcurate import corpus
-from surgcurate.artifact import iter_jsonl
+from surgcurate.artifact import iter_jsonl, noted_digest
 from surgcurate.corpus import (
     ClipRecord,
     CorpusIndex,
@@ -22,6 +24,7 @@ from surgcurate.corpus import (
     inventory_report,
     read_corpus_manifest,
     record_from_json,
+    record_to_json,
     scale_comparison_report,
     validate_corpus,
     write_corpus_manifest,
@@ -471,3 +474,215 @@ class TestManifestFastPath:
         path.write_bytes(lines[0] + b"\n" + lines[1].replace(b'"kind": "', b'"kind": "x') + lines[2])
         with pytest.raises(ManifestParseError, match=rf"^{path}:3: ManifestParseError: unknown record kind 'x"):
             read_corpus_manifest(path)
+
+
+def _reference_videos(path):
+    return [rec for rec in _reference_records(path) if isinstance(rec, VideoRecord)]
+
+
+def _read_videos(path):
+    return read_corpus_manifest(path, clips=False)
+
+
+def _damage(lines: list[bytes], how: str, at: int, cut: int) -> list[bytes]:
+    """A written manifest's lines with one line damaged, or a line of
+    whitespace put before it; the last line loses its newline with
+    "no-final-newline"."""
+    lines = list(lines)
+    if how == "no-final-newline":
+        lines[-1] = lines[-1][:-1]
+    elif how in ("blank", "whitespace"):
+        lines.insert(at, b"\n" if how == "blank" else b" \t\x0b\x0c \n")
+    elif how != "none":
+        lines[at] = _mutate(lines[at], how, cut)
+    return lines
+
+
+class TestBlockReader:
+    """read_corpus_manifest reads blocks of whole lines; whatever the block
+    size and wherever a line a block cannot take sits, it gives the
+    reference reader's records or its exception, and clips=False gives the
+    same filtered to the videos."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=st.lists(_RECORDS, min_size=1, max_size=8),
+        block=st.integers(1, 128),
+        how=st.sampled_from(
+            ["none", "no-final-newline", "blank", "whitespace", "crlf", "reordered", "spaces", "not-utf8", "truncated"]
+        ),
+        back=st.integers(0, 7),
+        cut=st.integers(0, 10**6),
+    )
+    def test_any_block_size_reads_as_the_reference(self, tmp_path_factory, records, block, how, back, cut):
+        path = tmp_path_factory.mktemp("blocks") / "c.jsonl"
+        write_corpus_manifest(records, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = len(lines) - 1 if how == "truncated" else max(len(lines) - 1 - back, 0)  # mostly in a late block
+        data = b"".join(_damage(lines, how, at, cut))
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_BLOCK", block)
+            records_read, videos_read = _outcome(read_corpus_manifest, path), _outcome(_read_videos, path)
+        assert records_read == _outcome(_reference_records, path)
+        assert videos_read == _outcome(_reference_videos, path)
+        if records_read[0] == "ok":
+            assert noted_digest("read", path) == hashlib.sha256(data).hexdigest()
+
+    def test_written_lines_take_the_block_path_at_every_block_size(self, tmp_path, monkeypatch, fixture_corpus):
+        """No block size, however it cuts the lines, sends a written
+        manifest to the line-at-a-time path."""
+        path = tmp_path / "c.jsonl"
+        write_corpus_manifest(fixture_corpus.records, path)
+        monkeypatch.setattr(corpus, "parse_lines", None)  # the reference path would raise TypeError
+        for block in range(1, 129):
+            monkeypatch.setattr(corpus, "_BLOCK", block)
+            assert read_corpus_manifest(path) == fixture_corpus.records
+            assert read_corpus_manifest(path, clips=False) == [r for r in fixture_corpus.records if isinstance(r, VideoRecord)]
+
+    def test_videos_only_is_the_full_read_filtered(self, tmp_path, fixture_corpus):
+        path = tmp_path / "c.jsonl"
+        write_corpus_manifest(fixture_corpus.records, path)
+        videos = read_corpus_manifest(path, clips=False)
+        assert videos == [rec for rec in read_corpus_manifest(path) if isinstance(rec, VideoRecord)]
+        assert all(isinstance(rec, VideoRecord) for rec in videos) and videos
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            pytest.param(b'"end_frame": 9', b'"end_frame": 9.5', "end_frame must be an integer, got float", id="float"),
+            pytest.param(b'"end_frame": 9', b'"end_frame": 1' + b"0" * 5000, "Exceeds the limit", id="past-digit-limit"),
+            pytest.param(b'"start_frame": 0', b'"start_frame": true', "start_frame must be an integer, got bool", id="bool"),
+        ],
+    )
+    def test_videos_only_still_checks_every_clip_line(self, tmp_path, old, new, message):
+        path = tmp_path / "c.jsonl"
+        write_corpus_manifest([_video(), ClipRecord("c1", "v1", 0, 9), ClipRecord("c2", "v1", 1, 9)], path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        for clips in (True, False):
+            with pytest.raises(ManifestParseError, match=rf"^{path}:2: .*{message}"):
+                read_corpus_manifest(path, clips=clips)
+
+
+class TestRecords:
+    """Records are immutable named tuples; a VideoRecord checks its fields
+    however it is made."""
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("frame_count", -1, "v1: frame_count must be >= 0"),
+            ("fps", Fraction(0), "v1: fps must be positive"),
+            ("fps", Fraction(-25), "v1: fps must be positive"),
+            ("duration_s", -0.5, "v1: duration_s must be >= 0"),
+        ],
+    )
+    def test_an_invalid_video_is_a_value_error_every_way(self, field, value, message):
+        good = _video()
+        fields = {**good._asdict(), field: value}
+        makers = {
+            "call": lambda: VideoRecord(**fields),
+            "_make": lambda: VideoRecord._make(fields.values()),
+            "_replace": lambda: good._replace(**{field: value}),
+        }
+        for how, make in makers.items():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
+                pytest.fail(how)
+
+    def test_fields_cannot_be_assigned(self):
+        for rec in (_video(), ClipRecord("c", "v1", 0, 10)):
+            with pytest.raises(AttributeError):
+                rec.video_id = "x"
+            with pytest.raises(AttributeError):
+                rec.note = "x"
+
+    def test_pickle_round_trips(self, fixture_corpus):
+        records = [*fixture_corpus.records, ClipRecord("c", "v1", 0, 10, 3)]
+        back = pickle.loads(pickle.dumps(records))
+        assert back == records
+        assert [type(rec) for rec in back] == [type(rec) for rec in records]
+        assert repr(back) == repr(records)
+
+    def test_repr_and_tuple_semantics(self):
+        clip = ClipRecord("c", "v1", 0, 10)
+        assert repr(clip) == "ClipRecord(clip_id='c', video_id='v1', start_frame=0, end_frame=10, embedding_row=None)"
+        assert clip == ("c", "v1", 0, 10, None)
+        video = VideoRecord("v1", SourceStream.PRIVATE, "d", Domain.MIXED, 30, Fraction(30000, 1001), 1.5)
+        assert repr(video) == (
+            "VideoRecord(video_id='v1', source=<SourceStream.PRIVATE: 'Private'>, dataset_id='d', "
+            "domain=<Domain.MIXED: 'Mixed'>, frame_count=30, fps=Fraction(30000, 1001), duration_s=1.5)"
+        )
+        video_id, source, *_ = video
+        assert (video_id, source) == ("v1", SourceStream.PRIVATE)
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+#: ints as json writes them, and values the template leaves to json.dumps:
+#: bools, an int subclass, floats (an int past the digit limit has no repr
+#: for Hypothesis to report, so test_an_int_past_the_digit_limit has those)
+_WRITER_INTS = st.integers(-(10**30), 10**30) | st.sampled_from([True, False, _Count(7), 1.5, -0.0, float("nan"), 10**400])
+_WRITER_TEXT = _ID_TEXT | _ID_TEXT.map(_Text)
+
+_WRITER_RECORDS = st.one_of(
+    st.builds(ClipRecord, _WRITER_TEXT, _WRITER_TEXT, _WRITER_INTS, _WRITER_INTS, st.none() | _WRITER_INTS),
+    st.builds(
+        VideoRecord, _WRITER_TEXT, st.sampled_from(SourceStream), _WRITER_TEXT, st.sampled_from(Domain),
+        st.integers(0, 10**30) | st.sampled_from([True, _Count(3), 2.5]),
+        st.sampled_from([Fraction(25), Fraction(30000, 1001), Fraction(1, 3), 30, True, _Count(24)])
+        | st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+        st.floats(min_value=0) | st.sampled_from([-0.0, float("nan"), 0, 7, 10**400, True, _Count(2)]),
+    ),
+)
+
+
+def _write_outcome(write, record) -> tuple[str, str]:
+    try:
+        return "ok", write(record)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestManifestWriter:
+    """write_corpus_manifest formats each line from the record; the bytes
+    are json.dumps's with sorted keys, or its exception."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=_WRITER_RECORDS)
+    @example(record=ClipRecord('a"\\\n\x00', "é\U0001f600", -0, 10**30, None))
+    @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(30000, 1001), -0.0))
+    @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(25), float("nan")))
+    @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(25), float("inf")))
+    def test_each_line_is_json_dumps_sorted(self, record):
+        reference = _write_outcome(lambda r: json.dumps(record_to_json(r), sort_keys=True) + "\n", record)
+        assert _write_outcome(corpus._manifest_line, record) == reference
+
+    def test_an_int_past_the_digit_limit(self):
+        huge = 10**5000
+
+        def video(frame_count=1, fps=Fraction(25), duration_s=1.0):
+            return VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, frame_count, fps, duration_s)
+
+        records = [
+            video(frame_count=huge), video(fps=Fraction(huge)), video(fps=Fraction(1, huge)), video(duration_s=huge),
+            ClipRecord("c", "v", -huge, 0), ClipRecord("c", "v", 0, huge), ClipRecord("c", "v", 0, 1, huge),
+        ]
+        for record in records:
+            reference = _write_outcome(lambda r: json.dumps(record_to_json(r), sort_keys=True) + "\n", record)
+            assert reference[0] == "ValueError"
+            assert _write_outcome(corpus._manifest_line, record) == reference
+
+    def test_a_manifest_is_its_lines(self, tmp_path, fixture_corpus):
+        records = [*paper_scale_inventory(), *fixture_corpus.records]  # past one 1,024-line chunk
+        path = tmp_path / "c.jsonl"
+        write_corpus_manifest(records, path)
+        assert path.read_text("utf-8") == "".join(json.dumps(record_to_json(r), sort_keys=True) + "\n" for r in records)
+        write_corpus_manifest([], path)
+        assert path.read_bytes() == b""

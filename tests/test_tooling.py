@@ -218,6 +218,33 @@ def test_ingest_and_record_commands_run_without_numpy(tmp_path):
     assert metrics == (False,) * 6 + (True,) * 3
 
 
+_RESOURCES_PROBE = """
+import importlib, sys
+for name in [name for name in sys.modules if (name + ".").startswith("importlib.resources.")]:
+    del sys.modules[name]
+if hasattr(importlib, "resources"):
+    del importlib.resources
+import surgcurate.cli
+print("importlib.resources" in sys.modules)
+import surgcurate.metrics
+print("importlib.resources" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_importlib_resources_unloaded():
+    """importlib.resources costs milliseconds of every command's start-up,
+    and only DomainMap.default, scale_comparison_report and the metrics
+    data loader need it. The probe unloads it, as if start-up had not
+    loaded it (a site .pth file may), and importing the CLI, or metrics,
+    must not load it again."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESOURCES_PROBE], capture_output=True, text=True, env=env, timeout=60, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def _module_names(tree: ast.Module) -> dict[str, str]:
     """Names a file binds to a module -> that module: `import m` (and
     `import m as n`), and a package module taken by `from surgcurate import m`

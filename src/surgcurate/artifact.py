@@ -7,14 +7,11 @@ one, never a torn one. The temporary file is created with mode 0o666 and
 the umask applies, as with open(). Writes are not fsynced: an artifact
 survives a killed process, not a power loss.
 
-read_json, parse_lines (and iter_jsonl on it), read_text and read_lines
-turn malformed input (bad JSON, text that is not UTF-8, a missing key, or a
-value of the wrong type or range) into the caller's typed error, with a
-message naming the file and line. Each layer's typed errors derive from
-SurgcurateError, which the CLI maps to exit code 1.
-decode_line decodes one JSON-lines line with json's C scanner and accepts
-exactly what json.loads(line.decode("utf-8")) accepts, raising the same
-exception class when it does not.
+read_json, iter_jsonl, read_text and read_lines turn malformed input
+(bad JSON, text that is not UTF-8, a missing key, or a value of the wrong
+type or range) into the caller's typed error, with a message naming the
+file and line. Each layer's typed errors derive from SurgcurateError,
+which the CLI maps to exit code 1.
 
 Every file these helpers write or read whole is hashed in the same pass,
 and its SHA-256 noted (note_digest) for the run manifest, which records
@@ -34,9 +31,6 @@ T = TypeVar("T")
 
 #: What malformed input raises inside json.loads or a parse function.
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
-
-_scan_once = json.JSONDecoder().scan_once
-_skip_ws = json.decoder.WHITESPACE.match  # JSON's own whitespace: space, tab, LF, CR
 
 
 class SurgcurateError(Exception):
@@ -103,30 +97,12 @@ def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], T
     return value
 
 
-def decode_line(line: bytes) -> Any:
-    """json.loads(line.decode("utf-8")) without its per-call layers: the
-    same document, or the same exception class (UnicodeDecodeError or
-    json.JSONDecodeError, with json.loads's message for a BOM, a missing
-    value and extra data)."""
-    text = line.decode("utf-8")
-    try:
-        doc, end = _scan_once(text, _skip_ws(text, 0).end())
-    except StopIteration as stop:
-        if text.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0) from None
-        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
-    if end != len(text):
-        end = _skip_ws(text, end).end()
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
-    return doc
-
-
-def parse_lines(
-    path: str | Path, error: type[Exception], parse_line: Callable[[bytes], T], lines: Iterable[bytes] | None = None
+def iter_jsonl(
+    path: str | Path, error: type[Exception], parse: Callable[[Any], T], lines: Iterable[bytes] | None = None
 ) -> Iterator[T]:
-    """parse_line(line) for every non-blank byte line of a file; malformed
-    input, or `error` raised by parse_line, raises `error` naming path:line.
+    """parse(json.loads(line.decode("utf-8"))) for every non-blank byte
+    line of a JSON-lines file; malformed input, or `error` raised by parse,
+    raises `error` naming path:line.
 
     The file is read one buffered line at a time, so it is never held
     whole. A line of bytes.isspace() whitespace only (which also counts
@@ -144,19 +120,11 @@ def parse_lines(
             if line.isspace():
                 continue
             try:
-                value = parse_line(line)
+                value = parse(json.loads(line.decode("utf-8")))
             except (error, *_MALFORMED) as exc:
                 raise error(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
             yield value
     note_digest("read", path, hasher.hexdigest())
-
-
-def iter_jsonl(
-    path: str | Path, error: type[Exception], parse: Callable[[Any], T], lines: Iterable[bytes] | None = None
-) -> Iterator[T]:
-    """parse(document) for every non-blank line of a UTF-8 JSON-lines file,
-    each line decoded once (decode_line); see parse_lines."""
-    return parse_lines(path, error, lambda line: parse(decode_line(line)), lines)
 
 
 def text_field(doc: Any, key: str, error: type[Exception]) -> str:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .artifact import SurgcurateError, note_digest, write_atomic
 from .seeding import derive_seed
-from .store import EmbeddingMatrix, row_blocks
+from .store import EmbeddingMatrix, id_order, row_blocks
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -298,7 +298,7 @@ def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np
     rng = np.random.default_rng(seed)
 
     if row_ids is not None:
-        canon = np.argsort(np.asarray(row_ids, dtype=object), kind="stable")
+        canon = id_order(row_ids)
     else:
         canon = np.arange(n)
     x2 = (_row_sq_norms(X) if x2 is None else x2)[canon]

@@ -4,10 +4,11 @@ The corpus manifest is UTF-8 JSON-lines, one record per line, with a
 "kind" field discriminating video records from clip records. It is read
 in blocks of whole lines: one findall of a pattern for the line form
 write_corpus_manifest writes takes every line of a block. A file with a
-line in any other form is read again one line at a time, and gives the
-same records and errors through json's decoder. Records are named tuples;
-everything in this module is a pure function over them, and a
-CorpusIndex is built once and then shared read-only.
+line in any other form is read again by the reference reader, json.loads
+and record_from_json on each line, which gives the same records, or the
+error at its path:line. Records are named tuples; everything in this
+module is a pure function over them, and a CorpusIndex is built once and
+then shared read-only.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 from .apportion import as_fraction
 from .artifact import (
     SurgcurateError,
-    decode_line,
+    iter_jsonl,
     note_digest,
-    parse_lines,
     read_json,
     text_field,
     write_atomic,
@@ -172,12 +172,6 @@ class DomainMap:
     def from_file(cls, path: str | Path) -> "DomainMap":
         """A {"datasets": {dataset id: domain}} JSON file; CorpusError when malformed."""
         return read_json(path, CorpusError, lambda doc: cls(doc["datasets"]))
-
-    def __contains__(self, dataset_id: str) -> bool:
-        return normalize_dataset_id(dataset_id) in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
 
     def domain_of(self, dataset_id: str) -> Domain:
         key = normalize_dataset_id(dataset_id)
@@ -491,7 +485,7 @@ def record_from_json(doc: Mapping) -> Record:
 # The line write_corpus_manifest writes for each kind of record, one group
 # per value in record_to_json's sorted key order. A string matches only
 # without an escape, and a number only in JSON's grammar with ASCII digits;
-# any other line, valid or not, takes the reference path, decode_line and
+# any other line, valid or not, takes the reference path, json.loads and
 # record_from_json.
 _CHARS = r'[^"\\\x00-\x1f]*'
 _INT = r"-?(?:0|[1-9][0-9]*)"
@@ -571,19 +565,6 @@ def _parse_block(block: bytes, clips: bool, append: Callable[[Record], object]) 
             int(start), int(end), row == "null" or int(row)
 
 
-def _record_from_line(line: bytes) -> Record:
-    """record_from_json(decode_line(line)): the same record, or the same
-    exception. A line in write_corpus_manifest's form is built by
-    _parse_block; if that raises, the reference path gives the outcome."""
-    records: list[Record] = []
-    try:
-        _parse_block(line, True, records.append)
-        return records[0]
-    except (ValueError, KeyError, OverflowError):
-        pass  # the reference path raises the error, if there is one
-    return record_from_json(decode_line(line))
-
-
 #: Bytes read at a time by read_corpus_manifest.
 _BLOCK = 1 << 16
 
@@ -612,9 +593,8 @@ def read_corpus_manifest(path: str | Path, *, clips: bool = True) -> list[Record
     once, and one findall builds the records of a block (_parse_block). A
     block with any other line (blank, CRLF, another JSON form, malformed),
     bytes that are not UTF-8, or a value that does not convert sends the
-    whole file through the reference path instead: parse_lines, one line
-    at a time, with _record_from_line, which gives the records or the
-    error."""
+    whole file through the reference reader instead, iter_jsonl with
+    record_from_json, which gives the records or the error."""
     records: list[Record] = []
     hasher = hashlib.sha256()
     try:
@@ -622,8 +602,8 @@ def read_corpus_manifest(path: str | Path, *, clips: bool = True) -> list[Record
             for block in _blocks(fh):
                 hasher.update(block)
                 _parse_block(block, clips, records.append)
-    except (ValueError, KeyError, OverflowError):  # as in _record_from_line
-        read = parse_lines(path, ManifestParseError, _record_from_line)
+    except (ValueError, KeyError, OverflowError):  # what _parse_block raises
+        read = iter_jsonl(path, ManifestParseError, record_from_json)
         return list(read) if clips else [rec for rec in read if isinstance(rec, VideoRecord)]
     note_digest("read", path, hasher.hexdigest())
     return records
@@ -636,8 +616,13 @@ def _manifest_line(record: Record) -> str:
     """json.dumps(record_to_json(record), sort_keys=True) + "\n", formatted
     straight from the fields when each has a type the template writes as
     json does: an exact str, int or finite float, a Fraction fps, the
-    enums. Any other value (a bool, a NaN, an int subclass) takes json.dumps.
-    An exact int or float formats as its __repr__, which is what json writes."""
+    enums. Any other value (a bool, a NaN, an int subclass, an int duration
+    past the largest float) takes json.dumps.
+    An exact int or float formats as its __repr__, which is what json writes.
+
+    A json.dumps line is read back through record_from_json: a record whose
+    line read_corpus_manifest would reject (a bool or float count, a
+    duration that is not a finite float) raises CorpusError naming its id."""
     if type(record) is ClipRecord:
         clip_id, video_id, start, end, row = record
         if type(clip_id) is type(video_id) is str and type(start) is type(end) is int and (row is None or type(row) is int):
@@ -653,7 +638,9 @@ def _manifest_line(record: Record) -> str:
             and type(domain) is Domain
             and type(frame_count) is int
             and type(fps) is Fraction
-            and (type(duration_s) is int or type(duration_s) is float and math.isfinite(duration_s))
+            # an int past the largest float is a duration the reader cannot take
+            and (type(duration_s) is int and duration_s <= sys.float_info.max
+                 or type(duration_s) is float and math.isfinite(duration_s))
         ):
             fps = _fps_to_json(fps)  # an int, or a "p/q" string
             return (
@@ -661,7 +648,13 @@ def _manifest_line(record: Record) -> str:
                 f'"fps": {_ascii(fps) if type(fps) is str else fps}, "frame_count": {frame_count}, "kind": "video", '
                 f'"source": {_ascii(source.value)}, "video_id": {_ascii(video_id)}}}\n'
             )
-    return json.dumps(record_to_json(record), sort_keys=True) + "\n"
+    line = json.dumps(record_to_json(record), sort_keys=True)
+    try:
+        record_from_json(json.loads(line))
+    except ManifestParseError as exc:
+        record_id = record.video_id if isinstance(record, VideoRecord) else record.clip_id
+        raise CorpusError(f"record {record_id!r} would be written as a line the manifest reader rejects: {exc}") from exc
+    return line + "\n"
 
 
 def write_corpus_manifest(records: Iterable[Record], path: str | Path) -> None:

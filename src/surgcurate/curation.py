@@ -28,7 +28,7 @@ import numpy as np
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
 from .artifact import SurgcurateError, decode_text, id_lines, iter_jsonl, note_digest, text_field, write_atomic
 from .clustering import ClusterTree, DimensionMismatch
-from .store import EmbeddingMatrix, open_store, row_blocks
+from .store import EmbeddingMatrix, id_order, open_store, row_blocks
 
 
 class CurationError(SurgcurateError):
@@ -188,7 +188,7 @@ def _select(tree: ClusterTree, plan: BudgetPlan, row_ids: list[str], ranked: np.
     n = tree.n_points
     leaf = tree.levels[0].assignments
     id_rank = np.empty(n, dtype=np.int64)
-    id_rank[sorted(range(n), key=row_ids.__getitem__)] = np.arange(n)
+    id_rank[id_order(row_ids)] = np.arange(n)
     order = np.lexsort((id_rank, ranked, leaf))  # leaf, then distance, then clip id
     counts = np.bincount(leaf, minlength=tree.level_sizes[0])
     sorted_leaf = leaf[order]

@@ -115,7 +115,7 @@ def domain_macro(
     per_dataset: Mapping[str, Rational], domain_map: DomainMap | None = None
 ) -> dict[str, Fraction]:
     """Unweighted mean of member-dataset scores per domain."""
-    domain_map = domain_map or DomainMap.default()
+    domain_map = DomainMap.default() if domain_map is None else domain_map
     groups: dict[str, list[Fraction]] = {}
     for dataset_id in sorted(per_dataset):
         domain = domain_map.domain_of(dataset_id)  # raises UnknownDataset
@@ -177,7 +177,7 @@ class DomainReport:
     def from_dataset_scores(
         cls, per_dataset: Mapping[str, Rational], domain_map: DomainMap | None = None
     ) -> "DomainReport":
-        domain_map = domain_map or DomainMap.default()
+        domain_map = DomainMap.default() if domain_map is None else domain_map
         scores = domain_macro(per_dataset, domain_map)
         members: dict[str, list[str]] = {}
         for dataset_id in sorted(per_dataset):

@@ -173,9 +173,6 @@ class SplitManifest:
     seed: int | None = None
     ratios: tuple[int, int, int] | None = None
 
-    def videos_in(self, split: Split) -> list[str]:
-        return sorted(v for v, s in self.assignment.items() if s is split)
-
     def counts(self) -> dict[Split, int]:
         out = {s: 0 for s in Split}
         for s in self.assignment.values():

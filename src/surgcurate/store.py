@@ -8,12 +8,12 @@ Stores are write-once and then shared read-only. Identical matrices
 produce byte-identical files.
 
 Reading and normalising hold one f32 copy of the payload plus bounded
-temporaries: files are read straight into the one array, normalising
-rescales that array in place, and whole-matrix passes walk the rows in
-blocks of ROW_BLOCK rows. read_store and the streamed pass share one
-parser, StoreReader. The stream (StoreReader.blocks, which curate reads)
-holds no payload copy: one ROW_BLOCK-row f32 buffer, scanned, normalised
-and handed on one block at a time.
+temporaries. Every store is read by one pass, StoreReader.blocks, which
+hashes and scans each ROW_BLOCK-row block as it lands: read_store lands
+the blocks in the rows of the one array it returns, and curate reads them
+through one reused ROW_BLOCK-row f32 buffer, normalised in place, so it
+holds no payload copy. Normalising rescales the array in place, and
+whole-matrix passes walk the rows in blocks of ROW_BLOCK rows.
 
 Every store file is hashed whole as it is read or written, and that
 SHA-256 is noted for the run manifest (artifact.note_digest), so a command
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,6 @@ from .storefile import (  # the errors are re-exported
 )
 
 _MAX_AXIS = np.iinfo(np.intp).max // 4  # the longest f32 axis numpy can shape
-_READ_BLOCK = 1 << 22  # bytes hashed per payload read
 #: Rows per block of a whole-matrix pass (1.5 MiB of f64 at d = 768). Kept
 #: small: freeing much larger blocks raises glibc's mmap threshold, after
 #: which other large temporaries stay resident in the heap.
@@ -60,6 +60,12 @@ def row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """(start, end) spans of ROW_BLOCK rows covering range(n), in order."""
     for s in range(0, n, ROW_BLOCK):
         yield s, min(s + ROW_BLOCK, n)
+
+
+def id_order(row_ids: list[str]) -> np.ndarray:
+    """The row indices sorted by clip id: the one canonical row order, in
+    which K-means++ walks the rows and selection breaks distance ties."""
+    return np.array(sorted(range(len(row_ids)), key=row_ids.__getitem__), dtype=np.intp)
 
 
 @dataclass
@@ -106,13 +112,12 @@ class StoreReader:
     """One front-to-back pass over an open store file, hashed as it is read.
 
     Made by open_store. The constructor reads the header and checks that
-    the sizes it claims fit the file. The payload comes next, either whole
-    into one array (read_into) or ROW_BLOCK rows at a time (blocks).
-    row_ids() then reads the id table and the checksum, notes the whole
-    file's SHA-256 for the run manifest, and returns the ids once the
-    checksum matches and the table parses (UTF-8, unique). A non-finite or
-    all-zero row that blocks() met is raised only after that, so the bytes
-    are known good first.
+    the sizes it claims fit the file. The payload comes next, ROW_BLOCK
+    rows at a time (blocks). row_ids() then reads the id table and the
+    checksum, notes the whole file's SHA-256 for the run manifest, and
+    returns the ids once the checksum matches and the table parses (UTF-8,
+    unique). A non-finite or all-zero row that blocks() met is raised only
+    after that, so the bytes are known good first.
     """
 
     def __init__(self, fh, path: str | Path):
@@ -141,25 +146,21 @@ class StoreReader:
             raise SizeMismatch(f"{self.path}: payload ended early")
         self._hasher.update(raw)
 
-    def read_into(self, flat: np.ndarray) -> None:
-        """Read the whole payload into `flat`, n_rows * dim f32 values."""
-        raw = flat.view(np.uint8)
-        for s in range(0, len(raw), _READ_BLOCK):
-            self._fill(raw[s : s + _READ_BLOCK])
-
-    def blocks(self, normalize: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self, normalize: bool = False, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
         """(start, rows) for each ROW_BLOCK-row block of the payload, in
-        order. `rows` is one reused f32 buffer, valid until the next block;
-        with `normalize` it is rescaled in place to unit rows, as
-        l2_normalize rescales them.
+        order. `rows` is one reused f32 buffer, valid until the next block,
+        or with `out`, an (n_rows, dim) f32 array, the block's own rows of
+        `out`. With `normalize` the rows are rescaled in place to unit
+        rows, as l2_normalize rescales them.
 
         After the first non-finite row, or all-zero row under `normalize`,
         no block is yielded; the rest of the payload is still read, hashed
         and scanned for the first non-finite row, and row_ids() raises.
         """
-        buf = np.empty((min(ROW_BLOCK, self.n_rows), self.dim), dtype="<f4")
+        if out is None:
+            buf = np.empty((min(ROW_BLOCK, self.n_rows), self.dim), dtype="<f4")
         for s, e in row_blocks(self.n_rows):
-            rows = buf[: e - s]
+            rows = buf[: e - s] if out is None else out[s:e]
             self._fill(rows.reshape(-1).view(np.uint8))
             if self._nonfinite is None and (bad := _first_nonfinite(rows)) is not None:
                 self._nonfinite = s + bad
@@ -196,19 +197,19 @@ def open_store(path: str | Path) -> Iterator[StoreReader]:
 
 
 def read_store(path: str | Path) -> EmbeddingMatrix:
-    """Parse and fully validate a store file (magic, sizes, checksum, finiteness).
+    """Parse and fully validate a store file (magic, sizes, checksum, ids,
+    finiteness), in that order.
 
-    The payload is read once, straight into the returned array, and hashed
-    block by block as it lands; the bytes hashed are the bytes used. The
-    whole file's SHA-256 is noted for the run manifest.
+    The payload is read once (StoreReader.blocks), each block straight into
+    its rows of the returned array, hashed and scanned as it lands; the
+    bytes hashed are the bytes used. The whole file's SHA-256 is noted for
+    the run manifest.
     """
     with open_store(path) as reader:
-        flat = np.empty(reader.n_rows * reader.dim, dtype="<f4")  # bounded by the file size, checked on open
-        reader.read_into(flat)
+        data = np.empty((reader.n_rows, reader.dim), dtype="<f4")  # bounded by the file size, checked on open
+        deque(reader.blocks(out=data), maxlen=0)
         row_ids = reader.row_ids()
-    matrix = EmbeddingMatrix(flat.reshape(reader.n_rows, reader.dim), row_ids)
-    matrix.validate_finite()
-    return matrix
+    return EmbeddingMatrix(data, row_ids)
 
 
 def _read_exact(fh, nbytes: int, path: str | Path) -> bytes:

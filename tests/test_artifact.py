@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import surgcurate
 from surgcurate.artifact import (
-    decode_line,
     forget_digests,
     iter_jsonl,
     noted_digest,
@@ -36,14 +35,6 @@ class Malformed(Exception):
 
 def _json_loads(line: bytes):
     return json.loads(line.decode("utf-8"))
-
-
-def _outcome(decode, line: bytes) -> tuple[str, str]:
-    """("ok", repr of the document) or (exception class, message)."""
-    try:
-        return "ok", repr(decode(line))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        return type(exc).__name__, str(exc)
 
 
 def _jsonl_reference(raw: bytes):
@@ -82,21 +73,6 @@ _LINES = [
     pytest.param(b'"\\ud800"\n', id="lone-surrogate-escape"),
     pytest.param(b"\x00\n", id="nul"),
 ]
-
-#: Lines from JSON-ish text, valid documents with whitespace or junk around
-#: them, and arbitrary bytes.
-_PADDING = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\ufeff", "\xa0", "x", " 1", "{"])
-_DOCUMENTS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-).map(json.dumps)
-_LINE_BYTES = st.one_of(
-    st.tuples(_PADDING, _DOCUMENTS, _PADDING).map(lambda t: "".join(t).encode("utf-8")),
-    st.text(alphabet=' \t\r\n\x0b\x0c\ufeff{}[]":,.-+eE019aflnrstuNIy\\', max_size=24).map(str.encode),
-    st.binary(max_size=24),
-)
-
 
 class TestWriteAtomic:
     def test_chunks_are_bytes_or_utf8_text_and_mode_follows_umask(self, tmp_path):
@@ -165,15 +141,6 @@ class TestDecode:
         path = tmp_path / "x.jsonl"
         path.write_bytes(b'\n{"id": "a"}\r\n  \n{"id": "b"}')
         assert list(iter_jsonl(path, Malformed, lambda doc: doc["id"])) == ["a", "b"]
-
-    @pytest.mark.parametrize("line", _LINES)
-    def test_line_decoder_matches_json_loads(self, line):
-        assert _outcome(decode_line, line) == _outcome(_json_loads, line)
-
-    @settings(max_examples=500, deadline=None)
-    @given(line=_LINE_BYTES)
-    def test_line_decoder_matches_json_loads_on_any_bytes(self, line):
-        assert _outcome(decode_line, line) == _outcome(_json_loads, line)
 
     @pytest.mark.parametrize("line", _LINES)
     def test_jsonl_names_the_json_loads_error_class(self, tmp_path, line):

@@ -273,6 +273,11 @@ _MALFORMED_INPUTS = {
         ["report", "--reference", "--domain-map", "dm.json"],
         "CorpusError", "dm.json",
     ),
+    "empty-domain-map": (
+        {"dm.json": '{"datasets": {}}', "s.csv": "dataset,model,variant,acc\ncholec80,m,,50\n"},
+        ["report", "--scores", "s.csv", "--domain-map", "dm.json"],
+        "UnknownDataset", "'cholec80'",
+    ),
     "corpus-fps-zero-denominator": (
         {"c.jsonl": json.dumps({**_GOOD_VIDEO, "fps": "1/0"})},
         ["stats", "--corpus", "c.jsonl"],
@@ -559,13 +564,22 @@ class TestErrorContract:
         record = json.loads(result.output.strip().splitlines()[-1])
         assert record["error"] == "BadTreeFile"
 
-    @pytest.mark.parametrize("case", _CURATE_FAILURES)
-    def test_curate_failure_is_one_typed_record_and_no_output(self, tmp_path, monkeypatch, case):
+    @pytest.mark.parametrize(
+        "command,case",
+        [pytest.param("curate", case, id=case) for case in _CURATE_FAILURES]
+        + [
+            pytest.param("cluster", case, id=f"cluster-{case}")
+            for case, (_, _, error, _) in _CURATE_FAILURES.items()
+            if error in ("ChecksumMismatch", "DuplicateRowId", "NonFiniteValue", "ZeroRow")  # the store's own errors
+        ],
+    )
+    def test_curate_failure_is_one_typed_record_and_no_output(self, tmp_path, monkeypatch, command, case):
         """Store errors in today's order (sizes, checksum, ids, then rows: a
         non-finite row before an all-zero one), then a store that does not
         fit the tree; a bad tree is read, and fails, before the store. Rows
         stream in blocks of two, so a zero row and a later non-finite row
-        lie in different blocks."""
+        lie in different blocks. cluster reads a store with the same errors
+        in the same order; its zero row is l2_normalize's."""
         monkeypatch.setattr(store_module, "ROW_BLOCK", 2)
         edits, tree_edit, error, message = _CURATE_FAILURES[case]
         rows = np.arange(1, 19, dtype=np.float32).reshape(6, 3)
@@ -577,10 +591,9 @@ class TestErrorContract:
         (tmp_path / "s.semb").write_bytes(bytes(store))
         (tmp_path / "t.sctree").write_bytes(tree_edit(tree))
         out = tmp_path / "c.jsonl"
-        result = CliRunner().invoke(
-            main, ["curate", "--store", str(tmp_path / "s.semb"), "--tree", str(tmp_path / "t.sctree"), "--out", str(out)],
-            env={},
-        )
+        store_args = ["--store", str(tmp_path / "s.semb"), "--out", str(out)]
+        argv = ["curate", "--tree", str(tmp_path / "t.sctree")] if command == "curate" else ["cluster", "--levels", "2"]
+        result = CliRunner().invoke(main, argv + store_args, env={})
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
         record = json.loads(result.stderr)  # exactly one JSON document

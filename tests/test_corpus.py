@@ -12,6 +12,7 @@ from surgcurate import corpus
 from surgcurate.artifact import iter_jsonl, noted_digest
 from surgcurate.corpus import (
     ClipRecord,
+    CorpusError,
     CorpusIndex,
     Domain,
     DomainMap,
@@ -413,7 +414,7 @@ def _mutate(line: bytes, how: str, cut: int) -> bytes:
 
 
 class TestManifestFastPath:
-    """read_corpus_manifest against the reference reader, decode_line and
+    """read_corpus_manifest against the reference reader, json.loads and
     record_from_json on every line: the same records (by repr), or the
     same exception class and message."""
 
@@ -462,8 +463,8 @@ class TestManifestFastPath:
         path = tmp_path / "c.jsonl"
         write_corpus_manifest(records, path)
         decoded = []
-        decode = corpus.decode_line
-        monkeypatch.setattr(corpus, "decode_line", lambda line: decoded.append(line) or decode(line))
+        decode = corpus.record_from_json
+        monkeypatch.setattr(corpus, "record_from_json", lambda doc: decoded.append(doc) or decode(doc))
         assert repr(read_corpus_manifest(path)) == repr(records)
         assert decoded == []
 
@@ -534,7 +535,7 @@ class TestBlockReader:
         manifest to the line-at-a-time path."""
         path = tmp_path / "c.jsonl"
         write_corpus_manifest(fixture_corpus.records, path)
-        monkeypatch.setattr(corpus, "parse_lines", None)  # the reference path would raise TypeError
+        monkeypatch.setattr(corpus, "iter_jsonl", None)  # the reference path would raise TypeError
         for block in range(1, 129):
             monkeypatch.setattr(corpus, "_BLOCK", block)
             assert read_corpus_manifest(path) == fixture_corpus.records
@@ -652,7 +653,8 @@ def _write_outcome(write, record) -> tuple[str, str]:
 
 class TestManifestWriter:
     """write_corpus_manifest formats each line from the record; the bytes
-    are json.dumps's with sorted keys, or its exception."""
+    are json.dumps's with sorted keys, or its exception, or CorpusError
+    for a record whose line read_corpus_manifest would reject."""
 
     @settings(max_examples=400, deadline=None)
     @given(record=_WRITER_RECORDS)
@@ -660,9 +662,23 @@ class TestManifestWriter:
     @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(30000, 1001), -0.0))
     @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(25), float("nan")))
     @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(25), float("inf")))
-    def test_each_line_is_json_dumps_sorted(self, record):
+    @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, True, Fraction(25), 1.0))
+    @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(25), 2**1024 - 2**970))
+    @example(record=VideoRecord("v", SourceStream.PRIVATE, "d", Domain.MIXED, 1, Fraction(25), 2**1024 - 2**971))
+    @example(record=ClipRecord("c", "v", 0, 9.0))
+    def test_each_line_is_json_dumps_sorted(self, tmp_path_factory, record):
         reference = _write_outcome(lambda r: json.dumps(record_to_json(r), sort_keys=True) + "\n", record)
-        assert _write_outcome(corpus._manifest_line, record) == reference
+        got = _write_outcome(corpus._manifest_line, record)
+        tmp = tmp_path_factory.mktemp("writer")
+        if reference[0] == "ok":
+            (tmp / "ref.jsonl").write_text(reference[1], encoding="utf-8")
+        if reference[0] == "ok" and _outcome(read_corpus_manifest, tmp / "ref.jsonl")[0] != "ok":
+            assert got[0] == "CorpusError" and repr(record[0]) in got[1]
+            with pytest.raises(CorpusError):
+                write_corpus_manifest([record], tmp / "c.jsonl")
+            assert sorted(p.name for p in tmp.iterdir()) == ["ref.jsonl"]
+        else:
+            assert got == reference
 
     def test_an_int_past_the_digit_limit(self):
         huge = 10**5000

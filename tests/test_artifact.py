@@ -74,6 +74,20 @@ _LINES = [
     pytest.param(b"\x00\n", id="nul"),
 ]
 
+#: Lines from JSON-ish text, valid documents with whitespace or junk around
+#: them, and arbitrary bytes.
+_PADDING = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\ufeff", "\xa0", "x", " 1", "{"])
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+).map(json.dumps)
+_LINE_BYTES = st.one_of(
+    st.tuples(_PADDING, _DOCUMENTS, _PADDING).map(lambda t: "".join(t).encode("utf-8")),
+    st.text(alphabet=' \t\r\n\x0b\x0c\ufeff{}[]":,.-+eE019aflnrstuNIy\\', max_size=24).map(str.encode),
+    st.binary(max_size=24),
+)
+
 class TestWriteAtomic:
     def test_chunks_are_bytes_or_utf8_text_and_mode_follows_umask(self, tmp_path):
         old = os.umask(0o022)
@@ -146,8 +160,18 @@ class TestDecode:
     def test_jsonl_names_the_json_loads_error_class(self, tmp_path, line):
         """A file of one good line and then `line`: the same documents as
         json.loads line by line, or the same class and message at path:2."""
-        raw = b'{"id": "a"}\n' + line
-        path = tmp_path / "x.jsonl"
+        self._assert_jsonl_matches_reference(tmp_path / "x.jsonl", b'{"id": "a"}\n' + line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_LINE_BYTES, max_size=4))
+    def test_jsonl_matches_json_loads_on_any_bytes(self, tmp_path_factory, lines):
+        """Any bytes, split into lines however they fall: the documents or
+        the first bad line's path:line, class and message of json.loads."""
+        path = tmp_path_factory.mktemp("jsonl") / "x.jsonl"
+        self._assert_jsonl_matches_reference(path, b"\n".join(lines))
+
+    @staticmethod
+    def _assert_jsonl_matches_reference(path, raw):
         path.write_bytes(raw)
         want_docs, want_error = _jsonl_reference(raw)
         try:

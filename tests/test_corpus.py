@@ -651,6 +651,10 @@ def _write_outcome(write, record) -> tuple[str, str]:
         return type(exc).__name__, str(exc)
 
 
+def _writer_video(video_id="v", frame_count=1, duration_s=1.0):
+    return VideoRecord(video_id, SourceStream.PRIVATE, "d", Domain.MIXED, frame_count, Fraction(25), duration_s)
+
+
 class TestManifestWriter:
     """write_corpus_manifest formats each line from the record; the bytes
     are json.dumps's with sorted keys, or its exception, or CorpusError
@@ -679,6 +683,32 @@ class TestManifestWriter:
             assert sorted(p.name for p in tmp.iterdir()) == ["ref.jsonl"]
         else:
             assert got == reference
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: _writer_video(frame_count=True), id="bool-frame-count"),
+            pytest.param(lambda: _writer_video(frame_count=3.0), id="float-frame-count"),
+            pytest.param(lambda: _writer_video(duration_s=True), id="bool-duration"),
+            pytest.param(lambda: _writer_video(duration_s=float("nan")), id="nan-duration"),
+            pytest.param(lambda: _writer_video(duration_s=float("inf")), id="inf-duration"),
+            pytest.param(lambda: _writer_video(duration_s=2**1024), id="int-duration-past-float"),
+            pytest.param(lambda: ClipRecord("c", "v", True, 9), id="bool-start-frame"),
+            pytest.param(lambda: ClipRecord("c", "v", 0, 9.0), id="float-end-frame"),
+            pytest.param(lambda: ClipRecord("c", "v", 0, 9, False), id="bool-embedding-row"),
+        ],
+    )
+    def test_an_unreadable_record_leaves_the_target_as_it_was(self, tmp_path, make):
+        """A record whose line read_corpus_manifest would reject, after a
+        good one: CorpusError naming its id, the old manifest untouched and
+        no temporary file left beside it."""
+        record = make()
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"old\n")
+        with pytest.raises(CorpusError, match=f"record {record[0]!r} .*reader rejects"):
+            write_corpus_manifest([_writer_video(video_id="good"), record], path)
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
     def test_an_int_past_the_digit_limit(self):
         huge = 10**5000

@@ -83,6 +83,20 @@ class TestRoundtrip:
         assert back.data.tobytes() == m.data.tobytes()
         assert back.row_ids == m.row_ids
 
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_block_pass_lands_every_row_and_notes_the_file(self, tmp_path, monkeypatch, n):
+        """ROW_BLOCK-row blocks land in their rows of the returned array,
+        the last one short; the noted digest is the whole file's."""
+        monkeypatch.setattr(store, "ROW_BLOCK", B)
+        m = _matrix(n, 3, seed=n)
+        path = write_store(m, tmp_path / "s.semb")
+        forget_digests()
+        back = read_store(path)
+        assert back.data.shape == (n, 3) and back.data.flags.c_contiguous
+        assert back.data.tobytes() == m.data.tobytes()
+        assert back.row_ids == m.row_ids
+        assert noted_digest("read", path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 class TestCorruption:
     def test_truncation(self, tmp_path):
@@ -120,6 +134,25 @@ class TestCorruption:
         with pytest.raises(NonFiniteValue) as err:
             read_store(path)
         assert err.value.row == 5
+
+    @pytest.mark.parametrize("rows", [(0,), (B - 1, 3 * B + 6), (B, 2 * B + 1), (3 * B + 6,)])
+    def test_first_nonfinite_row_in_any_block_is_named(self, tmp_path, monkeypatch, rows):
+        """The first NaN or Inf row is named whichever block it lands in,
+        and a later one in another block does not replace it."""
+        monkeypatch.setattr(store, "ROW_BLOCK", B)
+        m = _matrix(3 * B + 7, 3)
+        path = write_store(m, tmp_path / "s.semb")
+
+        def poison(body):
+            for row, value in zip(rows, (float("inf"), float("nan"))):
+                offset = 24 + (row * 3 + 2) * 4  # last column
+                body[offset : offset + 4] = struct.pack("<f", value)
+
+        _rebuild_with_payload(path, poison)
+        with pytest.raises(NonFiniteValue) as err:
+            read_store(path)
+        assert err.value.row == rows[0]
+        assert err.value.clip_id == m.row_ids[rows[0]]
 
     def test_header_row_count_mismatch(self, tmp_path):
         path = write_store(_matrix(4, 3), tmp_path / "s.semb")

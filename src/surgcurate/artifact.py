@@ -14,8 +14,10 @@ file and line. Each layer's typed errors derive from SurgcurateError,
 which the CLI maps to exit code 1.
 
 Every file these helpers write or read whole is hashed in the same pass,
-and its SHA-256 noted (note_digest) for the run manifest, which records
-the bytes a command used instead of hashing the file again afterwards.
+and its SHA-256 noted (note_digest). The digests noted while a command
+runs (noted_digests) are its run manifest's inputs and outputs, with the
+bytes as they were read and written. Data shipped under surgcurate/data
+is part of the tool, not an input: shipped_text reads it and notes nothing.
 """
 
 from __future__ import annotations
@@ -38,24 +40,34 @@ class SurgcurateError(Exception):
     never a usage mistake."""
 
 
-#: ("read" | "written", path) -> SHA-256 hex digest of the whole file as the
-#: running command read or wrote it, noted in passing by the layer that did.
-#: cli._command empties it before each command body runs.
-_digests: dict[tuple[str, Path], str] = {}
+#: ("read" | "written", str(path)) -> SHA-256 hex digest of the whole file as
+#: the running command read or wrote it, noted in passing by the layer that
+#: did. cli._command empties it before each command body runs.
+_digests: dict[tuple[str, str], str] = {}
 
 
 def note_digest(how: str, path: str | Path, hexdigest: str) -> None:
     """Record the SHA-256 of the bytes just read from (how="read") or
     written to (how="written") the whole file at `path`."""
-    _digests[how, Path(path)] = hexdigest
+    _digests[how, str(Path(path))] = hexdigest
 
 
-def noted_digest(how: str, path: str | Path) -> str | None:
-    return _digests.get((how, Path(path)))
+def noted_digests(how: str) -> dict[str, str]:
+    """{str(path): SHA-256} of every file read (how="read") or written
+    (how="written") whole since forget_digests."""
+    return {path: digest for (noted, path), digest in _digests.items() if noted == how}
 
 
 def forget_digests() -> None:
     _digests.clear()
+
+
+def shipped_text(name: str) -> str:
+    """The text of the data file `name` shipped under surgcurate/data: part
+    of the tool, which tool_version names, so no digest is noted."""
+    from importlib import resources  # here, not at import: it costs every command's start-up
+
+    return resources.files("surgcurate.data").joinpath(name).read_text("utf-8")
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes | str], hasher=None) -> Path:

@@ -4,7 +4,8 @@ evaluate, report, stats.
 Every command resolves its configuration through flags > environment
 (SURGCURATE_*) > config file > the defaults in config.SCHEMAS, derives its
 stage seed from the single root seed, and, when it writes an output file,
-writes a run manifest fingerprinting its inputs and outputs next to it.
+writes a run manifest next to it with the SHA-256 of every file the
+command's layers read and wrote, as they read and wrote it.
 Exit codes: 0 ok, 1 operational error, 2 usage or config error; failures
 also emit one machine-readable JSON error record on stderr.
 """
@@ -23,7 +24,7 @@ import click
 
 from . import __version__
 from .apportion import as_fraction, format_points
-from .artifact import SurgcurateError, forget_digests, read_json, write_atomic
+from .artifact import SurgcurateError, forget_digests, noted_digests, read_json, write_atomic
 from .config import SCHEMAS, ConfigError, Option, resolve_config
 from .corpus import (
     CorpusIndex,
@@ -115,10 +116,10 @@ def _effective_workers(cfg: dict) -> int:
 
 @dataclass
 class Provenance:
-    """What a command body reports for its run manifest."""
+    """What a command body reports for its run manifest; the files it read
+    and wrote are the digests its layers noted."""
 
     output: str | Path
-    inputs: list[Path]
     seeds: dict[str, int] = field(default_factory=dict)  # stage seeds; the root seed is always recorded
     extra: dict = field(default_factory=dict)  # recorded next to the resolved config
 
@@ -166,12 +167,11 @@ def _command(group: click.Group, name: str, flags: tuple[str, ...] = (), configu
                     command=name,
                     config={**cfg, **ran.extra},
                     seeds={"root": cfg["seed"], **ran.seeds},
+                    inputs=noted_digests("read"),
+                    outputs=noted_digests("written"),
                     started_at=started,
                     finished_at=utc_now(),
                 )
-                for p in ran.inputs:
-                    manifest.add_input(p)
-                manifest.add_output(ran.output)
                 manifest.save(manifest_path_for(ran.output))
             except _USAGE_ERRORS as exc:
                 _emit_error(exc)
@@ -213,7 +213,7 @@ def ingest(cfg, blobs, ids, out):
     id_file = _require(ids, "id list")
     n_rows = _cli.ingest_raw_blobs(blob_dir, id_file, cfg["dim"], out)
     click.echo(f"ingested {n_rows} rows of dim {cfg['dim']} -> {out}")
-    return Provenance(out, sorted(p for p in blob_dir.iterdir() if p.is_file()) + [id_file])
+    return Provenance(out)
 
 
 @_command(main, "cluster", ("seed", "workers"))
@@ -221,8 +221,7 @@ def ingest(cfg, blobs, ids, out):
 @click.option("--out", type=click.Path(), required=True, help="Output cluster tree file.")
 def cluster(cfg, store_path, out):
     """Build the multi-level K-means hierarchy over an embedding store."""
-    store_file = _require(store_path, "store file")
-    matrix = _cli.read_store(store_file)
+    matrix = _cli.read_store(_require(store_path, "store file"))
     if cfg["normalize"]:
         matrix = _cli.l2_normalize(matrix)
     stage_seed = derive_seed(cfg["seed"], "cluster")
@@ -239,7 +238,7 @@ def cluster(cfg, store_path, out):
     tree.save(out)
     sizes = ",".join(str(s) for s in cfg["levels"])
     click.echo(f"built {len(tree.levels)}-level tree ({sizes}) fingerprint {tree.fingerprint()[:12]} -> {out}")
-    return Provenance(out, [store_file], {"cluster": stage_seed}, {"workers_effective": eff_workers})
+    return Provenance(out, {"cluster": stage_seed}, {"workers_effective": eff_workers})
 
 
 @_command(main, "curate", ("seed", "workers"))
@@ -254,7 +253,7 @@ def curate_cmd(cfg, store_path, tree_path, out):
     curated = _cli.curate(tree, store_file, as_fraction(cfg["fraction"]), mode=cfg["mode"])
     curated.to_jsonl(out)
     click.echo(f"curated {len(curated)} of {tree.n_points} clips -> {out}")
-    return Provenance(out, [store_file, tree_file])
+    return Provenance(out)
 
 
 @_command(main, "sample", ("seed",))
@@ -281,7 +280,7 @@ def sample(cfg, unlabeled, clinical, out):
         interleave=cfg["interleave"],
     )
     click.echo(f"sampled {cfg['n']} batches of {cfg['batch']} -> {out}")
-    return Provenance(out, [unlabeled_file, clinical_file], {"sample": stage_seed})
+    return Provenance(out, {"sample": stage_seed})
 
 
 def _read_video_map(path: Path, value) -> dict:
@@ -305,29 +304,21 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
     if out is None:
         raise ConfigError("--out is required")
 
-    inputs: list[Path] = []
     tier = resolve_tier(official is not None, community is not None)
     if tier is not SplitTier.OURS:
         path = _require(official if tier is SplitTier.OFFICIAL else community, f"{tier.value.lower()} split")
-        inputs.append(path)
         manifest = make_manifest(dataset, _read_video_map(path, Split), tier, created_at=created_at)
     else:
         if videos is not None:
-            video_file = _require(videos, "video list")
-            inputs.append(video_file)
-            video_ids = read_video_list(video_file)
+            video_ids = read_video_list(_require(videos, "video list"))
         elif corpus_path is not None:
-            corpus_file = _require(corpus_path, "corpus manifest")
-            inputs.append(corpus_file)
-            videos = read_corpus_manifest(corpus_file, clips=False)
+            videos = read_corpus_manifest(_require(corpus_path, "corpus manifest"), clips=False)
             video_ids = [v.video_id for v in videos if v.dataset_id == dataset]
         else:
             raise ConfigError("tier-Ours splits need --videos or --corpus")
         strata = None
         if stratify_by is not None:
-            strata_file = _require(stratify_by, "strata map")
-            inputs.append(strata_file)
-            strata = _read_video_map(strata_file, str)
+            strata = _read_video_map(_require(stratify_by, "strata map"), str)
         stage_seed = derive_seed(cfg["seed"], f"split-{dataset}")
         manifest = generate_split_manifest(
             dataset,
@@ -345,7 +336,7 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
         f"version {manifest.version[:12]} -> {out}"
     )
     seeds = {} if manifest.seed is None else {f"split-{dataset}": manifest.seed}
-    return Provenance(out, inputs, seeds)
+    return Provenance(out, seeds)
 
 
 @_command(split, "verify", configured=False)
@@ -378,33 +369,32 @@ def split_verify(_cfg, manifest_path, corpus_path):
 @click.option("--out", type=click.Path(), default=None, help="Write a scores CSV (header and this row) here.")
 def evaluate(cfg, predictions, dataset, model, variant, out):
     """Score a predictions file (Acc@1) and optionally emit a scores row."""
-    pred_file = _require(predictions, "predictions file")
-    records = _cli.read_predictions_csv(pred_file)
+    records = _cli.read_predictions_csv(_require(predictions, "predictions file"))
     acc = _cli.acc_at_1(records)
     click.echo(f"{dataset}/{model}" + (f"/{variant}" if variant else "") + f": Acc@1 {format_points(acc)} ({len(records)} samples)")
     if not out:
         return None
     write_atomic(out, [f"dataset,model,variant,acc\n{dataset},{model},{variant or ''},{format_points(acc)}\n"])
-    return Provenance(out, [pred_file])
+    return Provenance(out)
 
 
 @_command(main, "report")
 @click.option("--scores", "scores_paths", type=click.Path(), multiple=True, help="Scores CSV (dataset, model, variant, acc); repeatable.")
-@click.option("--domain-map", "domain_map_path", type=click.Path(), default=None, help="Domain mapping JSON override.")
+@click.option("--domain-map", "domain_map_path", type=click.Path(), default=None, help="Domain mapping JSON override for --scores.")
 @click.option("--reference", is_flag=True, default=False, help="Render the shipped reference tables instead.")
 @click.option("--out", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 def report(cfg, scores_paths, domain_map_path, reference, out):
     """Render benchmark tables: per-dataset scores, domain macros, deltas."""
-    domain_map = DomainMap.from_file(_require(domain_map_path, "domain map")) if domain_map_path else DomainMap.default()
-
     if reference:
+        if domain_map_path:
+            raise ConfigError("--domain-map applies to --scores, not to --reference")
         tables = _cli.reference_report_tables()
-        inputs: list[Path] = []
     else:
         if not scores_paths:
             raise ConfigError("--scores is required unless --reference is given")
-        inputs = [_require(p, "scores file") for p in scores_paths]
-        tables = _cli.score_report_tables([rec for path in inputs for rec in _cli.read_scores_csv(path)], domain_map)
+        domain_map = DomainMap.from_file(_require(domain_map_path, "domain map")) if domain_map_path else DomainMap.default()
+        score_files = [_require(p, "scores file") for p in scores_paths]
+        tables = _cli.score_report_tables([rec for path in score_files for rec in _cli.read_scores_csv(path)], domain_map)
 
     text = _cli.emit_report(tables, format=cfg["format"])
     if not out:
@@ -412,7 +402,7 @@ def report(cfg, scores_paths, domain_map_path, reference, out):
         return None
     write_atomic(out, [text])
     click.echo(f"report -> {out}")
-    return Provenance(out, inputs)
+    return Provenance(out)
 
 
 @_command(main, "stats")
@@ -420,8 +410,7 @@ def report(cfg, scores_paths, domain_map_path, reference, out):
 @click.option("--out", type=click.Path(), default=None, help="Write the inventory report here instead of stdout.")
 def stats(cfg, corpus_path, out):
     """Inventory report: videos, clips, frames per source and domain."""
-    corpus_file = _require(corpus_path, "corpus manifest")
-    index = CorpusIndex(read_corpus_manifest(corpus_file))
+    index = CorpusIndex(read_corpus_manifest(_require(corpus_path, "corpus manifest")))
     validation = validate_corpus(index)
     result = corpus_stats(index)
     text = inventory_report(result)
@@ -434,7 +423,7 @@ def stats(cfg, corpus_path, out):
         return None
     write_atomic(out, [text])
     click.echo(f"stats -> {out}")
-    return Provenance(out, [corpus_file])
+    return Provenance(out)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .artifact import (
     iter_jsonl,
     note_digest,
     read_json,
+    shipped_text,
     text_field,
     write_atomic,
 )
@@ -164,9 +165,7 @@ class DomainMap:
 
     @classmethod
     def default(cls) -> "DomainMap":
-        from importlib import resources  # here, not at import: it costs every command's start-up
-
-        return cls.from_file(resources.files("surgcurate.data").joinpath("domain_map.json"))
+        return cls(json.loads(shipped_text("domain_map.json"))["datasets"])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DomainMap":
@@ -380,10 +379,7 @@ def _format_scale(stats: CorpusStats) -> str:
 
 def scale_comparison_report(stats: CorpusStats, ours_label: str = "Ours") -> str:
     """Markdown table comparing this corpus against shipped reference scales."""
-    from importlib import resources  # see DomainMap.default
-
-    text = resources.files("surgcurate.data").joinpath("pretraining_scale_reference.csv").read_text("utf-8")
-    rows = list(csv.DictReader(text.splitlines()))
+    rows = list(csv.DictReader(shipped_text("pretraining_scale_reference.csv").splitlines()))
     lines = [
         "| Method | Domain Focus | Reported Scale |",
         "| --- | --- | --- |",

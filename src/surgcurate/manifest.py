@@ -8,9 +8,9 @@ that carries wall-clock timestamps.
 
 A fingerprint is of the bytes the command read or wrote. The layer that
 reads or writes a whole file hashes it in the same pass and notes that
-digest (artifact.note_digest), and the manifest takes it from there
-instead of reading the file again; a file no layer noted is hashed when
-it is added.
+digest (artifact.note_digest); the manifest's inputs and outputs are the
+digests noted while the command ran (artifact.noted_digests), so no file
+is read again to fill them. verify_inputs hashes each input again.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .artifact import SurgcurateError, noted_digest, read_json, write_atomic
+from .artifact import SurgcurateError, read_json, write_atomic
 
 
 class RunManifestError(SurgcurateError):
@@ -51,14 +51,6 @@ class RunManifest:
     tool_version: str = __version__
     started_at: str = ""
     finished_at: str = ""
-
-    def add_input(self, path: str | Path) -> None:
-        """Fingerprint the bytes last read from `path`, or its current bytes."""
-        self.inputs[str(path)] = noted_digest("read", path) or fingerprint_file(path)
-
-    def add_output(self, path: str | Path) -> None:
-        """Fingerprint the bytes last written to `path`, or its current bytes."""
-        self.outputs[str(path)] = noted_digest("written", path) or fingerprint_file(path)
 
     def verify_inputs(self) -> list[str]:
         """Paths whose current contents no longer match the recorded hash;

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .apportion import as_fraction, format_points, round_to_points
-from .artifact import SurgcurateError, read_text
+from .artifact import SurgcurateError, read_text, shipped_text
 from .corpus import CLINICAL_DOMAINS, Domain, DomainMap
 
 Rational = Union[int, float, str, Fraction]
@@ -315,12 +315,6 @@ def read_scores_csv(path: str | Path) -> list[EvalRecord]:
 # -- shipped reference fixtures -----------------------------------------------
 
 
-def _data_text(name: str) -> str:
-    from importlib import resources  # here, not at import: it costs every command's start-up
-
-    return resources.files("surgcurate.data").joinpath(name).read_text("utf-8")
-
-
 @dataclass(frozen=True)
 class PromptSensitivityRow:
     dataset_id: str
@@ -333,7 +327,7 @@ class PromptSensitivityRow:
 def load_reference_prompt_scores() -> list[PromptSensitivityRow]:
     """Shipped P1/P2/delta reference triples (48 rows)."""
     rows = []
-    for row in csv.DictReader(_data_text("vlm_prompt_scores.csv").splitlines()):
+    for row in csv.DictReader(shipped_text("vlm_prompt_scores.csv").splitlines()):
         rows.append(
             PromptSensitivityRow(
                 dataset_id=row["dataset"],
@@ -361,7 +355,7 @@ _DOMAIN_COLUMNS = {"cataract": "Cataract", "robotic": "Robotic", "endoscopy": "E
 def load_reference_domain_scores() -> list[DomainScoreRow]:
     """Shipped per-domain macro rows with their published aggregates."""
     rows = []
-    for row in csv.DictReader(_data_text("domain_macro_scores.csv").splitlines()):
+    for row in csv.DictReader(shipped_text("domain_macro_scores.csv").splitlines()):
         rows.append(
             DomainScoreRow(
                 model_id=row["model"],
@@ -383,7 +377,7 @@ class DomainDeltaRow:
 
 def load_reference_domain_deltas() -> list[DomainDeltaRow]:
     rows = []
-    for row in csv.DictReader(_data_text("domain_macro_deltas.csv").splitlines()):
+    for row in csv.DictReader(shipped_text("domain_macro_deltas.csv").splitlines()):
         published = {dom: as_fraction(row[col]) for col, dom in _DOMAIN_COLUMNS.items()}
         published["overall_macro"] = as_fraction(row["overall_macro"])
         published["worst_domain_score"] = as_fraction(row["worst_domain_score"])
@@ -394,7 +388,7 @@ def load_reference_domain_deltas() -> list[DomainDeltaRow]:
 def load_reference_benchmark_scores() -> dict[str, dict[str, Fraction]]:
     """Shipped per-dataset Acc@1 reference: dataset -> model -> score."""
     out: dict[str, dict[str, Fraction]] = {}
-    for row in csv.DictReader(_data_text("ssl_benchmark_scores.csv").splitlines()):
+    for row in csv.DictReader(shipped_text("ssl_benchmark_scores.csv").splitlines()):
         out.setdefault(row["dataset"], {})[row["model"]] = as_fraction(row["acc"])
     return out
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .apportion import largest_remainder
 from .artifact import SurgcurateError, read_json, read_text, write_atomic
-from .corpus import ClipRecord, CorpusIndex
+from .corpus import ClipRecord
 from .manifest import utc_now
 from .seeding import derive_seed, permutation
 
@@ -257,7 +257,7 @@ def _as_pairs(assignment: AssignmentLike) -> list[tuple[str, Split]]:
     return sorted(assignment)
 
 
-def verify_disjoint(assignment: AssignmentLike, clip_index) -> list[SplitViolation]:
+def verify_disjoint(assignment: AssignmentLike, clips: Iterable[ClipRecord]) -> list[SplitViolation]:
     """Check that splits form a partition at the video level.
 
     Accepts a manifest, an assignment map, or raw (video_id, split) pairs
@@ -280,10 +280,6 @@ def verify_disjoint(assignment: AssignmentLike, clip_index) -> list[SplitViolati
             flagged.add(vid)
         seen.setdefault(vid, split)
 
-    if isinstance(clip_index, CorpusIndex):
-        clips: Iterable[ClipRecord] = clip_index.clips.values()
-    else:
-        clips = clip_index
     missing: set[str] = set()
     for clip in sorted(clips, key=lambda c: c.clip_id):
         if clip.video_id not in seen and clip.video_id not in missing:

@@ -19,7 +19,7 @@ import surgcurate
 from surgcurate.artifact import (
     forget_digests,
     iter_jsonl,
-    noted_digest,
+    noted_digests,
     read_json,
     read_lines,
     write_atomic,
@@ -193,26 +193,25 @@ class TestDecode:
         partial = iter_jsonl(path, Malformed, lambda doc: doc["id"])
         assert next(partial) == "a"
         partial.close()
-        assert noted_digest("read", path) is None
+        assert noted_digests("read") == {}
         assert list(iter_jsonl(path, Malformed, lambda doc: doc["id"])) == ["a", "b"]
-        assert noted_digest("read", path) == hashlib.sha256(raw).hexdigest()
+        assert noted_digests("read") == {str(path): hashlib.sha256(raw).hexdigest()}
         forget_digests()
         path.write_bytes(raw + b"\nnot json\n")
         with pytest.raises(Malformed):
             list(iter_jsonl(path, Malformed, lambda doc: doc["id"]))
-        assert noted_digest("read", path) is None
+        assert noted_digests("read") == {}
 
     def test_whole_file_helpers_note_the_bytes_they_read_or_wrote(self, tmp_path):
         forget_digests()
         ids, doc = tmp_path / "ids.txt", tmp_path / "x.json"
         write_atomic(ids, ["a\n", b"b\n"])
         write_atomic(doc, ['{"a": 1}'])
-        assert noted_digest("written", ids) == hashlib.sha256(b"a\nb\n").hexdigest()
+        assert noted_digests("written")[str(ids)] == hashlib.sha256(b"a\nb\n").hexdigest()
         assert read_lines(ids, Malformed) == ["a", "b"]
         assert read_json(doc, Malformed, lambda d: d["a"]) == 1
-        for path in (ids, doc):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert noted_digest("read", path) == noted_digest("written", path) == digest
+        digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (ids, doc)}
+        assert noted_digests("read") == noted_digests("written") == digests
 
     def test_json_document(self, tmp_path):
         path = tmp_path / "x.json"

@@ -269,8 +269,8 @@ _MALFORMED_INPUTS = {
         "SplitError", "s.json",
     ),
     "domain-map-without-datasets": (
-        {"dm.json": '{"domains": {}}'},
-        ["report", "--reference", "--domain-map", "dm.json"],
+        {"dm.json": '{"domains": {}}', "s.csv": "dataset,model,variant,acc\ncholec80,m,,50\n"},
+        ["report", "--scores", "s.csv", "--domain-map", "dm.json"],
         "CorpusError", "dm.json",
     ),
     "empty-domain-map": (
@@ -499,6 +499,20 @@ class TestErrorContract:
         record = json.loads(result.output.strip().splitlines()[-1])
         assert record["error"] == "InputMissing"
 
+    def test_domain_map_with_reference_is_a_config_error_exit_2(self, tmp_path):
+        """--domain-map applies to --scores only; the reference tables would
+        read the map and ignore it, so the pair is a usage error naming both
+        flags, and nothing is written."""
+        dm, out = tmp_path / "dm.json", tmp_path / "r.md"
+        dm.write_text('{"datasets": {}}', encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", "--reference", "--domain-map", str(dm), "--out", str(out)], env={})
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == "ConfigError"
+        assert "--domain-map" in record["message"] and "--reference" in record["message"]
+        assert list(tmp_path.iterdir()) == [dm]
+
     def test_bad_config_key_exit_2(self, tmp_path):
         ini = tmp_path / "surg.ini"
         ini.write_text("[cluster]\nbogus = 1\n", encoding="utf-8")
@@ -711,8 +725,8 @@ class TestFullPipeline:
         assert str(tree) in manifest.outputs
 
     def test_run_manifests_record_the_sha256_of_each_file(self, pipeline_dir):
-        """Every fingerprint, whether taken while the command read or wrote
-        the file or by fingerprint_file afterwards, is the file's SHA-256."""
+        """Every fingerprint, taken while the command read or wrote the file,
+        is the file's SHA-256."""
         root, _ = pipeline_dir
         runs = {p.name: RunManifest.load(p) for p in root.glob("*.run.json")}
         assert set(runs) == {
@@ -759,6 +773,49 @@ class TestFullPipeline:
         run = RunManifest.load(manifest_path_for(curated))
         assert run.inputs[str(tree)] == hashlib.sha256(read).hexdigest()
         assert run.verify_inputs() == [str(tree)]
+
+    def test_ingest_out_inside_blobs_is_not_an_input(self, tmp_path):
+        """ingest's inputs are the blobs and the id list it read; the store it
+        writes into the blob directory is its output only."""
+        paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
+        blobs, ids = paths["raw_blobs"], paths["raw_ids"]
+        read = [*sorted(blobs.iterdir()), ids]
+        out = blobs / "store.semb"
+        self._run(["ingest", "--blobs", str(blobs), "--ids", str(ids), "--dim", "8", "--out", str(out)])
+        run = RunManifest.load(manifest_path_for(out))
+        assert run.inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+        assert run.outputs == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+    def test_run_manifest_records_the_blobs_ingest_read(self, tmp_path, monkeypatch):
+        """A blob added to the directory once ingest has read the blobs is not
+        an input; a blob deleted once read stays one, with the bytes read,
+        and verify_inputs reports it as stale."""
+        paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
+        blobs, ids = paths["raw_blobs"], paths["raw_ids"]
+        read = {p: p.read_bytes() for p in [*sorted(blobs.iterdir()), ids]}
+        deleted = sorted(blobs.iterdir())[-1]
+
+        def ingest_then_change_blobs(*args, _ingest=cli.ingest_raw_blobs, **kwargs):
+            n_rows = _ingest(*args, **kwargs)
+            deleted.unlink()
+            (blobs / "late.f32").write_bytes(read[ids])
+            return n_rows
+
+        monkeypatch.setattr(cli, "ingest_raw_blobs", ingest_then_change_blobs)
+        out = tmp_path / "s.semb"
+        self._run(["ingest", "--blobs", str(blobs), "--ids", str(ids), "--dim", "8", "--out", str(out)])
+        run = RunManifest.load(manifest_path_for(out))
+        assert run.inputs == {str(p): hashlib.sha256(data).hexdigest() for p, data in read.items()}
+        assert run.verify_inputs() == [str(deleted)]
+
+    def test_run_manifest_records_the_domain_map_report_read(self, tmp_path):
+        scores, dm, out = tmp_path / "s.csv", tmp_path / "dm.json", tmp_path / "r.md"
+        scores.write_text("dataset,model,variant,acc\ncholec80,m,,50\n", encoding="utf-8")
+        dm.write_text('{"datasets": {"cholec80": "Laparoscopy"}}', encoding="utf-8")
+        self._run(["report", "--scores", str(scores), "--domain-map", str(dm), "--out", str(out)])
+        run = RunManifest.load(manifest_path_for(out))
+        assert run.inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (scores, dm)}
+        assert run.outputs == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
 
     @pytest.mark.parametrize(
         "command,wrapped,replaced",

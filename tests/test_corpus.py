@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgcurate import corpus
-from surgcurate.artifact import iter_jsonl, noted_digest
+from surgcurate.artifact import iter_jsonl, noted_digests
 from surgcurate.corpus import (
     ClipRecord,
     CorpusError,
@@ -528,7 +528,7 @@ class TestBlockReader:
         assert records_read == _outcome(_reference_records, path)
         assert videos_read == _outcome(_reference_videos, path)
         if records_read[0] == "ok":
-            assert noted_digest("read", path) == hashlib.sha256(data).hexdigest()
+            assert noted_digests("read")[str(path)] == hashlib.sha256(data).hexdigest()
 
     def test_written_lines_take_the_block_path_at_every_block_size(self, tmp_path, monkeypatch, fixture_corpus):
         """No block size, however it cuts the lines, sends a written

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surgcurate.apportion import format_points, round_to_points
-from surgcurate.artifact import forget_digests, noted_digest
+from surgcurate.artifact import forget_digests, noted_digests
 from surgcurate.corpus import UnknownDataset
 from surgcurate.metrics import (
     ColumnMismatch,
@@ -265,7 +265,7 @@ class TestCsvReaders:
         path.write_bytes(b"dataset,model,variant,acc\ncholec80,m,,50.5\n")
         forget_digests()
         assert read_scores_csv(path) == [EvalRecord("cholec80", "m", None, accuracy=Fraction(101, 2))]
-        assert noted_digest("read", path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert noted_digests("read") == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     @pytest.mark.parametrize(
         "rows, line, fields",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from surgcurate import store, storefile
-from surgcurate.artifact import forget_digests, noted_digest
+from surgcurate.artifact import forget_digests, noted_digests
 from surgcurate.store import (
     BadMagic,
     BadRowId,
@@ -95,7 +95,7 @@ class TestRoundtrip:
         assert back.data.shape == (n, 3) and back.data.flags.c_contiguous
         assert back.data.tobytes() == m.data.tobytes()
         assert back.row_ids == m.row_ids
-        assert noted_digest("read", path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert noted_digests("read") == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 class TestCorruption:
@@ -330,9 +330,11 @@ class TestIngest:
         blob_dir, ids = _blobs(tmp_path, _rows([1, 2]), _rows([3, 4], [5, 6]))
         forget_digests()
         ingest_raw_blobs(blob_dir, ids, 2, tmp_path / "s.semb")
-        for how, path in [("read", blob_dir / "a.f32"), ("read", blob_dir / "b.f32"), ("read", ids),
-                          ("written", tmp_path / "s.semb")]:
-            assert noted_digest(how, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        def digests(*paths):
+            return {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+        assert noted_digests("read") == digests(blob_dir / "a.f32", blob_dir / "b.f32", ids)
+        assert noted_digests("written") == digests(tmp_path / "s.semb")
 
     @pytest.mark.parametrize(
         "blobs, ids, error, message",

@@ -3,6 +3,7 @@ into the package by name, every export needs a user outside the tests, and
 the numpy-backed layers and metrics load only when a command uses them."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -73,39 +74,65 @@ def test_rebound_cli_names_are_the_ones_the_commands_call(tmp_path, monkeypatch)
     assert calls == {"read_store": 1, "l2_normalize": 1, "build_hierarchy": 1, "curate": 1, "write_batch_manifest": 1}
 
 
-def _every_command(tmp_path) -> list[tuple[str, list[str]]]:
-    """(label, argv) for a run of every configured command, in an order
-    where each reads what the ones before wrote, and for each way sample
-    and split read their inputs."""
+def _every_command(tmp_path) -> list[tuple[str, list[str], list[Path]]]:
+    """(label, argv, the files the command reads) for a run of every
+    configured command, in an order where each reads what the ones before
+    wrote, and for each way sample, split and report read their inputs."""
     paths = write_fixture_corpus(tmp_path, dim=8, raw_blobs=True)
-    store, tree, curated = str(tmp_path / "s.semb"), str(tmp_path / "t.sctree"), str(tmp_path / "c.jsonl")
-    corpus, clinical = str(paths["corpus"]), str(paths["clinical_ids"])
-    (tmp_path / "u.txt").write_text("x1\nx2\n", encoding="utf-8")
+    store, tree, curated = tmp_path / "s.semb", tmp_path / "t.sctree", tmp_path / "c.jsonl"
+    corpus, clinical, scores = paths["corpus"], paths["clinical_ids"], tmp_path / "scores.csv"
+    unlabeled, video_list, strata, official, preds, domain_map = (
+        tmp_path / name for name in ("u.txt", "videos.txt", "strata.json", "official.json", "preds.csv", "dm.json")
+    )
+    unlabeled.write_text("x1\nx2\n", encoding="utf-8")
     videos = [f"v{i}" for i in range(6)]
-    (tmp_path / "videos.txt").write_text("\n".join(videos) + "\n", encoding="utf-8")
-    (tmp_path / "strata.json").write_text(json.dumps({v: v < "v3" for v in videos}), encoding="utf-8")
-    (tmp_path / "official.json").write_text(json.dumps({"v1": "train", "v2": "test"}), encoding="utf-8")
-    (tmp_path / "preds.csv").write_text("sample_id,predicted,label\ns1,x,x\n", encoding="utf-8")
-    scores = str(tmp_path / "scores.csv")
-    return [
-        ("ingest", ["ingest", "--blobs", str(paths["raw_blobs"]), "--ids", str(paths["raw_ids"]), "--dim", "8",
-                    "--out", store]),
-        ("cluster", ["cluster", "--store", store, "--levels", "4", "--out", tree]),
-        ("curate", ["curate", "--store", store, "--tree", tree, "--out", curated]),
+    video_list.write_text("\n".join(videos) + "\n", encoding="utf-8")
+    strata.write_text(json.dumps({v: v < "v3" for v in videos}), encoding="utf-8")
+    official.write_text(json.dumps({"v1": "train", "v2": "test"}), encoding="utf-8")
+    preds.write_text("sample_id,predicted,label\ns1,x,x\n", encoding="utf-8")
+    domain_map.write_text(json.dumps({"datasets": {"cholec80": "Laparoscopy"}}), encoding="utf-8")
+    cases = [
+        ("ingest", ["ingest", "--blobs", paths["raw_blobs"], "--ids", paths["raw_ids"], "--dim", "8", "--out", store],
+         [*sorted(paths["raw_blobs"].iterdir()), paths["raw_ids"]]),
+        ("cluster", ["cluster", "--store", store, "--levels", "4", "--out", tree], [store]),
+        ("curate", ["curate", "--store", store, "--tree", tree, "--out", curated], [store, tree]),
         ("sample curated", ["sample", "--unlabeled", curated, "--clinical", clinical, "--n", "3",
-                            "--out", str(tmp_path / "b1.jsonl")]),
-        ("sample list", ["sample", "--unlabeled", str(tmp_path / "u.txt"), "--clinical", clinical, "--n", "3",
-                         "--out", str(tmp_path / "b2.jsonl")]),
-        ("split corpus", ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", str(tmp_path / "s1.json")]),
-        ("split videos", ["split", "--dataset", "d", "--videos", str(tmp_path / "videos.txt"),
-                          "--stratify-by", str(tmp_path / "strata.json"), "--out", str(tmp_path / "s2.json")]),
-        ("split official", ["split", "--dataset", "d", "--official", str(tmp_path / "official.json"),
-                            "--out", str(tmp_path / "s3.json")]),
-        ("stats", ["stats", "--corpus", corpus, "--out", str(tmp_path / "stats.md")]),
-        ("evaluate", ["evaluate", "--predictions", str(tmp_path / "preds.csv"), "--dataset", "cholec80",
-                      "--model", "m", "--out", scores]),
-        ("report", ["report", "--scores", scores, "--out", str(tmp_path / "report.md")]),
+                            "--out", tmp_path / "b1.jsonl"], [curated, clinical]),
+        ("sample list", ["sample", "--unlabeled", unlabeled, "--clinical", clinical, "--n", "3",
+                         "--out", tmp_path / "b2.jsonl"], [unlabeled, clinical]),
+        ("split corpus", ["split", "--dataset", "web-edu", "--corpus", corpus, "--out", tmp_path / "s1.json"], [corpus]),
+        ("split videos", ["split", "--dataset", "d", "--videos", video_list, "--stratify-by", strata,
+                          "--out", tmp_path / "s2.json"], [video_list, strata]),
+        ("split official", ["split", "--dataset", "d", "--official", official, "--out", tmp_path / "s3.json"],
+         [official]),
+        ("stats", ["stats", "--corpus", corpus, "--scale-comparison", "--out", tmp_path / "stats.md"], [corpus]),
+        ("evaluate", ["evaluate", "--predictions", preds, "--dataset", "cholec80", "--model", "m", "--out", scores],
+         [preds]),
+        ("report", ["report", "--scores", scores, "--out", tmp_path / "report.md"], [scores]),
+        ("report domain map", ["report", "--scores", scores, "--domain-map", domain_map,
+                               "--out", tmp_path / "report-dm.md"], [scores, domain_map]),
+        ("report reference", ["report", "--reference", "--out", tmp_path / "reference.md"], []),
     ]
+    return [(label, [str(arg) for arg in argv], reads) for label, argv, reads in cases]
+
+
+def test_run_manifests_record_the_files_each_command_read_and_wrote(tmp_path):
+    """A run manifest's inputs are the files the command's layers read, with
+    the bytes they read, and its outputs the one file it wrote. Data shipped
+    under surgcurate/data (the default domain map, the reference tables and
+    scales) is part of the tool, never an input."""
+    shipped = Path(cli.__file__).parent / "data"
+
+    def digests(*paths):
+        return {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+    for label, argv, reads in _every_command(tmp_path):
+        result = CliRunner().invoke(cli.main, argv, env={})
+        assert result.exit_code == 0, result.output
+        out = Path(argv[argv.index("--out") + 1])
+        run = manifest.RunManifest.load(manifest.manifest_path_for(out))
+        assert (run.inputs, run.outputs) == (digests(*reads), digests(out)), label
+        assert [path for path in run.inputs if Path(path).is_relative_to(shipped)] == [], label
 
 
 def test_commands_hash_each_file_in_the_pass_that_used_it(tmp_path, monkeypatch):
@@ -116,7 +143,7 @@ def test_commands_hash_each_file_in_the_pass_that_used_it(tmp_path, monkeypatch)
     fingerprint = manifest.fingerprint_file
     monkeypatch.setattr(manifest, "fingerprint_file", lambda path: hashed.append(Path(path).name) or fingerprint(path))
     per_command = {}
-    for label, argv in _every_command(tmp_path):
+    for label, argv, _ in _every_command(tmp_path):
         hashed.clear()
         result = CliRunner().invoke(cli.main, argv, env={})
         assert result.exit_code == 0, result.output
@@ -152,7 +179,7 @@ def test_every_declared_option_is_read_by_its_command(tmp_path, monkeypatch):
         return cfg
 
     monkeypatch.setattr(cli, "resolve_config", spying)
-    for _, argv in _every_command(tmp_path):
+    for _, argv, _ in _every_command(tmp_path):
         result = CliRunner().invoke(cli.main, argv, env={})
         assert result.exit_code == 0, result.output
     options = {o.name for section in SCHEMAS.values() for o in section}
@@ -229,6 +256,31 @@ print("importlib.resources" in sys.modules)
 import surgcurate.metrics
 print("importlib.resources" in sys.modules)
 """
+
+
+def test_importlib_resources_is_imported_only_in_shipped_text():
+    """artifact.shipped_text is the one reader of the data shipped under
+    surgcurate/data, which notes no digest; a second reader could put the
+    tool's own files among a run's inputs, or load importlib.resources at
+    start-up."""
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        enclosing = {
+            id(node): fn.name
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if any((module + ".").startswith("importlib.resources.") for module in modules):
+                uses.append((path.name, enclosing.get(id(node))))
+    assert uses == [("artifact.py", "shipped_text")]
 
 
 def test_cli_import_leaves_importlib_resources_unloaded():

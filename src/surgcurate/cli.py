@@ -306,9 +306,15 @@ def split(cfg, dataset, videos, corpus_path, official, community, stratify_by, c
 
     tier = resolve_tier(official is not None, community is not None)
     if tier is not SplitTier.OURS:
+        ours_only = {"--videos": videos, "--corpus": corpus_path, "--stratify-by": stratify_by}
+        if unread := [flag for flag, value in ours_only.items() if value is not None]:
+            given = "--official" if tier is SplitTier.OFFICIAL else "--community"
+            raise ConfigError(f"{' and '.join(unread)} shape tier-Ours splits only; a {given} split is taken as given")
         path = _require(official if tier is SplitTier.OFFICIAL else community, f"{tier.value.lower()} split")
         manifest = make_manifest(dataset, _read_video_map(path, Split), tier, created_at=created_at)
     else:
+        if videos is not None and corpus_path is not None:
+            raise ConfigError("--videos and --corpus each name the videos; give one")
         if videos is not None:
             video_ids = read_video_list(_require(videos, "video list"))
         elif corpus_path is not None:
@@ -388,6 +394,8 @@ def report(cfg, scores_paths, domain_map_path, reference, out):
     if reference:
         if domain_map_path:
             raise ConfigError("--domain-map applies to --scores, not to --reference")
+        if scores_paths:
+            raise ConfigError("--reference renders the shipped tables and reads no --scores")
         tables = _cli.reference_report_tables()
     else:
         if not scores_paths:

@@ -10,6 +10,9 @@ Selection makes one pass over the rows, a store file's rows included, and
 holds no copy of the payload: its state is O(n) scalars, each row's two
 f64 distances to its leaf centroid plus the order that sorts them,
 next to the tree's assignments and the clip ids.
+
+The store and clustering layers are imported by curate and its helpers
+when they run, so `sample`, which uses only read_pool_ids, loads neither.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .apportion import as_fraction, proportional_split, round_half_away_from_zero, waterfill_equal_split
 from .artifact import SurgcurateError, decode_text, id_lines, iter_jsonl, note_digest, text_field, write_atomic
-from .clustering import ClusterTree, DimensionMismatch
-from .store import EmbeddingMatrix, id_order, open_store, row_blocks
+
+if TYPE_CHECKING:
+    from .clustering import ClusterTree, DimensionMismatch
+    from .store import EmbeddingMatrix
 
 
 class CurationError(SurgcurateError):
@@ -185,6 +190,8 @@ def _distance_kernel(rows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarra
 def _select(tree: ClusterTree, plan: BudgetPlan, row_ids: list[str], ranked: np.ndarray, recorded: np.ndarray) -> dict[str, SelectionRecord]:
     """Each leaf's quota of rows nearest its centroid by ranking distance,
     ties to the smaller clip id, as {clip_id: SelectionRecord}."""
+    from .store import id_order
+
     n = tree.n_points
     leaf = tree.levels[0].assignments
     id_rank = np.empty(n, dtype=np.int64)
@@ -221,6 +228,8 @@ def curate(
     the leaf assignments and the ids. A store's own errors come before a
     mismatch between the tree and the store.
     """
+    from .store import EmbeddingMatrix, open_store, row_blocks
+
     if isinstance(points, EmbeddingMatrix):
         if mismatch := _shape_error(tree, points.n_rows, points.dim):
             raise mismatch
@@ -254,6 +263,8 @@ def curate(
 
 def _shape_error(tree: ClusterTree, n_rows: int, dim: int) -> CurationError | DimensionMismatch | None:
     """The error for points that do not fit the tree, or None."""
+    from .clustering import DimensionMismatch
+
     if tree.n_points != n_rows:
         return CurationError(f"tree was built over {tree.n_points} points, store has {n_rows}")
     centroid_dim = tree.levels[0].centroids.shape[1]

@@ -22,6 +22,10 @@ A stream does per batch only the work that differs between batches:
 - Ids stay Python strings: a pool cursor gathers the id objects it was
   given (a numpy object array) into a list per epoch, so every id comes
   out intact, trailing NUL characters included.
+- Ids are encoded once per pool; lines are written in blocks: the batch
+  manifest's cursors hold each id's JSON string literal, so a batch line
+  is one join of the literals it draws, and LINE_BLOCK lines go to the
+  file as one chunk.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -42,6 +47,8 @@ from .seeding import derive_seed
 
 #: Batch modes drawn per generator call; any block size gives the same stream.
 MODE_BLOCK = 4096
+#: Batch lines handed to write_atomic per chunk; any block size gives the same bytes.
+LINE_BLOCK = 256
 
 
 class MixerError(SurgcurateError):
@@ -138,11 +145,15 @@ class PoolCursor:
                 seen.add(cid)
         ids.sort()
         self.pool_id = pool_id
-        self._ids = np.array(ids, dtype=object)  # the str objects themselves, gathered in C
+        self._ids = np.array(self._values(ids), dtype=object)  # the objects themselves, gathered in C
         self._seed = seed
         self.epoch = 0
         self.position = 0
         self._permuted = self._shuffle(0)
+
+    def _values(self, ids: list[str]) -> list[str]:
+        """What take() yields for each of the sorted ids: the id itself."""
+        return ids
 
     def _shuffle(self, epoch: int) -> list[str]:
         rng = np.random.default_rng((self._seed + epoch) & 0xFFFFFFFFFFFFFFFF)
@@ -160,6 +171,23 @@ class PoolCursor:
                 self._permuted = self._shuffle(self.epoch)
                 self.position = 0
         return out
+
+
+class _EncodedCursor(PoolCursor):
+    """A PoolCursor whose take() yields each id as its JSON string literal,
+    as json.dumps(..., sort_keys=True) writes a str (ensure_ascii), encoded
+    once here. Ids are still checked, sorted and shuffled as themselves.
+    An id that is not a str is a MixerError naming the pool and the id."""
+
+    def __init__(self, pool_id: str, ids: Sequence[str], seed: int):
+        ids = list(ids)
+        for cid in ids:
+            if not isinstance(cid, str):
+                raise MixerError(f"pool {pool_id!r} holds clip id {cid!r} of type {type(cid).__name__}; clip ids are strings")
+        super().__init__(pool_id, ids, seed)
+
+    def _values(self, ids: list[str]) -> list[str]:
+        return [encode_basestring_ascii(cid) for cid in ids]
 
 
 def _pure_schedule(index: int, p: Fraction) -> bool:
@@ -189,12 +217,24 @@ def sample_stream(
     variance-free deterministic schedule at the same rate. Pools that
     share a clip id raise MixerError naming the smallest shared id.
     """
+    return _batches(unlabeled_pool, clinical_pool, policy, n_batches, interleave, PoolCursor)
+
+
+def _batches(
+    unlabeled_pool: Iterable[str],
+    clinical_pool: Iterable[str],
+    policy: MixPolicy,
+    n_batches: int,
+    interleave: bool,
+    cursor: type[PoolCursor],
+) -> Iterator[tuple[BatchSpec, list[str]]]:
+    """sample_stream, with each batch drawn from two `cursor`s over the pools."""
     unlabeled_ids, clinical_ids = list(unlabeled_pool), list(clinical_pool)
     shared = set(unlabeled_ids).intersection(clinical_ids)
     if shared:
         raise MixerError(f"the unlabeled and clinical pools share {len(shared)} clip id(s), the smallest {min(shared)!r}")
-    unlabeled = PoolCursor("unlabeled", unlabeled_ids, derive_seed(policy.seed, "pool-unlabeled"))
-    clinical = PoolCursor("clinical", clinical_ids, derive_seed(policy.seed, "pool-clinical"))
+    unlabeled = cursor("unlabeled", unlabeled_ids, derive_seed(policy.seed, "pool-unlabeled"))
+    clinical = cursor("clinical", clinical_ids, derive_seed(policy.seed, "pool-clinical"))
     pure = BatchSpec(BatchMode.PURE_CLINICAL, 0, policy.batch_size)
     mixed = BatchSpec(BatchMode.MIXED, *mixed_batch_counts(policy))
     if interleave:
@@ -220,7 +260,12 @@ def write_batch_manifest(
     interleave: bool = False,
 ) -> Path:
     """Materialize a stream as JSON-lines: a header with the policy and
-    seed, then one line per batch."""
+    seed, then one line per batch, the bytes json.dumps(..., sort_keys=True)
+    writes for it. A clip id must be a str (MixerError otherwise).
+
+    Each id is JSON-encoded once, when its pool's cursor is built; a batch
+    line is a join of the encoded ids it draws, and lines reach the file
+    LINE_BLOCK at a time."""
     header = {
         "kind": "header",
         "policy": policy.to_json(),
@@ -229,12 +274,15 @@ def write_batch_manifest(
         "expected_clinical_fraction": str(expected_clinical_fraction(policy)),
     }
 
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(..., sort_keys=True) builds per call
-
     def lines():
-        yield encode(header) + "\n"
-        stream = sample_stream(unlabeled_pool, clinical_pool, policy, n_batches, interleave=interleave)
-        for index, (spec, clip_ids) in enumerate(stream):
-            yield encode({"index": index, "mode": spec.mode.value, "clip_ids": clip_ids}) + "\n"
+        yield json.dumps(header, sort_keys=True) + "\n"
+        batches = _batches(unlabeled_pool, clinical_pool, policy, n_batches, interleave, _EncodedCursor)
+        block: list[str] = []
+        for index, (spec, clip_ids) in enumerate(batches):
+            block.append(f'{{"clip_ids": [{", ".join(clip_ids)}], "index": {index}, "mode": "{spec.mode.value}"}}\n')
+            if len(block) == LINE_BLOCK:
+                yield "".join(block)
+                block = []
+        yield "".join(block)
 
     return write_atomic(path, lines())

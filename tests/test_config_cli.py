@@ -513,6 +513,47 @@ class TestErrorContract:
         assert "--domain-map" in record["message"] and "--reference" in record["message"]
         assert list(tmp_path.iterdir()) == [dm]
 
+    def _assert_config_error_naming(self, tmp_path, argv, flags, before):
+        result = CliRunner().invoke(main, argv, env={})
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)  # no traceback
+        record = json.loads(result.stderr)  # exactly one JSON document
+        assert record["error"] == "ConfigError"
+        assert all(flag in record["message"] for flag in flags), record["message"]
+        assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+    def test_scores_with_reference_is_a_config_error_exit_2(self, tmp_path):
+        """--reference renders the shipped tables; a --scores file beside it,
+        even one that does not parse, would be ignored without a word."""
+        scores = tmp_path / "s.csv"
+        scores.write_text("dataset,model,variant,acc\nnot-a-dataset,m,,abc\n", encoding="utf-8")
+        argv = ["report", "--reference", "--scores", str(scores), "--out", str(tmp_path / "r.md")]
+        self._assert_config_error_naming(tmp_path, argv, ["--scores", "--reference"], [scores])
+
+    def test_videos_and_stratify_by_with_official_are_a_config_error_exit_2(self, tmp_path):
+        """An Official split is taken as given; --videos and --stratify-by,
+        here naming files that do not exist, shape tier-Ours splits only."""
+        official = tmp_path / "o.json"
+        official.write_text('{"v1": "train", "v2": "test"}', encoding="utf-8")
+        argv = ["split", "--dataset", "d", "--official", str(official), "--videos", str(tmp_path / "missing.txt"),
+                "--stratify-by", str(tmp_path / "missing.json"), "--out", str(tmp_path / "m.json")]
+        self._assert_config_error_naming(tmp_path, argv, ["--official", "--videos", "--stratify-by"], [official])
+
+    def test_corpus_with_community_is_a_config_error_exit_2(self, tmp_path):
+        community = tmp_path / "o.json"
+        community.write_text('{"v1": "train", "v2": "test"}', encoding="utf-8")
+        argv = ["split", "--dataset", "d", "--community", str(community), "--corpus", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "m.json")]
+        self._assert_config_error_naming(tmp_path, argv, ["--community", "--corpus"], [community])
+
+    def test_videos_with_corpus_is_a_config_error_exit_2(self, tmp_path):
+        """A tier-Ours split reads its videos from one of the two flags."""
+        videos = tmp_path / "v.txt"
+        videos.write_text("v1\nv2\nv3\n", encoding="utf-8")
+        argv = ["split", "--dataset", "d", "--videos", str(videos), "--corpus", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "m.json")]
+        self._assert_config_error_naming(tmp_path, argv, ["--videos", "--corpus"], [videos])
+
     def test_bad_config_key_exit_2(self, tmp_path):
         ini = tmp_path / "surg.ini"
         ini.write_text("[cluster]\nbogus = 1\n", encoding="utf-8")

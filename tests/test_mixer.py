@@ -2,9 +2,13 @@ import json
 import os
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgcurate import mixer
 from surgcurate.cli import main
@@ -237,7 +241,96 @@ class TestBatchManifestOracle:
         self._assert_same_bytes(tmp_path, "3/20", "7/10", False, [block - 1, block, block + 1, 5000])
 
 
+#: Characters JSON escapes or that ensure_ascii spells as \\u escapes:
+#: quote, backslash, control characters, DEL, non-ASCII BMP and astral
+#: characters, and lone surrogates.
+_AWKWARD = ['"', "\\", "\x00", "\x01", "\n", "\x1f", "\x7f", "\x80", "é", "\u2028", "\uffff", "\U0001d11e",
+            "\ud800", "\udfff"]
+_IDS = st.lists(
+    st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=())), max_size=5),
+    min_size=2, max_size=12, unique=True,
+)
+
+
+class TestBatchManifestDifferential:
+    """write_batch_manifest against tests/oracles.batch_manifest_reference,
+    which runs json.dumps on every batch, over ids JSON has to escape."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=_IDS,
+        cut=st.integers(1, 11),
+        batch_size=st.integers(1, 10),
+        p=st.sampled_from(["0", "3/20", "1/2", "1"]),
+        m=st.sampled_from(["0", "7/10", "1"]),
+        interleave=st.booleans(),
+        line_block=st.integers(1, 4),
+    )
+    def test_same_bytes_as_json_dumps_per_batch(self, tmp_path_factory, ids, cut, batch_size, p, m, interleave, line_block):
+        """Pools of 1-11 ids against batches of 1-10, so a batch can wrap
+        a pool more than once; n at 0, 1 and either side of the line block."""
+        cut = 1 + cut % (len(ids) - 1)
+        unlabeled, clinical = ids[:cut], ids[cut:]
+        policy = MixPolicy(p_pure_clinical=p, mixed_unlabeled_frac=m, batch_size=batch_size, seed=3)
+        path = tmp_path_factory.mktemp("mixer") / "b.jsonl"
+        with mock.patch.object(mixer, "LINE_BLOCK", line_block):
+            for n in sorted({0, 1, line_block - 1, line_block, line_block + 1, 2 * line_block + 1}):
+                write_batch_manifest(path, unlabeled, clinical, policy, n, interleave=interleave)
+                want = batch_manifest_reference(unlabeled, clinical, Fraction(p), Fraction(m), batch_size, 3, n, interleave)
+                assert path.read_bytes() == want, n
+
+    @pytest.mark.parametrize("interleave", [False, True], ids=["iid", "interleave"])
+    def test_same_bytes_either_side_of_the_default_line_block(self, tmp_path, interleave):
+        unlabeled, clinical = ['u"0', "u\\1", "u\x002", "ü3", "\ud8004"], ["k\x7f0", "\U0001d11e1"]
+        policy = MixPolicy(batch_size=4, seed=9)
+        for n in (mixer.LINE_BLOCK - 1, mixer.LINE_BLOCK, mixer.LINE_BLOCK + 1):
+            path = write_batch_manifest(tmp_path / "b.jsonl", unlabeled, clinical, policy, n, interleave=interleave)
+            want = batch_manifest_reference(unlabeled, clinical, Fraction(3, 20), Fraction(7, 10), 4, 9, n, interleave)
+            assert path.read_bytes() == want, n
+
+    def test_a_non_string_id_is_a_mixer_error_and_the_target_keeps_its_bytes(self, tmp_path):
+        """The manifest's clip ids are strings: the writer names the pool and
+        the first id that is not one, before it sorts the pool, and writes
+        nothing. sample_stream still yields the ids it was given."""
+        path = tmp_path / "b.jsonl"
+        path.write_bytes(b"old\n")
+        policy = MixPolicy(batch_size=2, seed=1)
+        for clinical, shown in ([7, 8], "7"), (["k0", None], "None"), (["k0", b"k1"], "b'k1'"):
+            with pytest.raises(MixerError, match=rf"^pool 'clinical' holds clip id {shown} of type \w+; clip ids are strings$"):
+                write_batch_manifest(path, ["u0", "u1"], clinical, policy, 3)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["b.jsonl"]
+        pure = MixPolicy(p_pure_clinical=1, batch_size=2, seed=1)
+        assert sorted(next(sample_stream(["u0"], [8, 7], pure, 1))[1]) == [7, 8]
+
+    def test_a_str_subclass_id_is_written_as_its_text(self, tmp_path):
+        unlabeled, clinical = [np.str_("u0"), np.str_("u\x001")], [np.str_('k"0')]
+        path = write_batch_manifest(tmp_path / "b.jsonl", unlabeled, clinical, MixPolicy(batch_size=3, seed=2), 5)
+        want = batch_manifest_reference(["u0", "u\x001"], ['k"0'], Fraction(3, 20), Fraction(7, 10), 3, 2, 5, False)
+        assert path.read_bytes() == want
+
+
 class TestSampleCommand:
+    def test_escaped_ids_from_both_pool_formats_give_the_oracles_bytes(self, tmp_path):
+        """A curated JSON-lines pool can carry any id JSON can, lone
+        surrogates included; a plain list any UTF-8 line that is not blank."""
+        unlabeled = ['q"uote', "back\\slash", "nul\x00", "\ud800lone", "line\u2028sep", "astral\U0001d11e"]
+        clinical = ["del\x7f", "tab\tin", "é", "\x01ctl", "\U0001f600"]
+        curated = tmp_path / "curated.jsonl"
+        curated.write_text(
+            "".join(json.dumps(doc) + "\n" for doc in [{"kind": "header"}, *({"clip_id": cid} for cid in unlabeled)]),
+            encoding="utf-8",
+        )
+        (tmp_path / "clinical.txt").write_text("".join(f"{cid}\n" for cid in clinical), encoding="utf-8")
+        out = tmp_path / "batches.jsonl"
+        argv = ["sample", "--unlabeled", str(curated), "--clinical", str(tmp_path / "clinical.txt"), "--batch", "4"]
+        result = CliRunner().invoke(main, [*argv, "--n", "40", "--seed", "3", "--out", str(out)], env={})
+        assert result.exit_code == 0, result.output
+        stage_seed = json.loads(out.read_text("utf-8").splitlines()[0])["policy"]["seed"]
+        want = batch_manifest_reference(unlabeled, clinical, Fraction(3, 20), Fraction(7, 10), 4, stage_seed, 40, False)
+        assert out.read_bytes() == want
+
+
     def test_id_with_trailing_nul_is_written_as_given(self, tmp_path):
         pool = tmp_path / "pool.txt"
         pool.write_text("a\na\x00\nb\n", encoding="utf-8")

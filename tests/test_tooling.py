@@ -245,6 +245,30 @@ def test_ingest_and_record_commands_run_without_numpy(tmp_path):
     assert metrics == (False,) * 6 + (True,) * 3
 
 
+def test_sample_loads_neither_clustering_nor_store(tmp_path):
+    """sample reads its pools with curation's pool reader and writes with
+    the mixer; the layers curate needs (clustering, store) stay unloaded,
+    for a curated JSON-lines pool and a plain list alike."""
+    curated = tmp_path / "curated.jsonl"
+    curated.write_text('{"kind": "header"}\n{"clip_id": "u0"}\n{"clip_id": "u1"}\n', encoding="utf-8")
+    (tmp_path / "clinical.txt").write_text("k0\nk1\n", encoding="utf-8")
+    argv = ["sample", "--unlabeled", str(curated), "--clinical", str(tmp_path / "clinical.txt"), "--n", "3",
+            "--out", str(tmp_path / "b.jsonl")]
+    probe = (
+        "import json, sys\n"
+        "from surgcurate import cli\n"
+        "cli.main.main(args=sys.argv[1:], prog_name='surgcurate', standalone_mode=False)\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('surgcurate.'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"surgcurate.mixer", "surgcurate.curation"} <= loaded
+    assert loaded.isdisjoint({"surgcurate.clustering", "surgcurate.store", "surgcurate.storefile"})
+
+
 _RESOURCES_PROBE = """
 import importlib, sys
 for name in [name for name in sys.modules if (name + ".").startswith("importlib.resources.")]:

@@ -24,8 +24,8 @@ workdir = Path(tempfile.mkdtemp())
 path = write_store(matrix, workdir / "demo.semb")
 print(f"wrote {path.stat().st_size} bytes")
 
-back = read_store(path)
-print("bit-exact roundtrip:", back.data.tobytes() == matrix.data.tobytes())
+back = read_store(path)  # f64 rows holding exactly the stored f32 values
+print("bit-exact roundtrip:", back.data.astype(np.float32).tobytes() == matrix.data.tobytes())
 
 unit = l2_normalize(back)
 print("row norms after normalize:", np.linalg.norm(unit.data, axis=1).round(6))

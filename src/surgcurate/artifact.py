@@ -158,8 +158,10 @@ def decode_text(data: bytes, path: str | Path, error: type[Exception], first_lin
 
 
 def id_lines(text: str) -> list[str]:
-    """The stripped, non-blank lines of `text`: one id per line."""
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """The stripped, non-blank lines of `text`: one id per line. Lines end
+    at `\n` only (a `\r` before it is stripped), so an id may hold any
+    other character str.splitlines() would break at."""
+    return [ln.strip() for ln in text.split("\n") if ln.strip()]
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:

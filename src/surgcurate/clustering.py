@@ -2,7 +2,11 @@
 
 Design constraints that shape this module:
 
-* squared Euclidean distances on f32 rows with all accumulation in f64;
+* squared Euclidean distances on rows of f32 values with all accumulation
+  in f64: each K-means holds its rows as one f64 array, either the one
+  store.read_store returns (taken as it is) or an f32 input widened once,
+  and its seeding and every Lloyd pass read that array with no further
+  cast;
 * nearest-centroid ties go to the lowest cluster index;
 * empty clusters are repaired by stealing the point farthest from its
   centroid out of the largest cluster;
@@ -10,25 +14,27 @@ Design constraints that shape this module:
   repair empties, take means), both in the main loop and in the final
   alignment against the stored f32 centroids; the alignment repeats until
   a pass leaves no cluster empty before repair;
-* points are processed in chunks of CHUNK_ROWS = 4,096 rows, fixed in code;
-  within a chunk each cluster's f64 sum adds its member rows in row order,
-  and the per-chunk sums merge in chunk order, so results are bit-identical
-  for a fixed seed no matter how many worker threads run the chunks;
-* each K-means takes its rows' f64 squared norms once, block by block, and
-  its seeding and every Lloyd pass read them;
+* points are processed in chunks of CHUNK_ROWS = 4,096 rows, fixed in code,
+  each a slice of the f64 rows; a chunk's distances are built in place in
+  its one rows x k product block; within a chunk each cluster's f64 sum
+  adds its member rows in row order, gathered store.ROW_BLOCK rows at a
+  time, and the per-chunk sums merge in chunk order, so results are
+  bit-identical for a fixed seed no matter how many worker threads run the
+  chunks;
+* each K-means takes its rows' f64 squared norms once, and its seeding and
+  every Lloyd pass read them;
 * while a worker pool runs, the OpenBLAS that numpy loaded is held to one
-  thread, so each worker's matrix products stay on its own core; OpenBLAS
-  splits a product's output between threads, not its inner sums, so the
-  bits do not depend on the thread count; seeding and serial passes keep
-  the default count;
+  thread, so each worker's matrix products stay on its own core; seeding
+  and serial passes keep the default count. A BLAS product can differ in
+  its last ulp with the thread count (and with the CPU kernel), where the
+  work splits between threads; the tests pin the artifact bytes under
+  other thread counts and kernels, not every product's bits;
 * K-means++ seeding walks points in sorted row-id order when the points
   come as an EmbeddingMatrix, so ingest order cannot change which points
-  seed the run;
-* seeding casts each level's rows to f64 once, so a pick costs one
-  matrix-vector product and one draw; the f64 copy (the seeding head)
-  holds at most 65,536 rows (one seeding chunk), is filled in
-  store.ROW_BLOCK-row blocks so no f32 copy of it is built on the way,
-  and rows past it are cast again on every pick.
+  seed the run: each pick is one matrix-vector product over the f64 rows
+  in storage order, and the D^2 weights are read through the canonical
+  order for the draw. A row's D^2 can differ in its last ulp with its
+  storage position, as it can with the BLAS kernel and thread count.
 """
 
 from __future__ import annotations
@@ -43,12 +49,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .artifact import SurgcurateError, note_digest, write_atomic
 from .seeding import derive_seed
-from .store import EmbeddingMatrix, id_order, row_blocks
+from .store import ROW_BLOCK, EmbeddingMatrix, id_order
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -73,13 +80,26 @@ class BadTreeFile(ClusteringError):
     pass
 
 
-def _as_points(points) -> tuple[np.ndarray, list[str] | None]:
+class _Rows(NamedTuple):
+    """Points as kmeans holds them: f64 rows and their ids (None for a bare
+    array), passed on to its seeding so the rows are not widened again."""
+
+    data: np.ndarray
+    row_ids: list[str] | None
+
+
+def _as_points(points) -> _Rows:
+    """The points' f64 rows and row ids. An EmbeddingMatrix's f64 rows are
+    taken as they are; f32 rows are widened once, and any other array is
+    made f32 first."""
+    if isinstance(points, _Rows):
+        return points
     if isinstance(points, EmbeddingMatrix):
-        return points.data, points.row_ids
+        return _Rows(points.data.astype(np.float64, copy=False), points.row_ids)
     arr = np.ascontiguousarray(points, dtype=np.float32)
     if arr.ndim != 2:
         raise DimensionMismatch(f"points must be 2-D, got shape {arr.shape}")
-    return arr, None
+    return _Rows(arr.astype(np.float64), None)
 
 
 @dataclass
@@ -99,20 +119,48 @@ class ClusterModel:
 
 
 def _pairwise_sq_dists(xb64: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Expansion-form squared distances, clamped at zero (f64 throughout);
-    x2 and c2 are the squared row norms of xb64 and centroids64."""
-    d = x2[:, None] + c2[None, :] - 2.0 * (xb64 @ centroids64.T)
-    np.maximum(d, 0.0, out=d)
-    return d
+    """Expansion-form squared distances (x2 + c2) - 2 x.c, clamped at zero
+    (f64 throughout); x2 and c2 are the squared row norms of xb64 and
+    centroids64. They are built in place in the one len(xb64) x k product
+    block; x2 + c2 is taken in row blocks of at most ROW_BLOCK^2 values."""
+    d = xb64 @ centroids64.T
+    step = max(1, ROW_BLOCK * ROW_BLOCK // len(c2))
+    for s in range(0, len(d), step):
+        block = d[s : s + step]
+        np.subtract(x2[s : s + step, None] + c2, np.multiply(block, 2.0, out=block), out=block)
+    return np.maximum(d, 0.0, out=d)
 
 
-def _assign_chunk(rows32: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
-    """Assignment plus partial statistics for one chunk of f32 rows (runs on
-    a worker). The chunk's f64 copy lives only for the distances; each
-    cluster's f64 sum reads its rows from the f32 chunk."""
-    xb64 = rows32.astype(np.float64)
-    d = _pairwise_sq_dists(xb64, x2, centroids64, c2)
-    del xb64
+def _cluster_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The f64 sum of each cluster's rows, cluster j's rows being
+    rows[order[starts[j] : starts[j] + counts[j]]], with the bits of one
+    np.add.reduce over all of them.
+
+    The rows are gathered ROW_BLOCK at a time into one reused buffer. A
+    reduce over axis 0 of a C-order block adds row by row (acc += row), so
+    each later block is reduced behind the sum so far, held in the buffer's
+    first row. A one-column reduce is pairwise, not row by row, so a
+    one-column cluster is gathered whole (a chunk holds CHUNK_ROWS values).
+    """
+    step = ROW_BLOCK if rows.shape[1] > 1 else max(len(order), 1)
+    sums = np.empty((len(starts), rows.shape[1]), dtype=np.float64)
+    buf = np.empty((min(step, len(order)) + 1, rows.shape[1]), dtype=np.float64)
+    for j, (s, c) in enumerate(zip(starts.tolist(), counts.tolist())):
+        for b in range(s, s + c, step):
+            lead = int(b > s)  # a later block is reduced behind the sum so far
+            if lead:
+                buf[0] = sums[j]
+            idx = order[b : min(b + step, s + c)]
+            np.take(rows, idx, axis=0, out=buf[lead : lead + len(idx)], mode="clip")
+            np.add.reduce(buf[: lead + len(idx)], axis=0, out=sums[j])
+    return sums
+
+
+def _assign_chunk(rows: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c2: np.ndarray):
+    """Assignment plus partial statistics for one chunk of f64 rows (runs on
+    a worker). The chunk holds one rows x k distance block and one gather
+    block of its cluster sums."""
+    d = _pairwise_sq_dists(rows, x2, centroids64, c2)
     assign = np.argmin(d, axis=1)  # ties -> lowest index
     mind = d[np.arange(len(assign)), assign]
     del d
@@ -123,11 +171,7 @@ def _assign_chunk(rows32: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, c
     order = np.argsort(assign, kind="stable")  # each cluster's rows, in row order
     uniq, starts = np.unique(assign[order], return_index=True)
     counts = np.diff(np.concatenate([starts, [len(assign)]]))
-    sums = np.empty((len(uniq), rows32.shape[1]), dtype=np.float64)
-    for j, (s, c) in enumerate(zip(starts, counts)):
-        # a reduce over axis 0 of a C-order block adds row by row (acc += row),
-        # each f32 row cast to f64 as it is added
-        np.add.reduce(rows32[order[s : s + c]], axis=0, dtype=np.float64, out=sums[j])
+    sums = _cluster_sums(rows, order, starts, counts)
     return assign.astype(np.uint32), mind, uniq, sums, counts, inertia
 
 
@@ -184,13 +228,9 @@ def ordered_map(fn, items, workers: int | None) -> list:
 
 
 def _row_sq_norms(points: np.ndarray) -> np.ndarray:
-    """f64 squared norms of the f32 rows, cast one store.ROW_BLOCK block at
-    a time; a row's norm does not depend on the block it is cast in."""
-    x2 = np.empty(len(points), dtype=np.float64)
-    for s, e in row_blocks(len(points)):
-        xb = points[s:e].astype(np.float64)
-        x2[s:e] = np.einsum("ij,ij->i", xb, xb)
-    return x2
+    """f64 squared norms of the f64 rows, one einsum row dot each; a row's
+    norm does not depend on the rows around it."""
+    return np.einsum("ij,ij->i", points, points)
 
 
 def _assignment_pass(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, workers: int | None):
@@ -243,7 +283,7 @@ def _repair_empty(
             break
         members = np.flatnonzero(assign == donor)
         p = int(members[np.argmax(mind[members])])
-        xb = points[p].astype(np.float64)
+        xb = points[p]
         assign[p] = e
         sums[donor] -= xb
         counts[donor] -= 1
@@ -276,9 +316,6 @@ def _lloyd_step(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, wor
     return assign, _mean_update(sums, counts, centroids64), inertia, empty
 
 
-_SEED_CHUNK = 65536  # rows per K-means++ distance pass; the f64 copy holds the first one
-
-
 def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np.ndarray:
     """K-means++ (D^2-weighted) seeding over a canonical point order.
 
@@ -286,10 +323,9 @@ def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np
     sorted-row-id order so permuting ingest order picks the same points;
     a bare array is walked in index order. Returns (k, dim) f32.
     x2 holds the points' f64 squared norms in storage order
-    (_row_sq_norms, which runs here when x2 is not given).
-    The first _SEED_CHUNK canonical rows are cast to f64 once and held;
-    rows past that cap are read from `points` and cast again on every pick,
-    into one reused chunk.
+    (_row_sq_norms, which runs here when x2 is not given). Each pick is
+    one matrix-vector product over the f64 rows in storage order; the
+    D^2 weights are kept in canonical order for the draw.
     """
     X, row_ids = _as_points(points)
     n = len(X)
@@ -297,34 +333,17 @@ def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np
         raise KTooLarge(f"k={k} with {n} points")
     rng = np.random.default_rng(seed)
 
-    if row_ids is not None:
-        canon = id_order(row_ids)
-    else:
-        canon = np.arange(n)
-    x2 = (_row_sq_norms(X) if x2 is None else x2)[canon]
+    canon = id_order(row_ids) if row_ids is not None else np.arange(n)
+    if x2 is None:
+        x2 = _row_sq_norms(X)
     if not np.isfinite(x2).all():
         raise ValueError("K-means++ needs finite points; a squared row norm is not finite")
 
-    spans = _chunks(n, _SEED_CHUNK)
-    head = np.empty((min(n, _SEED_CHUNK), X.shape[1]), dtype=np.float64)
-    for s, e in row_blocks(len(head)):
-        head[s:e] = X[canon[s:e]]
-    tail = np.empty((min(n - len(head), _SEED_CHUNK), X.shape[1]), dtype=np.float64)
-
-    def rows64(s: int, e: int) -> np.ndarray:
-        """Canonical rows s:e (one span of `spans`) in f64."""
-        if s == 0:
-            return head
-        tail[: e - s] = X[canon[s:e]]
-        return tail[: e - s]
-
     def min_update(row: int) -> None:
         """d2 <- min(d2, squared distance to canonical row `row`)."""
-        c = X[canon[row]].astype(np.float64)[None, :]
+        c = X[canon[row]][None, :]
         c2 = np.einsum("ij,ij->i", c, c)
-        for s, e in spans:
-            dn = _pairwise_sq_dists(rows64(s, e), x2[s:e], c, c2)[:, 0]
-            np.minimum(d2[s:e], dn, out=d2[s:e])
+        np.minimum(d2, _pairwise_sq_dists(X, x2, c, c2)[canon, 0], out=d2)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(0, n))
@@ -344,7 +363,7 @@ def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np
         chosen[j] = idx
         min_update(idx)
         d2[chosen[: j + 1]] = 0.0
-    return X[canon[chosen]]
+    return X[canon[chosen]].astype(np.float32)
 
 
 def kmeans(
@@ -363,9 +382,10 @@ def kmeans(
     assignments are re-derived against the final (f32) centroids, so every
     point is assigned to its true nearest centroid (ties -> lowest index).
     """
-    X, _ = _as_points(points)
+    rows = _as_points(points)
+    X = rows.data
     x2 = _row_sq_norms(X)
-    centroids64 = kmeanspp_init(points, k, seed, x2).astype(np.float64)
+    centroids64 = kmeanspp_init(rows, k, seed, x2).astype(np.float64)
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0

@@ -162,7 +162,8 @@ def allocate_budget(tree: ClusterTree, fraction, mode: str = "equal") -> BudgetP
 
 def _leaf_distances(tree: ClusterTree, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Every row's squared distance to its leaf centroid, two ways, from
-    (start, f32 rows) blocks covering all tree.n_points rows in order.
+    (start, rows) blocks of f32 values (f32 or f64 rows) covering all
+    tree.n_points rows in order.
 
     D = row - centroid in f64. The ranking distance is the einsum row dot
     of D; the recorded distance, which curated.jsonl carries, is the BLAS
@@ -180,8 +181,8 @@ def _leaf_distances(tree: ClusterTree, blocks: Iterable[tuple[int, np.ndarray]])
 
 
 def _distance_kernel(rows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ranking, recorded) squared distances of f32 rows to their own f64
-    centroids, row for row; `centroids` is overwritten with the f64
+    """(ranking, recorded) squared distances of rows of f32 values to their
+    own f64 centroids, row for row; `centroids` is overwritten with the f64
     differences, so the block holds no f64 copy of the rows."""
     diff = np.subtract(rows, centroids, out=centroids)  # each row is cast to f64 exactly
     return np.einsum("ij,ij->i", diff, diff), np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]

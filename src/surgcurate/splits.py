@@ -76,12 +76,12 @@ def parse_ratios(text: str) -> tuple[int, int, int]:
 
 def read_video_list(path: str | Path) -> list[str]:
     """The video ids of a UTF-8 list file, one per line, blank lines
-    skipped, read and hashed in one pass (artifact.read_text). Text that is
-    not UTF-8, or an id listed a second time, is a SplitError naming
-    path:line."""
+    skipped, read and hashed in one pass (artifact.read_text). Lines end at
+    `\n` only, as artifact.id_lines reads them. Text that is not UTF-8, or
+    an id listed a second time, is a SplitError naming path:line."""
     ids: list[str] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path, SplitError).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, SplitError).split("\n"), start=1):
         vid = line.strip()
         if not vid:
             continue

@@ -7,13 +7,15 @@ the errors and its write_store(matrix, path) calls storefile's writer.
 Stores are write-once and then shared read-only. Identical matrices
 produce byte-identical files.
 
-Reading and normalising hold one f32 copy of the payload plus bounded
-temporaries. Every store is read by one pass, StoreReader.blocks, which
-hashes and scans each ROW_BLOCK-row block as it lands: read_store lands
-the blocks in the rows of the one array it returns, and curate reads them
-through one reused ROW_BLOCK-row f32 buffer, normalised in place, so it
-holds no payload copy. Normalising rescales the array in place, and
-whole-matrix passes walk the rows in blocks of ROW_BLOCK rows.
+Every store is read by one pass, StoreReader.blocks, which reads each
+ROW_BLOCK-row block into one reused f32 buffer, hashing and scanning it as
+it lands. read_store widens each block straight into its rows of the one
+f64 array it returns, so it builds no f32 copy of the payload; every value
+in that array is an f32, and clustering works on it without another cast.
+curate takes the blocks from the buffer itself, normalised there, so it
+holds no payload copy. Normalising rescales the rows in place, in blocks
+of ROW_BLOCK rows, and rounds each quotient to f32 whichever dtype holds
+the rows.
 
 Every store file is hashed whole as it is read or written, and that
 SHA-256 is noted for the run manifest (artifact.note_digest), so a command
@@ -70,13 +72,19 @@ def id_order(row_ids: list[str]) -> np.ndarray:
 
 @dataclass
 class EmbeddingMatrix:
-    """Dense row-major f32 matrix with one clip id per row."""
+    """Dense row-major matrix of f32 values with one clip id per row.
+
+    The rows are held as f32, or as f64 that holds f32 values (what
+    read_store returns); f64 data is taken as it is, any other dtype is
+    made f32.
+    """
 
     data: np.ndarray
     row_ids: list[str]
 
     def __post_init__(self) -> None:
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
+        dtype = np.float64 if getattr(self.data, "dtype", None) == np.float64 else np.float32
+        self.data = np.ascontiguousarray(self.data, dtype=dtype)
         if self.data.ndim != 2:
             raise ValueError(f"embedding data must be 2-D, got shape {self.data.shape}")
         if len(self.row_ids) != self.data.shape[0]:
@@ -149,23 +157,25 @@ class StoreReader:
     def blocks(self, normalize: bool = False, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
         """(start, rows) for each ROW_BLOCK-row block of the payload, in
         order. `rows` is one reused f32 buffer, valid until the next block,
-        or with `out`, an (n_rows, dim) f32 array, the block's own rows of
-        `out`. With `normalize` the rows are rescaled in place to unit
-        rows, as l2_normalize rescales them.
+        or with `out`, an (n_rows, dim) array, the block's own rows of
+        `out`, copied from that buffer. With `normalize` the rows are
+        rescaled in place to unit rows, as l2_normalize rescales them.
 
         After the first non-finite row, or all-zero row under `normalize`,
         no block is yielded; the rest of the payload is still read, hashed
         and scanned for the first non-finite row, and row_ids() raises.
         """
-        if out is None:
-            buf = np.empty((min(ROW_BLOCK, self.n_rows), self.dim), dtype="<f4")
+        buf = np.empty((min(ROW_BLOCK, self.n_rows), self.dim), dtype="<f4")
         for s, e in row_blocks(self.n_rows):
-            rows = buf[: e - s] if out is None else out[s:e]
+            rows = buf[: e - s]
             self._fill(rows.reshape(-1).view(np.uint8))
             if self._nonfinite is None and (bad := _first_nonfinite(rows)) is not None:
                 self._nonfinite = s + bad
             if self._nonfinite is not None or self._zero is not None:
                 continue
+            if out is not None:
+                out[s:e] = rows
+                rows = out[s:e]
             if normalize and (zero := _normalize_rows(rows)) is not None:
                 self._zero = s + zero
                 continue
@@ -200,13 +210,14 @@ def read_store(path: str | Path) -> EmbeddingMatrix:
     """Parse and fully validate a store file (magic, sizes, checksum, ids,
     finiteness), in that order.
 
-    The payload is read once (StoreReader.blocks), each block straight into
-    its rows of the returned array, hashed and scanned as it lands; the
-    bytes hashed are the bytes used. The whole file's SHA-256 is noted for
-    the run manifest.
+    The payload is read once (StoreReader.blocks), hashed and scanned as
+    each block lands, and each block is widened straight into its rows of
+    the returned f64 array; the bytes hashed are the bytes used, and the
+    array holds exactly their f32 values. The whole file's SHA-256 is noted
+    for the run manifest.
     """
     with open_store(path) as reader:
-        data = np.empty((reader.n_rows, reader.dim), dtype="<f4")  # bounded by the file size, checked on open
+        data = np.empty((reader.n_rows, reader.dim), dtype=np.float64)  # bounded by the file size, checked on open
         deque(reader.blocks(out=data), maxlen=0)
         row_ids = reader.row_ids()
     return EmbeddingMatrix(data, row_ids)
@@ -227,9 +238,9 @@ def _first_nonfinite(rows: np.ndarray) -> int | None:
 
 
 def _normalize_rows(rows: np.ndarray) -> int | None:
-    """Rescale f32 rows in place to unit Euclidean norm (f64 norms and
-    quotient, f32 result). If a row is all zeros, return its index and
-    leave every row as it was.
+    """Rescale rows of f32 values (held as f32 or f64) in place to unit
+    Euclidean norm: f64 norms and quotient, each quotient rounded to f32.
+    If a row is all zeros, return its index and leave every row as it was.
 
     The norms are np.linalg.norm(axis=1)'s, sqrt of the row sums of the
     squares, taken in the one f64 buffer that then holds the quotient.
@@ -239,19 +250,19 @@ def _normalize_rows(rows: np.ndarray) -> int | None:
     zero = norms == 0.0
     if zero.any():
         return int(np.argmax(zero))
-    block[...] = rows
-    block /= norms[:, None]
-    rows[...] = block
+    np.divide(rows, norms[:, None], out=block)
+    rows[...] = block if rows.dtype == np.float32 else block.astype(np.float32)  # f64 rows: round to f32 first
     return None
 
 
 def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
     """Rescale every row of `matrix` to unit Euclidean norm in place (f64
-    norms, f32 result) and return `matrix`.
+    norms, each value rounded to f32, in the matrix's own dtype) and
+    return `matrix`.
 
     Idempotent within float precision and order-preserving for cosine
-    nearest-neighbor structure. Rows are cast to f64 one block at a time,
-    so no second payload copy is built. An all-zero row raises ZeroRow; the
+    nearest-neighbor structure. Rows are rescaled one block at a time, so
+    no second payload copy is built. An all-zero row raises ZeroRow; the
     rows of the blocks before its block are already rescaled by then.
     """
     for s, e in row_blocks(matrix.n_rows):

@@ -92,37 +92,33 @@ def simulate_equal_split_allocation(leaf_sizes, child_groups_per_level, total_bu
     return quotas
 
 
-def kmeanspp_init_reference(points, k, seed, row_ids=None, chunk=65536):
-    """K-means++ seeding as the package did it before its per-level caching:
-    every pick re-casts the whole canonical matrix to f64, recomputes every
-    squared row norm, and draws with rng.choice. `chunk` is the row count
-    of one distance pass."""
-    X = np.ascontiguousarray(points, dtype=np.float32)
+def kmeanspp_init_reference(points, k, seed, row_ids=None):
+    """K-means++ seeding as a plain per-pick loop: the f32 points widened
+    to f64 rows in storage order; every pick recomputes every squared row
+    norm, takes one distance per row to the picked row, keeps the running
+    minimum in canonical (sorted row id) order and draws with rng.choice."""
+    X = np.ascontiguousarray(points, dtype=np.float32).astype(np.float64)
     n = len(X)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} with {n} points")
     rng = np.random.default_rng(seed)
-
-    def min_update_sq_dists(Xc, centroid64, d2):
-        c = centroid64[None, :]
-        c2 = np.einsum("ij,ij->i", c, c)
-        for s in range(0, len(Xc), chunk):
-            xb = Xc[s : s + chunk].astype(np.float64)
-            x2 = np.einsum("ij,ij->i", xb, xb)
-            d = x2[:, None] + c2[None, :] - 2.0 * (xb @ c.T)
-            np.maximum(d, 0.0, out=d)
-            np.minimum(d2[s : s + chunk], d[:, 0], out=d2[s : s + chunk])
-
     if row_ids is not None:
         canon = np.argsort(np.asarray(row_ids, dtype=object), kind="stable")
     else:
         canon = np.arange(n)
-    Xc = X[canon]
+
+    def min_update_sq_dists(centroid64, d2):
+        c = centroid64[None, :]
+        c2 = np.einsum("ij,ij->i", c, c)
+        x2 = np.einsum("ij,ij->i", X, X)
+        d = x2[:, None] + c2[None, :] - 2.0 * (X @ c.T)
+        np.maximum(d, 0.0, out=d)
+        np.minimum(d2, d[canon, 0], out=d2)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(0, n))
     d2 = np.full(n, np.inf, dtype=np.float64)
-    min_update_sq_dists(Xc, Xc[chosen[0]].astype(np.float64), d2)
+    min_update_sq_dists(X[canon[chosen[0]]], d2)
     d2[chosen[0]] = 0.0
     for j in range(1, k):
         total = float(d2.sum())
@@ -132,9 +128,9 @@ def kmeanspp_init_reference(points, k, seed, row_ids=None, chunk=65536):
             candidates = np.setdiff1d(np.arange(n), chosen[:j])
             idx = int(candidates[rng.integers(0, len(candidates))])
         chosen[j] = idx
-        min_update_sq_dists(Xc, Xc[idx].astype(np.float64), d2)
+        min_update_sq_dists(X[canon[idx]], d2)
         d2[chosen[: j + 1]] = 0.0
-    return Xc[chosen].copy()
+    return X[canon[chosen]].astype(np.float32)
 
 
 def l2_normalize_reference(data):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import surgcurate
 from surgcurate.artifact import (
     forget_digests,
+    id_lines,
     iter_jsonl,
     noted_digests,
     read_json,
@@ -27,6 +28,9 @@ from surgcurate.artifact import (
 from surgcurate.clustering import TREE_MAGIC, BadTreeFile, ClusterTree, build_hierarchy
 from surgcurate.manifest import RunManifest, RunManifestError
 from surgcurate.store import MAGIC, EmbeddingMatrix, SizeMismatch, StoreError, read_store, write_store
+
+#: ids holding each line boundary of str.splitlines() but `\n` and `\r`
+_LINE_BOUNDARY_IDS = ["a\x85b", "c\u2028d", "e\u2029f", "g\x1ch", "i\x1dj", "k\x1el", "m\x0bn", "o\x0cp"]
 
 
 class Malformed(Exception):
@@ -229,6 +233,14 @@ class TestDecode:
         path.write_bytes(b"a\r\n\nb\xc3\n")
         with pytest.raises(Malformed, match="ids.txt:3: UnicodeDecodeError: "):
             read_lines(path, Malformed)
+
+    def test_read_lines_ends_lines_at_newline_only(self, tmp_path):
+        """Every other boundary str.splitlines() knows stays inside its id."""
+        path = tmp_path / "ids.txt"
+        ids = _LINE_BOUNDARY_IDS
+        path.write_text("\n".join(ids) + "\r\n", encoding="utf-8")
+        assert read_lines(path, Malformed) == ids
+        assert id_lines("\n".join(ids)) == ids
 
 
 def _store_blob(tmp_path, n_rows: int) -> bytes:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from surgcurate import clustering
 from surgcurate.clustering import (
@@ -78,21 +79,19 @@ def _with_ids(points, row_ids):
     return points if row_ids is None else EmbeddingMatrix(points, row_ids)
 
 
-def _same_seeds(points, k, seed, row_ids=None, cap=clustering._SEED_CHUNK) -> None:
-    """kmeanspp_init with seeding chunk `cap` returns the reference's bytes,
-    also when given the squared norms kmeans computes."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering, "_SEED_CHUNK", cap)
-        ours = kmeanspp_init(_with_ids(points, row_ids), k, seed)
-        with_norms = kmeanspp_init(_with_ids(points, row_ids), k, seed, clustering._row_sq_norms(points))
-    ref = kmeanspp_init_reference(points, k, seed, row_ids=row_ids, chunk=cap)
+def _same_seeds(points, k, seed, row_ids=None) -> None:
+    """kmeanspp_init returns the reference's bytes, also when given the
+    squared norms kmeans computes."""
+    ours = kmeanspp_init(_with_ids(points, row_ids), k, seed)
+    with_norms = kmeanspp_init(_with_ids(points, row_ids), k, seed, clustering._row_sq_norms(points.astype(np.float64)))
+    ref = kmeanspp_init_reference(points, k, seed, row_ids=row_ids)
     assert ours.dtype == ref.dtype == np.float32
     assert ours.shape == ref.shape
     assert ours.tobytes() == ref.tobytes() == with_norms.tobytes()
 
 
 class TestKmeansPlusPlusReference:
-    """The cached-cast seeding picks exactly what the per-pick reference
+    """The seeding picks exactly what the per-pick reference
     (tests/oracles.py) picks: the same rows from the same generator draws."""
 
     @settings(max_examples=60, deadline=None)
@@ -116,32 +115,19 @@ class TestKmeansPlusPlusReference:
         perm = np.random.default_rng(seed).permutation(n)
         k = data.draw(st.integers(1, n))
         _same_seeds(points[perm], k, seed, row_ids=[ids[i] for i in perm])
-        cap = data.draw(st.integers(1, n))
-        _same_seeds(points[perm], k, seed, row_ids=[ids[i] for i in perm], cap=cap)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(2, 70), st.booleans(), st.data())
-    def test_rows_past_the_f64_cap(self, seed, cap, n, with_ids, data):
-        # a small cap makes both the cached f64 chunk and cast-per-pick chunks run
-        k = data.draw(st.integers(1, n))
-        ids = [f"r{i:03d}" for i in np.random.default_rng(seed).permutation(n)] if with_ids else None
-        _same_seeds(_seeding_points(seed, n, 5), k, seed, row_ids=ids, cap=cap)
-
-    @pytest.mark.parametrize("cap", [65536, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_points_raise(self, cap, bad):
+    def test_non_finite_points_raise(self, bad):
         # the reference raised (from rng.choice) on an infinite total only;
         # a NaN total failed its `total > 0` test and drew uniformly, and
         # k = 1 makes no draw at all
         points = _seeding_points(1, 12, 3)
         points[7, 1] = bad
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clustering, "_SEED_CHUNK", cap)
-            for k in (1, 2):
-                with pytest.raises(ValueError, match="finite"):
-                    kmeanspp_init(points, k, seed=0)
+        for k in (1, 2):
             with pytest.raises(ValueError, match="finite"):
-                kmeans(points, 1, seed=0)
+                kmeanspp_init(points, k, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(points, 1, seed=0)
 
     @staticmethod
     def _peak_bytes(fn) -> int:
@@ -155,24 +141,21 @@ class TestKmeansPlusPlusReference:
 
     @pytest.mark.parametrize("n", [100, 256, 300, 512, 700, 1500])
     @pytest.mark.parametrize("with_ids", [False, True])
-    def test_peak_memory_no_higher_than_reference(self, n, with_ids):
-        # the f64 copy takes the place of the reference's f32 canonical copy;
-        # a cap of 256 rows puts n = 100 and 256 below it, the rest above
-        cap, dim = 256, 48
+    def test_peak_memory_is_one_f64_copy_plus_vectors(self, n, with_ids):
+        """Seeding f32 points holds their one f64 copy, in storage order,
+        plus O(n) f64 vectors: no canonical-order copy of the rows."""
+        dim = 48
         points = _seeding_points(n, n, dim)
         ids = [f"r{i:05d}" for i in np.random.default_rng(n).permutation(n)] if with_ids else None
         given = _with_ids(points, ids)  # wraps `points` without a copy
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clustering, "_SEED_CHUNK", cap)
-            ours = self._peak_bytes(lambda: kmeanspp_init(given, 6, seed=2))
-        ref = self._peak_bytes(lambda: kmeanspp_init_reference(points, 6, seed=2, row_ids=ids, chunk=cap))
-        assert ours <= ref, (ours, ref)
+        peak = self._peak_bytes(lambda: kmeanspp_init(given, 6, seed=2))
+        assert peak <= n * dim * 8 + 10 * n * 8 + 8192, (peak - n * dim * 8) / (8 * n)
 
 
 class TestLloydStep:
     @staticmethod
     def step(points, centroids):
-        points = np.asarray(points, dtype=np.float32)
+        points = np.asarray(points, dtype=np.float32).astype(np.float64)
         return clustering._lloyd_step(points, clustering._row_sq_norms(points), np.asarray(centroids, dtype=np.float64), None)
 
     def test_fixed_point(self):
@@ -209,12 +192,12 @@ class TestLloydStep:
 
 
 def _chunk_sums(rows32: np.ndarray, k: int, seed: int):
-    """_assign_chunk over f32 rows, with k of the rows as centroids; also
-    returns the rows in f64 for the oracle."""
+    """_assign_chunk over f32 rows widened to f64, with k of the rows as
+    centroids; also returns the f64 rows for the oracle."""
     xb = rows32.astype(np.float64)
     c = xb[np.random.default_rng(seed).choice(len(xb), k, replace=False)]
     assign, _, uniq, sums, counts, _ = clustering._assign_chunk(
-        rows32, np.einsum("ij,ij->i", xb, xb), c, np.einsum("ij,ij->i", c, c)
+        xb, np.einsum("ij,ij->i", xb, xb), c, np.einsum("ij,ij->i", c, c)
     )
     return xb, assign, uniq, sums, counts
 
@@ -250,6 +233,33 @@ class TestChunkSums:
         order = np.argsort(assign, kind="stable")
         _, starts = np.unique(assign[order], return_index=True)
         assert np.array_equal(sums, np.add.reduceat(xb[order], starts, axis=0))
+
+
+#: what a coordinate becomes: a random f32 of wide exponent spread (0), or
+#: one of these, -0.0 and subnormals
+_SPECIAL_VALUES = np.array([0.0, -0.0, 1e-45, -1e-45, -1.1754942e-38, 5.9e-39], dtype=np.float32)
+
+
+class TestGatheredClusterSums:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_block_gathered_sums_equal_one_reduce(self, n, dim, k, seed, data):
+        """Gathering ROW_BLOCK = 4 rows at a time, each cluster's sum has the
+        bits of one np.add.reduce over all its rows: -0.0 and subnormal
+        coordinates included, and clusters of many gather blocks."""
+        rng = np.random.default_rng(seed)
+        rows = (rng.standard_normal((n, dim)) * np.exp(rng.uniform(-30, 3, (n, dim)))).astype(np.float32)
+        kinds = data.draw(hnp.arrays(np.intp, (n, dim), elements=st.integers(0, len(_SPECIAL_VALUES) - 1)))
+        rows = np.where(kinds > 0, _SPECIAL_VALUES[kinds], rows).astype(np.float64)
+        assign = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        order = np.argsort(assign, kind="stable")
+        uniq, starts = np.unique(assign[order], return_index=True)
+        counts = np.diff(np.append(starts, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "ROW_BLOCK", 4)
+            sums = clustering._cluster_sums(rows, order, starts, counts)
+        for j, (s, c) in enumerate(zip(starts.tolist(), counts.tolist())):
+            assert sums[j].tobytes() == np.add.reduce(rows[order[s : s + c]], axis=0).tobytes(), uniq[j]
 
 
 @pytest.fixture
@@ -292,8 +302,8 @@ class TestBlasThreads:
         counts and inertia, over three 1,024-row chunks."""
         monkeypatch.setattr(clustering, "CHUNK_ROWS", 1024)
         rng = np.random.default_rng(64)
-        points = rng.standard_normal((3000, 768)).astype(np.float32)
-        centroids64 = points[rng.choice(len(points), 64, replace=False)].astype(np.float64)
+        points = rng.standard_normal((3000, 768)).astype(np.float32).astype(np.float64)
+        centroids64 = points[rng.choice(len(points), 64, replace=False)]
         x2 = clustering._row_sq_norms(points)
         serial_threads = openblas()
         serial = clustering._assignment_pass(points, x2, centroids64, 1)

@@ -233,6 +233,11 @@ _MALFORMED_INPUTS = {
         ["split", "--dataset", "d", "--videos", "v.txt", "--out", "m.json"],
         "SplitError", "v.txt:4: video id 'v1' is listed twice",
     ),
+    "video-list-lines-end-at-newline-only": (
+        {"v.txt": "v1\u2028v2\nv3\x85v4\x1cv5\n\nv1\u2028v2\n"},
+        ["split", "--dataset", "d", "--videos", "v.txt", "--out", "m.json"],
+        "SplitError", "v.txt:4: video id 'v1\\u2028v2' is listed twice",
+    ),
     "predictions-row-missing-a-field": (
         {"p.csv": "sample_id,predicted,label\ns1,x,x\ns2,x\n"},
         ["evaluate", "--predictions", "p.csv", "--dataset", "cholec80", "--model", "m"],

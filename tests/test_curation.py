@@ -240,7 +240,7 @@ def _pool_ids_reference(raw: bytes) -> list[str]:
     """read_pool_ids as two whole-file passes: the stripped non-blank lines
     of the decoded text and, when the first starts with '{', the clip ids
     of every non-blank newline-separated line parsed as JSON."""
-    ids = [ln.strip() for ln in raw.decode("utf-8").splitlines() if ln.strip()]
+    ids = [ln.strip() for ln in raw.decode("utf-8").split("\n") if ln.strip()]
     if not ids or not ids[0].startswith("{"):
         return ids
     docs = [json.loads(line.decode("utf-8")) for line in raw.split(b"\n") if line.strip()]
@@ -289,6 +289,14 @@ class TestReadPoolIds:
         path.write_bytes(raw)
         with pytest.raises(CurationError, match=f"pool.txt:{line}: UnicodeDecodeError: "):
             read_pool_ids(path)
+
+    def test_a_plain_pool_line_ends_at_newline_only(self, tmp_path):
+        """U+0085, U+2028, U+2029, \\x1c-\\x1e, \\v and \\f stay inside their id,
+        on the first line as on later ones."""
+        ids = ["a\x85b", "c\u2028d", "e\u2029f", "g\x1ch\x1di\x1ej", "k\x0bl\x0cm"]
+        path = tmp_path / "pool.txt"
+        path.write_text("\r\n".join(ids) + "\n", encoding="utf-8")
+        assert read_pool_ids(path) == ids
 
 
 def _assert_curate_equals_the_per_leaf_loop(tmp_dir, rows, ids, assign, centroids, normalized, fraction, block):

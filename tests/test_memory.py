@@ -3,11 +3,13 @@ one Lloyd assignment pass on a 2,000x768 store, and of reading a corpus
 manifest.
 
 numpy reports its buffers to tracemalloc, so a peak counts every array a
-call allocates. Each store bound is one f32 payload copy (where the call
-returns one; normalising rescales its input in place) plus a few row
-blocks; curating from the store's path holds no payload copy at all; the Lloyd bound is the pass's one f64 chunk plus a quarter of it,
-however the rows split between clusters; the manifest bound is the records
-read plus one MiB, so the read never holds the file's text.
+call allocates. read_store's bound is the one f64 copy of the payload it
+returns, the only payload copy `cluster` holds; normalising rescales its
+input in place and adds a few row blocks; curating from the store's path
+holds no payload copy at all; the Lloyd bound is the pass's one n x k
+distance block plus one gather block, however the rows split between
+clusters; the manifest bound is the records read plus one MiB, so the read
+never holds the file's text.
 """
 
 import tracemalloc
@@ -57,15 +59,17 @@ def test_read_store_holds_one_payload_copy(stored):
     path, matrix = stored
     id_table = sum(4 + len(rid.encode()) for rid in matrix.row_ids)
     back, peak = _peak(read_store, path)
-    assert back.data.tobytes() == matrix.data.tobytes()
-    assert peak <= PAYLOAD + id_table + MiB, peak / PAYLOAD
+    assert back.data.tobytes() == matrix.data.astype(np.float64).tobytes()
+    assert peak <= 2 * PAYLOAD + id_table + MiB, peak / PAYLOAD
 
 
-def test_l2_normalize_holds_one_payload_copy(stored):
-    """Normalising rescales the rows in place: the one payload copy is the
-    input's own, and the call adds only row blocks."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_l2_normalize_holds_one_payload_copy(stored, dtype):
+    """Normalising rescales the rows in place, f32 rows or read_store's f64
+    rows: the one payload copy is the input's own, and the call adds only
+    row blocks."""
     _, matrix = stored
-    copy = EmbeddingMatrix(matrix.data.copy(), matrix.row_ids)
+    copy = EmbeddingMatrix(matrix.data.astype(dtype), matrix.row_ids)
     out, peak = _peak(l2_normalize, copy)
     assert peak <= 4 * MiB, peak / MiB
     assert out is copy
@@ -93,16 +97,18 @@ def test_curate_from_a_store_path_holds_row_blocks_only(stored):
     ids=["k8-balanced", "k1", "k2-seven-eighths-in-one"],
 )
 def test_assignment_pass_holds_one_f64_chunk(sizes):
-    """One worker: the 2,000 rows are one chunk. A cluster's sum gathers its
-    rows in f32 after the chunk's f64 copy is released, so one cluster
-    holding most of the chunk costs no second f64 chunk."""
+    """One worker: the 2,000 f64 rows are one chunk, a slice of the rows, so
+    the pass copies none of them. It holds the chunk's one n x k distance
+    block and one gather block of ROW_BLOCK rows for the cluster sums, so
+    one cluster holding most of the chunk costs no chunk-sized gather."""
     points, labels = make_blobs(sizes, dim=DIM, seed=3)
-    centroids64 = np.stack([points[labels == j].mean(axis=0, dtype=np.float64) for j in range(len(sizes))])
+    points = points.astype(np.float64)
+    centroids64 = np.stack([points[labels == j].mean(axis=0) for j in range(len(sizes))])
     x2 = _row_sq_norms(points)
     (assign, *_), peak = _peak(_assignment_pass, points, x2, centroids64, 1)
     assert np.array_equal(assign, labels)
-    chunk64 = N * DIM * 8
-    assert peak <= 1.25 * chunk64 + MiB, peak / chunk64
+    block, gather = N * len(sizes) * 8, (ROW_BLOCK + 1) * DIM * 8
+    assert peak <= block + gather + MiB // 4, (peak - block) / gather
 
 
 def test_corpus_read_holds_the_records_not_the_text(tmp_path):

@@ -19,6 +19,7 @@ from surgcurate.splits import (
     make_manifest,
     parse_ratios,
     ratio_split,
+    read_video_list,
     resolve_tier,
     split_counts_for,
     verify_disjoint,
@@ -68,6 +69,17 @@ class TestRatioSplit:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SplitError, match="^video id 'b' is listed twice$"):
             ratio_split(["c", "b", "a", "b", "c"], seed=0)
+
+    def test_video_list_lines_end_at_newline_only(self, tmp_path):
+        """Every other boundary str.splitlines() knows stays inside its id,
+        and path:line counts `\\n` lines."""
+        ids = ["a\x85b", "c\u2028d", "e\u2029f", "g\x1ch\x1di\x1ej", "k\x0bl\x0cm"]
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(ids) + "\r\n", encoding="utf-8")
+        assert read_video_list(path) == ids
+        path.write_text("\n".join(ids + ["", ids[1]]), encoding="utf-8")
+        with pytest.raises(SplitError, match=f"^{path}:7: video id 'c\\\\u2028d' is listed twice$"):
+            read_video_list(path)
 
     def test_seed_determinism_and_set_semantics(self):
         ids = [f"v{i}" for i in range(20)]

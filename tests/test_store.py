@@ -1,6 +1,8 @@
 import hashlib
 import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ class TestRoundtrip:
         path = write_store(m, tmp_path / "s.semb")
         back = read_store(path)
         assert back.row_ids == m.row_ids
-        assert back.data.tobytes() == m.data.tobytes()
+        assert back.data.tobytes() == m.data.astype(np.float64).tobytes()
 
     def test_write_is_byte_deterministic(self, tmp_path):
         m = _matrix(6, 4, seed=9)
@@ -80,7 +82,7 @@ class TestRoundtrip:
         tmp = tmp_path_factory.mktemp("store")
         m = EmbeddingMatrix(data, [f"r{i}" for i in range(data.shape[0])])
         back = read_store(write_store(m, tmp / "s.semb"))
-        assert back.data.tobytes() == m.data.tobytes()
+        assert back.data.tobytes() == m.data.astype(np.float64).tobytes()
         assert back.row_ids == m.row_ids
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -93,7 +95,7 @@ class TestRoundtrip:
         forget_digests()
         back = read_store(path)
         assert back.data.shape == (n, 3) and back.data.flags.c_contiguous
-        assert back.data.tobytes() == m.data.tobytes()
+        assert back.data.tobytes() == m.data.astype(np.float64).tobytes()
         assert back.row_ids == m.row_ids
         assert noted_digests("read") == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
@@ -267,6 +269,26 @@ class TestNormalize:
         assert m.data[:B].tobytes() == l2_normalize_reference(data[:B]).tobytes()
         assert m.data[B:].tobytes() == data[B:].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_read_rows_are_the_f32_rows_widened(self, data, normalize):
+        """read_store's f64 rows, normalised in place or not, are bit for bit
+        the f32 rows (the reference's f32 quotient) widened: every value is
+        an f32, subnormals and -0.0 included."""
+        n = data.draw(st.sampled_from(BLOCK_SIZES[1:]))
+        dim = data.draw(st.integers(1, 6))
+        values = st.one_of(st.sampled_from([-0.0, 1e-45, -1.2e-38, 3.4e38]), st.floats(width=32, allow_nan=False, allow_infinity=False))
+        arr = data.draw(hnp.arrays(np.float32, (n, dim), elements=values))
+        arr[np.abs(arr).max(axis=1) == 0.0, 0] = 1.0  # no all-zero row
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "ROW_BLOCK", B)
+            back = read_store(write_store(EmbeddingMatrix(arr, [f"r{i}" for i in range(n)]), Path(tmp) / "s.semb"))
+            want = l2_normalize_reference(arr) if normalize else arr
+            if normalize:
+                assert l2_normalize(back) is back
+        assert back.data.dtype == np.float64
+        assert back.data.tobytes() == want.astype(np.float64).tobytes()
+
     def test_preserves_argmax_cosine_neighbor(self, rng):
         data = rng.standard_normal((30, 8)).astype(np.float32)
         data *= rng.uniform(0.1, 10.0, size=(30, 1)).astype(np.float32)  # varied norms
@@ -317,8 +339,14 @@ class TestIngest:
         # files concatenate in sorted name order: a.f32 then b.f32
         assert ingest_raw_blobs(blob_dir, ids, 4, tmp_path / "s.semb") == 10
         back = read_store(tmp_path / "s.semb")
-        assert back.data.tobytes() == data.tobytes()
+        assert back.data.tobytes() == data.astype(np.float64).tobytes()
         assert back.row_ids == [f"c{i}" for i in range(10)]
+
+    def test_an_id_line_ends_at_newline_only(self, tmp_path):
+        ids = ["a\x85b", "c\u2028d", "e\u2029f", "g\x1ch\x1di\x1ej", "k\x0bl\x0cm"]
+        blob_dir, id_file = _blobs(tmp_path, _rows(*([1, 2] for _ in ids)), ids="\r\n".join(ids))
+        assert ingest_raw_blobs(blob_dir, id_file, 2, tmp_path / "s.semb") == len(ids)
+        assert read_store(tmp_path / "s.semb").row_ids == ids
 
     def test_the_store_is_the_one_write_store_writes(self, tmp_path):
         m = _matrix(9, 5, seed=4)

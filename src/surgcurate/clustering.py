@@ -142,7 +142,7 @@ def _cluster_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray, count
     first row. A one-column reduce is pairwise, not row by row, so a
     one-column cluster is gathered whole (a chunk holds CHUNK_ROWS values).
     """
-    step = ROW_BLOCK if rows.shape[1] > 1 else max(len(order), 1)
+    step = ROW_BLOCK if rows.shape[1] > 1 else len(order)
     sums = np.empty((len(starts), rows.shape[1]), dtype=np.float64)
     buf = np.empty((min(step, len(order)) + 1, rows.shape[1]), dtype=np.float64)
     for j, (s, c) in enumerate(zip(starts.tolist(), counts.tolist())):

@@ -51,7 +51,7 @@ from .storefile import (  # the errors are re-exported
     write_store_file,
 )
 
-_MAX_AXIS = np.iinfo(np.intp).max // 4  # the longest f32 axis numpy can shape
+_MAX_AXIS = np.iinfo(np.intp).max // 8  # the longest f64 axis numpy can shape (read_store's array)
 #: Rows per block of a whole-matrix pass (1.5 MiB of f64 at d = 768). Kept
 #: small: freeing much larger blocks raises glibc's mmap threshold, after
 #: which other large temporaries stay resident in the heap.

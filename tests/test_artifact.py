@@ -295,7 +295,7 @@ class TestBinaryParsers:
         except BadTreeFile:
             pass
 
-    @pytest.mark.parametrize("n_rows,dim", [(0, 2**62), (2**62, 0), (2**64 - 1, 0)])
+    @pytest.mark.parametrize("n_rows,dim", [(0, 2**62), (0, 2**60), (2**62, 0), (2**64 - 1, 0)])  # 2**60: past the f64 axis
     def test_store_header_beyond_any_array(self, tmp_path, n_rows, dim):
         body = MAGIC + struct.pack("<QQ", n_rows, dim)
         path = tmp_path / "s.semb"

@@ -30,11 +30,11 @@ Design constraints that shape this module:
   work splits between threads; the tests pin the artifact bytes under
   other thread counts and kernels, not every product's bits;
 * K-means++ seeding walks points in sorted row-id order when the points
-  come as an EmbeddingMatrix, so ingest order cannot change which points
-  seed the run: each pick is one matrix-vector product over the f64 rows
-  in storage order, and the D^2 weights are read through the canonical
-  order for the draw. A row's D^2 can differ in its last ulp with its
-  storage position, as it can with the BLAS kernel and thread count.
+  come as an EmbeddingMatrix: each pick is one matrix-vector product over
+  the f64 rows in storage order, and the D^2 weights are read through the
+  canonical order for the draw. A row's D^2 can differ in its last ulp
+  with its storage position, as it can with the BLAS kernel and thread
+  count, so ingest order can still change a pick through such an ulp.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,26 +79,16 @@ class BadTreeFile(ClusteringError):
     pass
 
 
-class _Rows(NamedTuple):
-    """Points as kmeans holds them: f64 rows and their ids (None for a bare
-    array), passed on to its seeding so the rows are not widened again."""
-
-    data: np.ndarray
-    row_ids: list[str] | None
-
-
-def _as_points(points) -> _Rows:
-    """The points' f64 rows and row ids. An EmbeddingMatrix's f64 rows are
-    taken as they are; f32 rows are widened once, and any other array is
-    made f32 first."""
-    if isinstance(points, _Rows):
-        return points
+def _as_points(points) -> tuple[np.ndarray, list[str] | None]:
+    """The points' f64 rows and row ids (None for a bare array). An
+    EmbeddingMatrix's f64 rows are taken as they are; f32 rows are widened
+    once, and any other array is made f32 first."""
     if isinstance(points, EmbeddingMatrix):
-        return _Rows(points.data.astype(np.float64, copy=False), points.row_ids)
+        return points.data.astype(np.float64, copy=False), points.row_ids
     arr = np.ascontiguousarray(points, dtype=np.float32)
     if arr.ndim != 2:
         raise DimensionMismatch(f"points must be 2-D, got shape {arr.shape}")
-    return _Rows(arr.astype(np.float64), None)
+    return arr.astype(np.float64), None
 
 
 @dataclass
@@ -141,6 +130,9 @@ def _cluster_sums(rows: np.ndarray, order: np.ndarray, starts: np.ndarray, count
     each later block is reduced behind the sum so far, held in the buffer's
     first row. A one-column reduce is pairwise, not row by row, so a
     one-column cluster is gathered whole (a chunk holds CHUNK_ROWS values).
+    Gathering every cluster whole costs more than its rows: freed, such
+    MiB-sized gathers lift glibc's mmap threshold, so later temporaries
+    stay resident in the heap.
     """
     step = ROW_BLOCK if rows.shape[1] > 1 else len(order)
     sums = np.empty((len(starts), rows.shape[1]), dtype=np.float64)
@@ -319,23 +311,28 @@ def _lloyd_step(points: np.ndarray, x2: np.ndarray, centroids64: np.ndarray, wor
 def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np.ndarray:
     """K-means++ (D^2-weighted) seeding over a canonical point order.
 
-    When `points` is an EmbeddingMatrix, candidates are walked in
-    sorted-row-id order so permuting ingest order picks the same points;
-    a bare array is walked in index order. Returns (k, dim) f32.
+    When `points` is an EmbeddingMatrix, the draw walks candidates in
+    sorted-row-id order; a bare array is walked in index order. Each pick
+    is one matrix-vector product over the f64 rows in storage order, and
+    the D^2 weights are kept in canonical order for the draw. A row's D^2
+    can still differ in its last ulp with its storage position, so
+    permuting ingest order can change a pick where such an ulp tips the
+    draw. Returns (k, dim) f32.
     x2 holds the points' f64 squared norms in storage order
-    (_row_sq_norms, which runs here when x2 is not given). Each pick is
-    one matrix-vector product over the f64 rows in storage order; the
-    D^2 weights are kept in canonical order for the draw.
+    (_row_sq_norms, which runs here when x2 is not given).
     """
     X, row_ids = _as_points(points)
+    return _kmeanspp(X, row_ids, k, seed, _row_sq_norms(X) if x2 is None else x2)
+
+
+def _kmeanspp(X: np.ndarray, row_ids: list[str] | None, k: int, seed: int, x2: np.ndarray) -> np.ndarray:
+    """kmeanspp_init over f64 rows X, their ids and squared norms x2."""
     n = len(X)
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} with {n} points")
     rng = np.random.default_rng(seed)
 
     canon = id_order(row_ids) if row_ids is not None else np.arange(n)
-    if x2 is None:
-        x2 = _row_sq_norms(X)
     if not np.isfinite(x2).all():
         raise ValueError("K-means++ needs finite points; a squared row norm is not finite")
 
@@ -382,10 +379,9 @@ def kmeans(
     assignments are re-derived against the final (f32) centroids, so every
     point is assigned to its true nearest centroid (ties -> lowest index).
     """
-    rows = _as_points(points)
-    X = rows.data
+    X, row_ids = _as_points(points)
     x2 = _row_sq_norms(X)
-    centroids64 = kmeanspp_init(rows, k, seed, x2).astype(np.float64)
+    centroids64 = _kmeanspp(X, row_ids, k, seed, x2).astype(np.float64)
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0

@@ -74,17 +74,28 @@ def id_order(row_ids: list[str]) -> np.ndarray:
 class EmbeddingMatrix:
     """Dense row-major matrix of f32 values with one clip id per row.
 
-    The rows are held as f32, or as f64 that holds f32 values (what
-    read_store returns); f64 data is taken as it is, any other dtype is
-    made f32.
+    The constructor rounds any other dtype to f32. read_store's matrix
+    holds its rows as f64 that holds f32 values (_of_f32_values), so
+    clustering reads them with no further cast.
     """
 
     data: np.ndarray
     row_ids: list[str]
 
     def __post_init__(self) -> None:
-        dtype = np.float64 if getattr(self.data, "dtype", None) == np.float64 else np.float32
-        self.data = np.ascontiguousarray(self.data, dtype=dtype)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
+        self._check()
+
+    @classmethod
+    def _of_f32_values(cls, data: np.ndarray, row_ids: list[str]) -> "EmbeddingMatrix":
+        """A matrix over C-order f64 `data` taken as it is, every value of
+        which the caller knows to be an f32."""
+        matrix = cls.__new__(cls)
+        matrix.data, matrix.row_ids = data, row_ids
+        matrix._check()
+        return matrix
+
+    def _check(self) -> None:
         if self.data.ndim != 2:
             raise ValueError(f"embedding data must be 2-D, got shape {self.data.shape}")
         if len(self.row_ids) != self.data.shape[0]:
@@ -220,7 +231,7 @@ def read_store(path: str | Path) -> EmbeddingMatrix:
         data = np.empty((reader.n_rows, reader.dim), dtype=np.float64)  # bounded by the file size, checked on open
         deque(reader.blocks(out=data), maxlen=0)
         row_ids = reader.row_ids()
-    return EmbeddingMatrix(data, row_ids)
+    return EmbeddingMatrix._of_f32_values(data, row_ids)
 
 
 def _read_exact(fh, nbytes: int, path: str | Path) -> bytes:

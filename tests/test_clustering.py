@@ -18,7 +18,7 @@ from surgcurate.clustering import (
     kmeans,
     kmeanspp_init,
 )
-from surgcurate.store import EmbeddingMatrix
+from surgcurate.store import EmbeddingMatrix, read_store, write_store
 from surgcurate.synthetic import make_blobs
 
 from .oracles import (
@@ -54,6 +54,21 @@ class TestKmeansPlusPlus:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             kmeanspp_init(np.zeros((3, 2), dtype=np.float32), 4, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 50), st.integers(1, 6), st.data())
+    def test_exact_distances_make_ingest_order_irrelevant(self, seed, n, dim, data):
+        """Small-integer rows make every D^2 exact whatever the summation
+        order, so permuting ingest order picks the same points. (Otherwise a
+        row's D^2 can differ in its last ulp with its storage position.)"""
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-8, 9, (n, dim)).astype(np.float32)
+        ids = [f"clip{i:03d}" for i in range(n)]
+        perm = rng.permutation(n)
+        k = data.draw(st.integers(1, n))
+        a = kmeanspp_init(EmbeddingMatrix(points, ids), k, seed)
+        b = kmeanspp_init(EmbeddingMatrix(points[perm], [ids[i] for i in perm]), k, seed)
+        assert a.tobytes() == b.tobytes()
 
     def test_order_independent_with_row_ids(self):
         rng = np.random.default_rng(5)
@@ -376,6 +391,18 @@ class TestKmeans:
             assert runs[0].inertia == other.inertia
         trees = [build_hierarchy(data, [12, 4], seed=7, workers=w).fingerprint() for w in (1, 8)]
         assert trees[0] == trees[1]
+
+    def test_f64_matrix_clusters_as_its_f32_cast(self, tmp_path):
+        """f64 rows whose values are not f32 values give one tree as an
+        EmbeddingMatrix, as its f32 cast, as a bare array and through a
+        store round trip (read_store's f64 rows)."""
+        data = np.random.default_rng(21).standard_normal((300, 8))
+        ids = [f"c{i:03d}" for i in range(len(data))]
+        stored = read_store(write_store(EmbeddingMatrix(data, ids), tmp_path / "s.semb"))
+        assert stored.data.dtype == np.float64
+        given = [EmbeddingMatrix(data, ids), EmbeddingMatrix(data.astype(np.float32), ids), data, stored]
+        trees = [build_hierarchy(p, [12, 3], seed=4).fingerprint() for p in given]
+        assert len(set(trees)) == 1, trees
 
     def test_permutation_equivariance(self):
         data, _ = make_blobs([30, 30, 30], dim=4, seed=12)

@@ -68,8 +68,9 @@ def test_l2_normalize_holds_one_payload_copy(stored, dtype):
     """Normalising rescales the rows in place, f32 rows or read_store's f64
     rows: the one payload copy is the input's own, and the call adds only
     row blocks."""
-    _, matrix = stored
-    copy = EmbeddingMatrix(matrix.data.astype(dtype), matrix.row_ids)
+    path, matrix = stored
+    copy = EmbeddingMatrix(matrix.data.copy(), matrix.row_ids) if dtype == np.float32 else read_store(path)
+    assert copy.data.dtype == dtype
     out, peak = _peak(l2_normalize, copy)
     assert peak <= 4 * MiB, peak / MiB
     assert out is copy

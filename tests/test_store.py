@@ -205,6 +205,18 @@ class TestMatrixInvariants:
         with pytest.raises(SizeMismatch):
             EmbeddingMatrix(np.zeros((2, 2), dtype=np.float32), ["a"])
 
+    def test_f64_input_is_rounded_to_f32(self, tmp_path):
+        """The constructor rounds f64 rows to f32: a value past the f32 range
+        becomes Inf there, and write_store refuses it."""
+        with np.errstate(over="ignore"):
+            m = EmbeddingMatrix(np.array([[0.1, 2.0], [1e39, 1.0]]), ["a", "b"])
+        assert m.data.dtype == np.float32
+        assert m.data[0].tobytes() == np.array([0.1, 2.0], dtype=np.float32).tobytes()
+        with pytest.raises(NonFiniteValue) as err:
+            write_store(m, tmp_path / "s.semb")
+        assert (err.value.row, err.value.clip_id) == (1, "b")
+        assert not (tmp_path / "s.semb").exists()
+
 
 class TestNormalize:
     def test_three_four_five(self):

@@ -82,7 +82,10 @@ class BadTreeFile(ClusteringError):
 def _as_points(points) -> tuple[np.ndarray, list[str] | None]:
     """The points' f64 rows and row ids (None for a bare array). An
     EmbeddingMatrix's f64 rows are taken as they are; f32 rows are widened
-    once, and any other array is made f32 first."""
+    once, and any other array is made f32 first. A (rows, row ids) tuple
+    is what this returned, which kmeans hands on to kmeanspp_init."""
+    if isinstance(points, tuple):
+        return points
     if isinstance(points, EmbeddingMatrix):
         return points.data.astype(np.float64, copy=False), points.row_ids
     arr = np.ascontiguousarray(points, dtype=np.float32)
@@ -319,14 +322,11 @@ def kmeanspp_init(points, k: int, seed: int, x2: np.ndarray | None = None) -> np
     permuting ingest order can change a pick where such an ulp tips the
     draw. Returns (k, dim) f32.
     x2 holds the points' f64 squared norms in storage order
-    (_row_sq_norms, which runs here when x2 is not given).
+    (_row_sq_norms, which runs here when x2 is not given). kmeans passes
+    its f64 rows and ids as a tuple, so they are not widened again.
     """
     X, row_ids = _as_points(points)
-    return _kmeanspp(X, row_ids, k, seed, _row_sq_norms(X) if x2 is None else x2)
-
-
-def _kmeanspp(X: np.ndarray, row_ids: list[str] | None, k: int, seed: int, x2: np.ndarray) -> np.ndarray:
-    """kmeanspp_init over f64 rows X, their ids and squared norms x2."""
+    x2 = _row_sq_norms(X) if x2 is None else x2
     n = len(X)
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} with {n} points")
@@ -381,7 +381,7 @@ def kmeans(
     """
     X, row_ids = _as_points(points)
     x2 = _row_sq_norms(X)
-    centroids64 = _kmeanspp(X, row_ids, k, seed, x2).astype(np.float64)
+    centroids64 = kmeanspp_init((X, row_ids), k, seed, x2).astype(np.float64)  # by its module name, so it can be traced
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     iterations = 0

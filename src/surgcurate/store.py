@@ -3,7 +3,8 @@ in memory, its readers, and L2 normalisation.
 
 The file format (layout, constants, typed errors, id table), its one
 writer and the numpy-free ingest live in storefile; this module re-exports
-the errors and its write_store(matrix, path) calls storefile's writer.
+the errors and its write_store(matrix, path) calls storefile's writer,
+ROW_BLOCK f32 rows at a time, so it builds no f32 copy of f64 rows.
 Stores are write-once and then shared read-only. Identical matrices
 produce byte-identical files.
 
@@ -121,9 +122,12 @@ class EmbeddingMatrix:
 
 
 def write_store(matrix: EmbeddingMatrix, path: str | Path) -> Path:
-    """Serialize a validated matrix; byte-identical for identical input."""
+    """Serialize a validated matrix; byte-identical for identical input.
+    The rows go to the writer ROW_BLOCK at a time, as little-endian f32,
+    so f64 rows are never cast whole."""
     matrix.validate_finite()
-    payload = np.ascontiguousarray(matrix.data, dtype="<f4").reshape(-1).view(np.uint8)
+    rows = matrix.data
+    payload = (np.ascontiguousarray(rows[s:e], dtype="<f4").reshape(-1).view(np.uint8) for s, e in row_blocks(len(rows)))
     return write_store_file(path, matrix.dim, payload, matrix.row_ids)
 
 

@@ -14,12 +14,24 @@ errors, the id table both ways, the one writer (write_store_file, which
 store.write_store also calls) and ingest_raw_blobs, which goes from raw
 blob bytes to a store file without building an array. store.py holds the
 array layer: EmbeddingMatrix, the readers and normalisation.
+
+The writer takes the payload as an iterable of chunks, so neither caller
+holds the payload whole. ingest_raw_blobs streams each blob in blocks of
+whole rows (_INGEST_BLOCK bytes or less, two reused buffers): the main
+thread scans each block for NaN/Inf, hashes it into the store checksum
+and writes it, while one helper thread hashes the same block into its
+blob's SHA-256. So each blob byte is read once and the two digests run
+on two cores; ingest loads no numpy, so the helper shares its core with
+no BLAS thread.
 """
 
 from __future__ import annotations
 
 import hashlib
+import queue
+import threading
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .artifact import SurgcurateError, note_digest, read_lines, write_atomic
 
@@ -27,6 +39,7 @@ MAGIC = b"SURGEMB1"
 HEADER_BYTES = len(MAGIC) + 16
 CHECKSUM_BYTES = 32
 _SCAN_BLOCK = 1 << 20  # payload bytes per step of first_nonfinite_row, a multiple of 4
+_INGEST_BLOCK = 1 << 22  # payload bytes per block of ingest_raw_blobs, rounded down to whole rows (at least one)
 #: byte -> 1 where bit 7 is set: in byte 2 of a LE f32, the exponent's lowest bit
 _EXP_LOW = bytes(b >> 7 for b in range(256))
 #: byte -> 2 where bits 0-6 are set: in byte 3 of a LE f32, the exponent's other seven bits
@@ -101,27 +114,29 @@ def decode_id_table(table: bytes, n_rows: int, path: str | Path) -> list[str]:
     return row_ids
 
 
-def write_store_file(path: str | Path, dim: int, payload, row_ids: list[str]) -> Path:
-    """Write a store of len(row_ids) rows: `payload` is their row-major
-    little-endian f32 values as a bytes-like object. Identical input gives
-    byte-identical files. The caller has checked the payload: it is not
-    scanned again here."""
+def write_store_file(path: str | Path, dim: int, payload: Iterable, row_ids: list[str]) -> Path:
+    """Write a store of len(row_ids) rows: `payload` yields their
+    row-major little-endian f32 values as bytes-like chunks, in order,
+    each hashed and written before the next is asked for. Identical input
+    gives byte-identical files. The caller has checked the payload: it is
+    not scanned again here. If `payload` raises, nothing is written."""
     hasher = hashlib.sha256()
 
     def chunks():
         """Header, payload, id table, then the checksum: the digest
         write_atomic has taken of the chunks before it."""
         yield MAGIC + len(row_ids).to_bytes(8, "little") + dim.to_bytes(8, "little")
-        yield payload
+        yield from payload
         yield encode_id_table(row_ids)
         yield hasher.digest()
 
     return write_atomic(path, chunks(), hasher)
 
 
-def first_nonfinite_row(payload: bytes | bytearray, dim: int) -> int | None:
+def first_nonfinite_row(payload: bytes | bytearray, dim: int, end: int | None = None) -> int | None:
     """Row of the first NaN or Inf in a row-major little-endian f32 payload
-    of `dim` values a row, or None.
+    of `dim` values a row, or None. Only payload[:end] is scanned when
+    `end` (a multiple of 4) is given.
 
     A LE f32 is NaN or Inf iff its exponent bits are all set: byte 3 & 0x7F
     is 0x7F and byte 2 & 0x80 is set. A block whose byte 3s hold neither
@@ -131,8 +146,9 @@ def first_nonfinite_row(payload: bytes | bytearray, dim: int) -> int | None:
     b"\\x01\\x02" is the first non-finite value: a mapped byte 3 is never
     1, so the pair cannot straddle two values.
     """
-    for s in range(0, len(payload), _SCAN_BLOCK):
-        e = s + _SCAN_BLOCK
+    end = len(payload) if end is None else end
+    for s in range(0, end, _SCAN_BLOCK):
+        e = min(s + _SCAN_BLOCK, end)
         high = payload[s + 3 : e : 4]
         if high.find(0x7F) < 0 and high.find(0xFF) < 0:
             continue
@@ -151,10 +167,13 @@ def ingest_raw_blobs(blob_dir: str | Path, id_file: str | Path, dim: int, out: s
 
     Blob files are concatenated in sorted filename order; each file must
     hold a whole number of dim-sized rows. The id file lists one clip id per
-    row, in the same order, each once. The blobs are read straight into the
-    one payload buffer; each is hashed from the bytes it was read into, and
-    its SHA-256 noted for the run manifest. A row holding a NaN or Inf is a
-    NonFiniteValue naming its clip id, and nothing is written.
+    row, in the same order, each once. These checks come first, in that
+    order. The blobs are then streamed into the store in blocks of whole
+    rows (see the module docstring); a blob's SHA-256 is noted for the run
+    manifest once its last block has been hashed. A row holding a NaN or
+    Inf is a NonFiniteValue naming its clip id, and a blob whose size
+    changed since it was sized is a SizeMismatch naming it; either way
+    `out` keeps its old bytes and the temporary file is removed.
     """
     blob_dir = Path(blob_dir)
     files = sorted(p for p in blob_dir.iterdir() if p.is_file())
@@ -164,24 +183,74 @@ def ingest_raw_blobs(blob_dir: str | Path, id_file: str | Path, dim: int, out: s
     for p, size in zip(files, sizes):
         if size % (4 * dim) != 0:
             raise SizeMismatch(f"{p}: size {size} is not a multiple of {4 * dim}")
-    payload = bytearray(sum(sizes))
-    view = memoryview(payload)
-    offset = 0
-    for p, size in zip(files, sizes):
-        block = view[offset : offset + size]
-        with open(p, "rb") as fh:
-            if fh.readinto(block) != size:
-                raise SizeMismatch(f"{p}: changed size while it was read")
-        note_digest("read", p, hashlib.sha256(block).hexdigest())
-        offset += size
-    n_rows = len(payload) // (4 * dim)
+    n_rows = sum(sizes) // (4 * dim)
     row_ids = read_lines(id_file, StoreError)
     if len(row_ids) != n_rows:
         raise SizeMismatch(f"{len(row_ids)} ids for {n_rows} embedding rows")
     if len(set(row_ids)) != len(row_ids):
         raise DuplicateRowId("row ids must be unique")
-    bad = first_nonfinite_row(payload, dim)
-    if bad is not None:
-        raise NonFiniteValue(bad, row_ids[bad])
-    write_store_file(out, dim, payload, row_ids)
+
+    block = max(1, _INGEST_BLOCK // (4 * dim)) * 4 * dim
+    free: queue.SimpleQueue = queue.SimpleQueue()  # buffers neither thread holds
+    for _ in range(2):
+        free.put(bytearray(block))
+    hashed: queue.SimpleQueue = queue.SimpleQueue()  # (blob, buffer, bytes, last block?) for the helper; None ends it
+    failed: list[Exception] = []
+    helper = threading.Thread(target=_hash_blobs, args=(hashed, free, failed), name="ingest-hasher")
+    payload = _blob_blocks(files, sizes, block, dim, row_ids, hashed, free)
+    helper.start()
+    try:
+        write_store_file(out, dim, payload, row_ids)
+    finally:
+        payload.close()
+        hashed.put(None)
+        helper.join()
+    if failed:
+        raise failed[0]
     return n_rows
+
+
+def _blob_blocks(files, sizes, block, dim, row_ids, hashed, free) -> Iterator[memoryview]:
+    """The payload of ingest_raw_blobs, one block of whole rows at a time.
+
+    Each block is read into a free buffer, handed to the helper thread
+    (_hash_blobs), scanned for NaN/Inf and yielded to the writer; the
+    buffer is taken again only once the helper has hashed it and put it
+    back, so at most two blocks are in flight. An empty blob is handed over
+    as one empty block, so its digest is noted too."""
+    row = 0
+    for path, size in zip(files, sizes):
+        with open(path, "rb") as fh:
+            for offset in range(0, max(size, 1), block):
+                n = min(block, size - offset)
+                last = offset + n == size
+                buf = free.get()
+                view = memoryview(buf)[:n]
+                if fh.readinto(view) != n or (last and fh.read(1)):
+                    raise SizeMismatch(f"{path}: changed size while it was read")
+                hashed.put((path, buf, n, last))
+                bad = first_nonfinite_row(buf, dim, n)
+                if bad is not None:
+                    raise NonFiniteValue(row + bad, row_ids[row + bad])
+                yield view
+                row += n // (4 * dim)
+
+
+def _hash_blobs(hashed, free, failed: list[Exception]) -> None:
+    """The helper thread of ingest_raw_blobs: fold each block into its
+    blob's SHA-256, note the digest after the blob's last block, and put
+    the buffer back. After an error it only puts buffers back, so the
+    reader never waits on a buffer that does not come."""
+    hasher = hashlib.sha256()
+    while (item := hashed.get()) is not None:
+        path, buf, n, last = item
+        try:
+            if not failed:
+                hasher.update(memoryview(buf)[:n])
+                if last:
+                    note_digest("read", path, hasher.hexdigest())
+                    hasher = hashlib.sha256()
+        except Exception as exc:  # raised again on the main thread
+            failed.append(exc)
+        finally:
+            free.put(buf)

@@ -279,9 +279,13 @@ def test_pipeline_bytes_under_other_blas_kernels(tmp_path, blas_env):
     Under another thread count the curated file is pinned too. Under
     another kernel it keeps its header and every record's clip, leaf and
     rank; its distances may still differ in the last ulp, because each is
-    recorded from a BLAS dot whose summation order depends on the kernel."""
+    recorded from a BLAS dot whose summation order depends on the kernel.
+    The thread-count cases drop an inherited OPENBLAS_CORETYPE from both
+    runs, so they vary the thread count only."""
     paths = write_fixture_corpus(tmp_path / "fixture")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    if "OPENBLAS_NUM_THREADS" in blas_env:
+        env.pop("OPENBLAS_CORETYPE", None)
     outs = {}
     for tag, extra in (("default", {}), ("other", blas_env)):
         out = outs[tag] = tmp_path / tag

@@ -446,6 +446,35 @@ class TestHierarchy:
         right = set(top[50:].tolist())
         assert len(left) == 1 and len(right) == 1 and left != right
 
+    @pytest.mark.parametrize("source", ["store", "f32"])
+    def test_each_level_seeds_through_kmeanspp_init(self, tmp_path, monkeypatch, source):
+        """kmeans seeds through the module name kmeanspp_init, which the
+        benchmark's trace rebinds, once per level and with the very rows
+        that level's Lloyd passes use: read_store's f64 array itself, or
+        an f32 input widened once. The tree is the unwrapped run's."""
+        data, _ = make_blobs([40, 30, 30], dim=6, seed=5)
+        matrix = EmbeddingMatrix(data, [f"clip{i:03d}" for i in np.random.default_rng(5).permutation(len(data))])
+        if source == "store":
+            matrix = read_store(write_store(matrix, tmp_path / "s.semb"))
+        expected = build_hierarchy(matrix, [9, 3, 2], seed=2).to_bytes()
+        seeded, stepped = [], []
+
+        def traced_init(points, *args, _init=clustering.kmeanspp_init):
+            seeded.append(points[0])
+            return _init(points, *args)
+
+        def traced_step(points, *args, _step=clustering._lloyd_step):
+            stepped.append(points)
+            return _step(points, *args)
+
+        monkeypatch.setattr(clustering, "kmeanspp_init", traced_init)
+        monkeypatch.setattr(clustering, "_lloyd_step", traced_step)
+        assert build_hierarchy(matrix, [9, 3, 2], seed=2).to_bytes() == expected
+        assert len(seeded) == 3
+        assert {id(rows) for rows in stepped} == {id(rows) for rows in seeded}
+        assert (seeded[0] is matrix.data) == (source == "store")
+        assert all(rows.dtype == np.float64 for rows in seeded)
+
     def test_level_sizes_must_decrease(self):
         with pytest.raises(ValueError):
             build_hierarchy(np.zeros((10, 2), dtype=np.float32), [4, 4], seed=0)

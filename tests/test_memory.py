@@ -5,11 +5,12 @@ manifest.
 numpy reports its buffers to tracemalloc, so a peak counts every array a
 call allocates. read_store's bound is the one f64 copy of the payload it
 returns, the only payload copy `cluster` holds; normalising rescales its
-input in place and adds a few row blocks; curating from the store's path
-holds no payload copy at all; the Lloyd bound is the pass's one n x k
-distance block plus one gather block, however the rows split between
-clusters; the manifest bound is the records read plus one MiB, so the read
-never holds the file's text.
+input in place and adds a few row blocks; writing a store and ingesting
+raw blobs hold a few blocks and the id list, never the payload; curating
+from the store's path holds no payload copy at all; the Lloyd bound is the
+pass's one n x k distance block plus one gather block, however the rows
+split between clusters; the manifest bound is the records read plus one
+MiB, so the read never holds the file's text.
 """
 
 import tracemalloc
@@ -27,8 +28,10 @@ from surgcurate.corpus import (
     read_corpus_manifest,
     write_corpus_manifest,
 )
+from surgcurate import storefile
 from surgcurate.curation import curate
 from surgcurate.store import ROW_BLOCK, EmbeddingMatrix, l2_normalize, read_store, write_store
+from surgcurate.storefile import encode_id_table, ingest_raw_blobs
 from surgcurate.synthetic import make_blobs
 
 N, DIM = 2000, 768
@@ -74,6 +77,38 @@ def test_l2_normalize_holds_one_payload_copy(stored, dtype):
     out, peak = _peak(l2_normalize, copy)
     assert peak <= 4 * MiB, peak / MiB
     assert out is copy
+
+
+def test_write_store_holds_row_blocks_only(stored, tmp_path):
+    """Writing read_store's f64 rows casts them to f32 one ROW_BLOCK at a
+    time: the peak is a few f32 row blocks plus the id table, not an f32
+    copy of the payload."""
+    path, matrix = stored
+    back = read_store(path)
+    out, peak = _peak(write_store, back, tmp_path / "w.semb")
+    assert out.read_bytes() == path.read_bytes()
+    block32 = ROW_BLOCK * DIM * 4
+    assert peak <= 2 * block32 + len(encode_id_table(matrix.row_ids)) + MiB // 4, peak / block32
+
+
+def test_ingest_holds_two_blocks_and_the_ids(stored, tmp_path, monkeypatch):
+    """ingest streams the blobs through two reused blocks (here 256 KiB
+    each, a 23rd of the payload): its peak is those blocks plus the id
+    list, not the payload."""
+    path, matrix = stored
+    blob_dir = tmp_path / "blobs"
+    blob_dir.mkdir()
+    for j, part in enumerate(np.array_split(matrix.data, 3)):
+        (blob_dir / f"part{j}.f32").write_bytes(part.astype("<f4").tobytes())
+    id_file = tmp_path / "ids.txt"
+    id_file.write_text("\n".join(matrix.row_ids), encoding="utf-8")
+    block = 256 << 10
+    monkeypatch.setattr(storefile, "_INGEST_BLOCK", block, raising=False)
+    n_rows, peak = _peak(ingest_raw_blobs, blob_dir, id_file, DIM, tmp_path / "s.semb")
+    assert n_rows == N
+    assert (tmp_path / "s.semb").read_bytes() == path.read_bytes()
+    ids = id_file.stat().st_size + sum(64 + len(rid) for rid in matrix.row_ids)
+    assert peak <= 2 * block + 2 * ids + MiB // 2, (peak / block, peak / PAYLOAD)
 
 
 def test_curate_from_a_store_path_holds_row_blocks_only(stored):

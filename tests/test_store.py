@@ -1,7 +1,9 @@
 import hashlib
 import io
 import struct
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -398,17 +400,123 @@ class TestIngest:
     )
     def test_bad_input_is_the_typed_error_and_writes_nothing(self, tmp_path, blobs, ids, error, message):
         blob_dir, id_file = _blobs(tmp_path, *blobs, ids=ids)
+        threads = threading.active_count()
         with pytest.raises(StoreError) as err:
             ingest_raw_blobs(blob_dir, id_file, 2, tmp_path / "s.semb")
         assert type(err.value) is error
         assert str(err.value).startswith(message.format(dir=blob_dir, ids=id_file))
         assert not (tmp_path / "s.semb").exists()
+        assert threading.active_count() == threads
 
     def test_a_nan_row_names_its_clip_id(self, tmp_path):
         blob_dir, ids = _blobs(tmp_path, _rows([1, 2], [3, 4]), _rows([5, 6], [float("nan"), 8]), ids="a\nb\nc\nd\n")
         with pytest.raises(NonFiniteValue) as err:
             ingest_raw_blobs(blob_dir, ids, 2, tmp_path / "s.semb")
         assert (err.value.row, err.value.clip_id) == (3, "d")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_streamed_ingest_writes_the_store_write_store_writes(self, data):
+        """With blocks of 1-3 rows, any blob row counts (empty blobs too) and
+        NaN/Inf anywhere or nowhere: the store is write_store's and each
+        noted digest is its file's SHA-256; or the first non-finite row is
+        named with its clip id, and neither the store nor a temporary file
+        is left. Either way the helper thread has ended."""
+        dim = data.draw(st.integers(1, 4), label="dim")
+        counts = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4), label="blob rows")
+        n = sum(counts)
+        rows = np.random.default_rng(n).standard_normal((n, dim)).astype("<f4")
+        if n:
+            cell = st.tuples(st.integers(0, n - 1), st.integers(0, dim - 1), st.sampled_from(_EDGE_BITS[:9]))
+            for r, c, bits in data.draw(st.lists(cell, max_size=3), label="non-finite cells"):
+                rows.view("<u4")[r, c] = bits
+        first_bad = next((r for r in range(n) if not np.isfinite(rows[r]).all()), None)
+        ids = [f"clip{i:02d}" for i in np.random.default_rng(dim).permutation(n)]
+        threads = threading.active_count()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(storefile, "_INGEST_BLOCK", data.draw(st.integers(1, 3), label="block rows") * 4 * dim)
+            bounds = np.cumsum([0, *counts])
+            blob_dir, id_file = _blobs(Path(tmp), *(rows[s:e].tobytes() for s, e in zip(bounds, bounds[1:])), ids="\n".join(ids))
+            out = Path(tmp) / "out"
+            out.mkdir()
+            forget_digests()
+            if first_bad is None:
+                assert ingest_raw_blobs(blob_dir, id_file, dim, out / "s.semb") == n
+                written = write_store(EmbeddingMatrix(rows, ids), Path(tmp) / "w.semb")
+                assert (out / "s.semb").read_bytes() == written.read_bytes()
+                read = [*sorted(blob_dir.iterdir()), id_file]
+                assert noted_digests("read") == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+                assert [p.name for p in out.iterdir()] == ["s.semb"]
+            else:
+                with pytest.raises(NonFiniteValue) as err:
+                    ingest_raw_blobs(blob_dir, id_file, dim, out / "s.semb")
+                assert (err.value.row, err.value.clip_id) == (first_bad, ids[first_bad])
+                assert list(out.iterdir()) == []
+        assert threading.active_count() == threads
+
+    def test_streamed_ingest_under_rapid_thread_switches(self, tmp_path, monkeypatch):
+        """One-row blocks with the interpreter switching threads every
+        microsecond: the store and every blob digest still come out right."""
+        rows = np.random.default_rng(3).standard_normal((240, 3)).astype("<f4")
+        ids = [f"c{i:03d}" for i in range(len(rows))]
+        blob_dir, id_file = _blobs(tmp_path, *(part.tobytes() for part in np.array_split(rows, 5)), ids="\n".join(ids))
+        monkeypatch.setattr(storefile, "_INGEST_BLOCK", 12)
+        forget_digests()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ingest_raw_blobs(blob_dir, id_file, 3, tmp_path / "s.semb")
+        finally:
+            sys.setswitchinterval(interval)
+        written = write_store(EmbeddingMatrix(rows, ids), tmp_path / "w.semb")
+        assert (tmp_path / "s.semb").read_bytes() == written.read_bytes()
+        read = [*sorted(blob_dir.iterdir()), id_file]
+        assert noted_digests("read") == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+
+    @pytest.mark.parametrize("change", [b"\x00" * 8, None], ids=["grown", "shrunk"])
+    def test_a_blob_that_changes_size_once_sized_is_named(self, tmp_path, monkeypatch, change):
+        """A blob that grows or shrinks between its stat and its read is a
+        SizeMismatch naming it, and the target keeps its old bytes."""
+        blob_dir, id_file = _blobs(tmp_path, _rows([1, 2]), _rows([3, 4], [5, 6]))
+        changed = blob_dir / "b.f32"
+        target = tmp_path / "s.semb"
+        target.write_bytes(b"old")
+
+        def read_lines_then_change(*args, _read_lines=storefile.read_lines):
+            with open(changed, "r+b") as fh:
+                fh.seek(0, 2) if change else fh.truncate(8)
+                fh.write(change or b"")
+            return _read_lines(*args)
+
+        monkeypatch.setattr(storefile, "read_lines", read_lines_then_change)
+        threads = threading.active_count()
+        with pytest.raises(SizeMismatch, match=f"^{changed}: changed size while it was read$"):
+            ingest_raw_blobs(blob_dir, id_file, 2, target)
+        assert threading.active_count() == threads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs", "ids.txt", "s.semb"]
+        assert target.read_bytes() == b"old"
+
+    def test_a_write_that_fails_mid_stream_stops_the_helper(self, tmp_path, monkeypatch):
+        """The store's write raising between two payload blocks leaves no
+        store, no temporary file and no helper thread."""
+        blob_dir, id_file = _blobs(tmp_path, _rows([1, 2], [3, 4]), _rows([5, 6]), ids="a\nb\nc\n")
+        monkeypatch.setattr(storefile, "_INGEST_BLOCK", 8)
+
+        def write_until_the_third_chunk(path, chunks, hasher, _write=storefile.write_atomic):
+            def cut():
+                for i, chunk in enumerate(chunks):
+                    if i == 2:
+                        raise OSError("device full")
+                    yield chunk
+
+            return _write(path, cut(), hasher)
+
+        monkeypatch.setattr(storefile, "write_atomic", write_until_the_third_chunk)
+        threads = threading.active_count()
+        with pytest.raises(OSError, match="device full"):
+            ingest_raw_blobs(blob_dir, id_file, 2, tmp_path / "out.semb")
+        assert threading.active_count() == threads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs", "ids.txt"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -424,3 +532,6 @@ class TestIngest:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(storefile, "_SCAN_BLOCK", data.draw(st.sampled_from([4, 8, 12, 1 << 20])))
             assert first_nonfinite_row(rows.tobytes(), dim) == store._first_nonfinite(rows)
+            # bytes past `end` are not scanned
+            tail = np.full(dim, np.nan, dtype="<f4").tobytes()
+            assert first_nonfinite_row(bytearray(rows.tobytes() + tail), dim, 4 * n * dim) == store._first_nonfinite(rows)

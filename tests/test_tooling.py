@@ -412,8 +412,11 @@ def test_every_export_is_its_submodules_object():
 
 
 def test_thread_pools_start_only_in_ordered_map():
-    """clustering.ordered_map holds BLAS to one thread while its pool runs;
-    a pool started anywhere else would share its cores with BLAS threads."""
+    """Threads start in two places only. clustering.ordered_map holds BLAS
+    to one thread while its pool runs; a pool started anywhere else would
+    share its cores with BLAS threads. storefile.ingest_raw_blobs starts
+    one thread that hashes the blobs: ingest loads no numpy, so there are
+    no BLAS threads for it to compete with."""
     uses = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
@@ -423,8 +426,7 @@ def test_thread_pools_start_only_in_ordered_map():
             for node in ast.walk(fn)
         }
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor") or (
-                isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor"
-            ):
-                uses.append((path.name, enclosing.get(id(node))))
-    assert uses == [("clustering.py", "ordered_map")]
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in ("ThreadPoolExecutor", "Thread"):
+                uses.append((path.name, enclosing.get(id(node)), name))
+    assert uses == [("clustering.py", "ordered_map", "ThreadPoolExecutor"), ("storefile.py", "ingest_raw_blobs", "Thread")]

@@ -52,23 +52,21 @@ def round_half_away_from_zero(value: Rational) -> int:
     return (2 * f.numerator + f.denominator) // (2 * f.denominator)
 
 
-def round_to_points(value: Rational, decimals: int = 2) -> Fraction:
-    """Round a score to `decimals` decimal places, ties away from zero.
+def round_to_points(value: Rational) -> Fraction:
+    """Round a score to two decimal places, ties away from zero.
 
-    Returns a Fraction with denominator dividing 10**decimals so further
-    exact arithmetic (deltas, means) stays possible after rounding.
+    Returns a Fraction with denominator dividing 100 so further exact
+    arithmetic (deltas, means) stays possible after rounding.
     """
-    scale = 10**decimals
-    return Fraction(round_half_away_from_zero(as_fraction(value) * scale), scale)
+    return Fraction(round_half_away_from_zero(as_fraction(value) * 100), 100)
 
 
-def format_points(value: Rational, decimals: int = 2, signed: bool = False) -> str:
-    """Render a score at fixed decimals using the house rounding rule."""
-    f = round_to_points(value, decimals)
+def format_points(value: Rational, signed: bool = False) -> str:
+    """Render a score at two decimals using the house rounding rule."""
+    f = round_to_points(value)
     sign = "-" if f < 0 else ("+" if signed else "")
-    scale = 10**decimals
-    units, frac = divmod(abs(f.numerator) * scale // f.denominator, scale)
-    return f"{sign}{units}.{frac:0{decimals}d}"
+    units, frac = divmod(abs(f.numerator) * 100 // f.denominator, 100)
+    return f"{sign}{units}.{frac:02d}"
 
 
 def largest_remainder(quotas: Sequence[Rational], total: int) -> list[int]:

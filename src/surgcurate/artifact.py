@@ -27,7 +27,7 @@ import json
 import os
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -78,7 +78,9 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes | str], hasher=None) -
 
     Each chunk is hashed before the next is asked for, into `hasher` when
     one is given (a new hashlib.sha256() otherwise): a chunk generator that
-    holds it reads there the digest of every chunk before it."""
+    holds it reads there the digest of every chunk before it. No chunk is
+    held while the next is built, so a writer that yields blocks holds one
+    at a time."""
     path = Path(path)
     hasher = hashlib.sha256() if hasher is None else hasher
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -89,6 +91,7 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes | str], hasher=None) -
                 data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
                 hasher.update(data)
                 fh.write(data)
+                del chunk, data  # let go of this chunk before the iterator builds the next
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -162,6 +165,18 @@ def id_lines(text: str) -> list[str]:
     at `\n` only (a `\r` before it is stripped), so an id may hold any
     other character str.splitlines() would break at."""
     return [ln.strip() for ln in text.split("\n") if ln.strip()]
+
+
+def first_repeat(ids: Sequence[T]) -> T | None:
+    """The first id, in list order, that occurred earlier in `ids`, or None
+    when each occurs once."""
+    if len(set(ids)) != len(ids):
+        seen: set[T] = set()
+        for value in ids:
+            if value in seen:
+                return value
+            seen.add(value)
+    return None
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:

@@ -146,10 +146,6 @@ class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
     warnings: list[Violation] = field(default_factory=list)
 
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
-
 
 def normalize_dataset_id(dataset_id: str) -> str:
     """Canonical lookup key: lowercase alphanumerics only."""
@@ -316,15 +312,6 @@ class CorpusStats:
     def total_frames(self) -> int:
         return sum(c.frame_sum for c in self.cells.values())
 
-    def by_source(self, source: SourceStream) -> CorpusCell:
-        video_count = clip_count = frame_sum = 0
-        for (src, _), cell in self.cells.items():
-            if src is source:
-                video_count += cell.video_count
-                clip_count += cell.clip_count
-                frame_sum += cell.frame_sum
-        return CorpusCell(video_count, clip_count, frame_sum)
-
 
 def corpus_stats(corpus: CorpusIndex | Iterable[Record]) -> CorpusStats:
     """Count videos, clips, and frames per (source, domain) cell; takes the
@@ -377,7 +364,7 @@ def _format_scale(stats: CorpusStats) -> str:
     return f"{videos_k:.1f}K videos / {frames_m:.1f}M frames"
 
 
-def scale_comparison_report(stats: CorpusStats, ours_label: str = "Ours") -> str:
+def scale_comparison_report(stats: CorpusStats) -> str:
     """Markdown table comparing this corpus against shipped reference scales."""
     rows = list(csv.DictReader(shipped_text("pretraining_scale_reference.csv").splitlines()))
     lines = [
@@ -386,7 +373,7 @@ def scale_comparison_report(stats: CorpusStats, ours_label: str = "Ours") -> str
     ]
     for row in rows:
         lines.append(f"| {row['method']} | {row['domain_focus']} | {row['reported_scale']} |")
-    lines.append(f"| **{ours_label}** | **Multi-Domain (4 major)** | **{_format_scale(stats)}** |")
+    lines.append(f"| **Ours** | **Multi-Domain (4 major)** | **{_format_scale(stats)}** |")
     return "\n".join(lines) + "\n"
 
 

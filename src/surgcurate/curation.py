@@ -53,9 +53,6 @@ class BudgetPlan:
     quotas: list[np.ndarray]  # quotas[level][cluster], aligned with tree.levels
     mode: str = "equal"
 
-    def level_total(self, level: int) -> int:
-        return int(self.quotas[level].sum())
-
 
 @dataclass(frozen=True)
 class SelectionRecord:

@@ -47,10 +47,6 @@ class ColumnMismatch(MetricsError):
     pass
 
 
-class InconsistentAccuracy(MetricsError):
-    pass
-
-
 @dataclass(frozen=True)
 class Prediction:
     sample_id: str
@@ -73,34 +69,13 @@ def acc_at_1(records: Sequence[Prediction]) -> Fraction:
 
 @dataclass
 class EvalRecord:
-    """One (dataset, model, variant) evaluation result.
-
-    Carries either per-sample predictions, a precomputed accuracy, or
-    both; when both are present they must agree within 0.005 points.
-    """
+    """One (dataset, model, variant) evaluation result: its exact Acc@1 in
+    percent."""
 
     dataset_id: str
     model_id: str
-    variant: str | None = None
-    samples: list[Prediction] | None = None
-    accuracy: Fraction | None = None
-    sample_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.accuracy is not None:
-            self.accuracy = as_fraction(self.accuracy)
-        if self.samples is not None:
-            recomputed = acc_at_1(self.samples)
-            if self.accuracy is None:
-                self.accuracy = recomputed
-            elif abs(self.accuracy - recomputed) > Fraction(5, 1000):
-                raise InconsistentAccuracy(
-                    f"{self.dataset_id}/{self.model_id}: stored accuracy "
-                    f"{float(self.accuracy):.4f} vs recomputed {float(recomputed):.4f}"
-                )
-            self.sample_count = len(self.samples)
-        if self.accuracy is None:
-            raise EmptyEvaluation(f"{self.dataset_id}/{self.model_id}: no samples and no accuracy")
+    variant: str | None
+    accuracy: Fraction
 
 
 def _score_map(scores: Mapping) -> dict[str, Fraction]:
@@ -174,10 +149,9 @@ class DomainReport:
     member_map: dict[str, list[str]] = field(default_factory=dict)
 
     @classmethod
-    def from_dataset_scores(
-        cls, per_dataset: Mapping[str, Rational], domain_map: DomainMap | None = None
-    ) -> "DomainReport":
-        domain_map = DomainMap.default() if domain_map is None else domain_map
+    def from_dataset_scores(cls, per_dataset: Mapping[str, Rational]) -> "DomainReport":
+        """The report of per-dataset scores under the shipped domain map."""
+        domain_map = DomainMap.default()
         scores = domain_macro(per_dataset, domain_map)
         members: dict[str, list[str]] = {}
         for dataset_id in sorted(per_dataset):
@@ -399,9 +373,7 @@ _MACRO_COLUMNS = ["Cataract", "Robotic", "Endoscopy", "Laparoscopy", "Overall Ma
 
 
 def benchmark_table(
-    per_dataset: Mapping[str, Mapping[str, Rational]],
-    model_order: Sequence[str] | None = None,
-    title: str = "Acc@1 (%) per dataset",
+    per_dataset: Mapping[str, Mapping[str, Rational]], model_order: Sequence[str] | None = None
 ) -> ScoreTable:
     """Dataset rows x model columns, best cell(s) per row bolded."""
     if model_order is None:
@@ -410,7 +382,7 @@ def benchmark_table(
     for dataset in sorted(per_dataset):
         cells = {m: as_fraction(v) for m, v in per_dataset[dataset].items()}
         rows.append((dataset, cells))
-    return ScoreTable(title=title, row_label="Dataset", columns=list(model_order), rows=rows)
+    return ScoreTable(title="Acc@1 (%) per dataset", row_label="Dataset", columns=list(model_order), rows=rows)
 
 
 def domain_macro_table(

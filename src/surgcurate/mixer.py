@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .apportion import as_fraction, largest_remainder
-from .artifact import SurgcurateError, write_atomic
+from .artifact import SurgcurateError, first_repeat, write_atomic
 from .seeding import derive_seed
 
 
@@ -137,12 +137,8 @@ class PoolCursor:
         ids = list(ids)
         if not ids:
             raise EmptyPool(f"pool {pool_id!r} is empty")
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for cid in ids:
-                if cid in seen:
-                    raise MixerError(f"pool {pool_id!r} lists clip id {cid!r} more than once")
-                seen.add(cid)
+        if (cid := first_repeat(ids)) is not None:
+            raise MixerError(f"pool {pool_id!r} lists clip id {cid!r} more than once")
         ids.sort()
         self.pool_id = pool_id
         self._ids = np.array(self._values(ids), dtype=object)  # the objects themselves, gathered in C

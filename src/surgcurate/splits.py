@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .apportion import largest_remainder
-from .artifact import SurgcurateError, read_json, read_text, write_atomic
+from .artifact import SurgcurateError, first_repeat, read_json, read_text, write_atomic
 from .corpus import ClipRecord
 from .manifest import utc_now
 from .seeding import derive_seed, permutation
@@ -117,12 +117,8 @@ def ratio_split(
     ids = sorted(video_ids)
     if not ids:
         raise EmptyDataset("cannot split zero videos")
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for vid in video_ids:
-            if vid in seen:
-                raise SplitError(f"video id {vid!r} is listed twice")
-            seen.add(vid)
+    if (vid := first_repeat(video_ids)) is not None:
+        raise SplitError(f"video id {vid!r} is listed twice")
 
     if strata is not None:
         missing = [v for v in ids if v not in strata]

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .artifact import note_digest
+from .artifact import first_repeat, note_digest
 from .storefile import (  # the errors are re-exported
     CHECKSUM_BYTES,
     HEADER_BYTES,
@@ -103,8 +103,8 @@ class EmbeddingMatrix:
             raise SizeMismatch(
                 f"{len(self.row_ids)} row ids for {self.data.shape[0]} rows"
             )
-        if len(set(self.row_ids)) != len(self.row_ids):
-            raise DuplicateRowId("row ids must be unique")
+        if (dup := first_repeat(self.row_ids)) is not None:
+            raise DuplicateRowId(f"row ids must be unique: {dup!r} repeats")
 
     @property
     def n_rows(self) -> int:

@@ -17,12 +17,12 @@ array layer: EmbeddingMatrix, the readers and normalisation.
 
 The writer takes the payload as an iterable of chunks, so neither caller
 holds the payload whole. ingest_raw_blobs streams each blob in blocks of
-whole rows (_INGEST_BLOCK bytes or less, two reused buffers): the main
+whole rows (_INGEST_BLOCK bytes or less, one reused buffer): the main
 thread scans each block for NaN/Inf, hashes it into the store checksum
 and writes it, while one helper thread hashes the same block into its
-blob's SHA-256. So each blob byte is read once and the two digests run
-on two cores; ingest loads no numpy, so the helper shares its core with
-no BLAS thread.
+blob's SHA-256; the next block is read once both are done with it. So
+each blob byte is read once and the two digests run on two cores; ingest
+loads no numpy, so the helper shares its core with no BLAS thread.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import threading
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .artifact import SurgcurateError, note_digest, read_lines, write_atomic
+from .artifact import SurgcurateError, first_repeat, note_digest, read_lines, write_atomic
 
 MAGIC = b"SURGEMB1"
 HEADER_BYTES = len(MAGIC) + 16
@@ -109,8 +109,8 @@ def decode_id_table(table: bytes, n_rows: int, path: str | Path) -> list[str]:
         offset += length
     if offset != len(table):
         raise SizeMismatch(f"{path}: {len(table) - offset} unexpected trailing bytes")
-    if len(set(row_ids)) != len(row_ids):
-        raise DuplicateRowId(f"{path}: row ids must be unique")
+    if (dup := first_repeat(row_ids)) is not None:
+        raise DuplicateRowId(f"{path}: row ids must be unique: {dup!r} repeats")
     return row_ids
 
 
@@ -187,48 +187,48 @@ def ingest_raw_blobs(blob_dir: str | Path, id_file: str | Path, dim: int, out: s
     row_ids = read_lines(id_file, StoreError)
     if len(row_ids) != n_rows:
         raise SizeMismatch(f"{len(row_ids)} ids for {n_rows} embedding rows")
-    if len(set(row_ids)) != len(row_ids):
-        raise DuplicateRowId("row ids must be unique")
+    if (dup := first_repeat(row_ids)) is not None:
+        raise DuplicateRowId(f"row ids must be unique: {dup!r} repeats")
 
     block = max(1, _INGEST_BLOCK // (4 * dim)) * 4 * dim
-    free: queue.SimpleQueue = queue.SimpleQueue()  # buffers neither thread holds
-    for _ in range(2):
-        free.put(bytearray(block))
-    hashed: queue.SimpleQueue = queue.SimpleQueue()  # (blob, buffer, bytes, last block?) for the helper; None ends it
+    hashing: queue.Queue = queue.Queue()  # (blob, block, last block?) for the helper; None ends it
     failed: list[Exception] = []
-    helper = threading.Thread(target=_hash_blobs, args=(hashed, free, failed), name="ingest-hasher")
-    payload = _blob_blocks(files, sizes, block, dim, row_ids, hashed, free)
+    helper = threading.Thread(target=_hash_blobs, args=(hashing, failed), name="ingest-hasher")
+    payload = _blob_blocks(files, sizes, bytearray(block), dim, row_ids, hashing)
     helper.start()
     try:
         write_store_file(out, dim, payload, row_ids)
     finally:
         payload.close()
-        hashed.put(None)
+        hashing.put(None)
         helper.join()
     if failed:
         raise failed[0]
     return n_rows
 
 
-def _blob_blocks(files, sizes, block, dim, row_ids, hashed, free) -> Iterator[memoryview]:
+def _blob_blocks(files, sizes, buf, dim, row_ids, hashing) -> Iterator[memoryview]:
     """The payload of ingest_raw_blobs, one block of whole rows at a time.
 
-    Each block is read into a free buffer, handed to the helper thread
-    (_hash_blobs), scanned for NaN/Inf and yielded to the writer; the
-    buffer is taken again only once the helper has hashed it and put it
-    back, so at most two blocks are in flight. An empty blob is handed over
+    Each block is read into `buf`, handed to the helper thread
+    (_hash_blobs), scanned for NaN/Inf and yielded to the writer. Before
+    the next block is read into `buf`, hashing.join() waits until the
+    helper has hashed the last one, so one buffer serves both threads: the
+    writer has checksummed and written the block before it asks for the
+    next, and the helper hashes it meanwhile. An empty blob is handed over
     as one empty block, so its digest is noted too."""
+    block = len(buf)
     row = 0
     for path, size in zip(files, sizes):
         with open(path, "rb") as fh:
             for offset in range(0, max(size, 1), block):
                 n = min(block, size - offset)
                 last = offset + n == size
-                buf = free.get()
+                hashing.join()
                 view = memoryview(buf)[:n]
                 if fh.readinto(view) != n or (last and fh.read(1)):
                     raise SizeMismatch(f"{path}: changed size while it was read")
-                hashed.put((path, buf, n, last))
+                hashing.put((path, view, last))
                 bad = first_nonfinite_row(buf, dim, n)
                 if bad is not None:
                     raise NonFiniteValue(row + bad, row_ids[row + bad])
@@ -236,21 +236,21 @@ def _blob_blocks(files, sizes, block, dim, row_ids, hashed, free) -> Iterator[me
                 row += n // (4 * dim)
 
 
-def _hash_blobs(hashed, free, failed: list[Exception]) -> None:
+def _hash_blobs(hashing, failed: list[Exception]) -> None:
     """The helper thread of ingest_raw_blobs: fold each block into its
-    blob's SHA-256, note the digest after the blob's last block, and put
-    the buffer back. After an error it only puts buffers back, so the
-    reader never waits on a buffer that does not come."""
+    blob's SHA-256, note the digest after the blob's last block, and mark
+    the block done (task_done), so the reader may read the next one into
+    its buffer. After an error it only marks blocks done."""
     hasher = hashlib.sha256()
-    while (item := hashed.get()) is not None:
-        path, buf, n, last = item
+    while (item := hashing.get()) is not None:
+        path, view, last = item
         try:
             if not failed:
-                hasher.update(memoryview(buf)[:n])
+                hasher.update(view)
                 if last:
                     note_digest("read", path, hasher.hexdigest())
                     hasher = hashlib.sha256()
         except Exception as exc:  # raised again on the main thread
             failed.append(exc)
         finally:
-            free.put(buf)
+            hashing.task_done()

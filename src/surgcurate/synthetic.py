@@ -48,19 +48,15 @@ def _spread(total: int, n: int) -> list[int]:
 
 
 def make_blobs(
-    sizes: list[int],
-    dim: int,
-    seed: int = 0,
-    center_scale: float = 6.0,
-    noise: float = 1.0,
+    sizes: list[int], dim: int, seed: int = 0, center_scale: float = 6.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Well-separated Gaussian blobs; returns (points f32, labels)."""
+    """Well-separated Gaussian blobs of unit noise; returns (points f32, labels)."""
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((len(sizes), dim)) * center_scale
     points = []
     labels = []
     for blob, size in enumerate(sizes):
-        points.append(centers[blob] + rng.standard_normal((size, dim)) * noise)
+        points.append(centers[blob] + rng.standard_normal((size, dim)))
         labels.append(np.full(size, blob, dtype=np.int64))
     return np.vstack(points).astype(np.float32), np.concatenate(labels)
 
@@ -117,12 +113,14 @@ class FixtureCorpus:
 
 #: Skewed blob sizes of the 2,000-clip fixture's web pool (sum 1,600).
 FIXTURE_BLOB_SIZES = [560, 320, 240, 160, 128, 96, 64, 32]
+#: The fixture's blob seed: the golden pipeline fingerprints rest on it.
+FIXTURE_SEED = 2024
 
 
-def make_fixture_corpus(dim: int = 64, seed: int = 2024) -> FixtureCorpus:
+def make_fixture_corpus(dim: int = 64) -> FixtureCorpus:
     """The 2,000-clip fixture: 1,600 web clips with blob-structured
     embeddings and a 400-clip clinical core."""
-    data, labels = make_blobs(FIXTURE_BLOB_SIZES, dim, seed=seed)
+    data, labels = make_blobs(FIXTURE_BLOB_SIZES, dim, seed=FIXTURE_SEED)
     n_web_clips = len(data)
     clips_per_video = 20
     frames_per_clip = 150
@@ -195,9 +193,7 @@ def make_fixture_corpus(dim: int = 64, seed: int = 2024) -> FixtureCorpus:
     )
 
 
-def write_fixture_corpus(
-    out_dir: str | Path, dim: int = 64, seed: int = 2024, raw_blobs: bool = False
-) -> dict[str, Path]:
+def write_fixture_corpus(out_dir: str | Path, dim: int = 64, raw_blobs: bool = False) -> dict[str, Path]:
     """Materialize the fixture corpus on disk for CLI-driven runs.
 
     Writes the corpus manifest, the embedding store, and the clinical pool
@@ -206,7 +202,7 @@ def write_fixture_corpus(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fixture = make_fixture_corpus(dim=dim, seed=seed)
+    fixture = make_fixture_corpus(dim=dim)
     paths = {
         "corpus": out_dir / "corpus.jsonl",
         "store": out_dir / "embeddings.semb",

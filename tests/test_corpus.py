@@ -96,20 +96,20 @@ class TestValidation:
         video = _video()
         clip = ClipRecord("c1", "v1", 0, 100)
         report = validate_corpus(CorpusIndex([video, clip]))
-        assert report.is_valid
+        assert report.violations == []
         assert report.warnings == []
 
     def test_metadata_mismatch_warns_not_fails(self):
         video = VideoRecord("v1", SourceStream.PRIVATE, "cholec80", Domain.LAPAROSCOPY,
                             frame_count=10_000, fps=Fraction(30), duration_s=10.0)
         report = validate_corpus(CorpusIndex([video]))
-        assert report.is_valid
+        assert report.violations == []
         assert [w.code for w in report.warnings] == ["metadata mismatch"]
 
     def test_overlapping_clips_are_allowed(self):
         video = _video(frame_count=200)
         clips = [ClipRecord("c1", "v1", 0, 100), ClipRecord("c2", "v1", 50, 150)]
-        assert validate_corpus([video, *clips]).is_valid
+        assert validate_corpus([video, *clips]).violations == []
 
     def test_duplicate_ids_are_reported_once_per_record_kind(self):
         """A video and a clip may carry the same id string; each kind's
@@ -197,12 +197,13 @@ class TestCorpusStats:
         stats = corpus_stats(records)
         assert stats.total_videos == 10_535
         assert stats.total_frames == 214_500_000
-        public = stats.by_source(SourceStream.PUBLIC_CLINICAL)
-        assert public.video_count == 2_790
-        assert public.frame_sum == 39_900_000
-        web = stats.by_source(SourceStream.WEB_EDUCATIONAL)
-        assert web.video_count == 7_745
-        assert web.frame_sum == 174_600_000
+
+        def source_sums(source):
+            cells = [cell for (src, _), cell in stats.cells.items() if src is source]
+            return sum(c.video_count for c in cells), sum(c.frame_sum for c in cells)
+
+        assert source_sums(SourceStream.PUBLIC_CLINICAL) == (2_790, 39_900_000)
+        assert source_sums(SourceStream.WEB_EDUCATIONAL) == (7_745, 174_600_000)
 
     def test_totals_equal_cell_sums(self):
         stats = corpus_stats(paper_scale_inventory())

@@ -6,7 +6,7 @@ numpy reports its buffers to tracemalloc, so a peak counts every array a
 call allocates. read_store's bound is the one f64 copy of the payload it
 returns, the only payload copy `cluster` holds; normalising rescales its
 input in place and adds a few row blocks; writing a store and ingesting
-raw blobs hold a few blocks and the id list, never the payload; curating
+raw blobs hold one block and the id list, never the payload; curating
 from the store's path holds no payload copy at all; the Lloyd bound is the
 pass's one n x k distance block plus one gather block, however the rows
 split between clusters; the manifest bound is the records read plus one
@@ -81,20 +81,21 @@ def test_l2_normalize_holds_one_payload_copy(stored, dtype):
 
 def test_write_store_holds_row_blocks_only(stored, tmp_path):
     """Writing read_store's f64 rows casts them to f32 one ROW_BLOCK at a
-    time: the peak is a few f32 row blocks plus the id table, not an f32
-    copy of the payload."""
+    time, and the writer lets go of each block before it asks for the
+    next: the peak is one f32 row block plus the id table, not an f32 copy
+    of the payload."""
     path, matrix = stored
     back = read_store(path)
     out, peak = _peak(write_store, back, tmp_path / "w.semb")
     assert out.read_bytes() == path.read_bytes()
     block32 = ROW_BLOCK * DIM * 4
-    assert peak <= 2 * block32 + len(encode_id_table(matrix.row_ids)) + MiB // 4, peak / block32
+    assert peak <= block32 + len(encode_id_table(matrix.row_ids)) + MiB // 4, peak / block32
 
 
-def test_ingest_holds_two_blocks_and_the_ids(stored, tmp_path, monkeypatch):
-    """ingest streams the blobs through two reused blocks (here 256 KiB
-    each, a 23rd of the payload): its peak is those blocks plus the id
-    list, not the payload."""
+def test_ingest_holds_one_block_and_the_ids(stored, tmp_path, monkeypatch):
+    """ingest streams the blobs through one reused block (here 1 MiB, a
+    sixth of the payload, so that a second block would outweigh the
+    slack): its peak is that block plus the id list, not the payload."""
     path, matrix = stored
     blob_dir = tmp_path / "blobs"
     blob_dir.mkdir()
@@ -102,13 +103,13 @@ def test_ingest_holds_two_blocks_and_the_ids(stored, tmp_path, monkeypatch):
         (blob_dir / f"part{j}.f32").write_bytes(part.astype("<f4").tobytes())
     id_file = tmp_path / "ids.txt"
     id_file.write_text("\n".join(matrix.row_ids), encoding="utf-8")
-    block = 256 << 10
+    block = MiB
     monkeypatch.setattr(storefile, "_INGEST_BLOCK", block, raising=False)
     n_rows, peak = _peak(ingest_raw_blobs, blob_dir, id_file, DIM, tmp_path / "s.semb")
     assert n_rows == N
     assert (tmp_path / "s.semb").read_bytes() == path.read_bytes()
     ids = id_file.stat().st_size + sum(64 + len(rid) for rid in matrix.row_ids)
-    assert peak <= 2 * block + 2 * ids + MiB // 2, (peak / block, peak / PAYLOAD)
+    assert peak <= block + 2 * ids + MiB // 2, (peak / block, peak / PAYLOAD)
 
 
 def test_curate_from_a_store_path_holds_row_blocks_only(stored):

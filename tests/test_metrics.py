@@ -15,7 +15,6 @@ from surgcurate.metrics import (
     DomainReport,
     EmptyEvaluation,
     EvalRecord,
-    InconsistentAccuracy,
     MetricsError,
     MissingDomain,
     MissingVariant,
@@ -66,20 +65,6 @@ class TestAccAt1:
         records = _preds(correct, total)
         recount = sum(1 for r in records if r.predicted == r.label)
         assert acc_at_1(records) == Fraction(100 * recount, total)
-
-
-class TestEvalRecord:
-    def test_consistency_within_half_a_hundredth(self):
-        rec = EvalRecord("d", "m", samples=_preds(3, 7), accuracy=Fraction(4286, 100))
-        assert rec.sample_count == 7
-
-    def test_inconsistent_accuracy_rejected(self):
-        with pytest.raises(InconsistentAccuracy):
-            EvalRecord("d", "m", samples=_preds(3, 7), accuracy=Fraction(44))
-
-    def test_requires_some_signal(self):
-        with pytest.raises(EmptyEvaluation):
-            EvalRecord("d", "m")
 
 
 class TestDomainMacro:

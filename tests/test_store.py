@@ -4,7 +4,9 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,6 +345,39 @@ _EDGE_BITS = [
 ]
 
 
+_REPEATS = ["a", "b", "c", "b", "a"]  # "b" is the first id seen a second time
+
+
+@pytest.mark.parametrize("where", ["read-store", "ingest", "matrix"])
+def test_a_repeated_row_id_is_named(tmp_path, where):
+    """Each DuplicateRowId names the first id, in row order, that repeats."""
+    rows = np.arange(10, dtype="<f4").reshape(5, 2)
+    with pytest.raises(DuplicateRowId) as err:
+        if where == "read-store":
+            read_store(storefile.write_store_file(tmp_path / "s.semb", 2, [rows.tobytes()], _REPEATS))
+        elif where == "ingest":
+            blob_dir, id_file = _blobs(tmp_path, rows.tobytes(), ids="\n".join(_REPEATS))
+            ingest_raw_blobs(blob_dir, id_file, 2, tmp_path / "s.semb")
+        else:
+            EmbeddingMatrix(rows, _REPEATS)
+    prefix = f"{tmp_path / 's.semb'}: " if where == "read-store" else ""
+    assert str(err.value) == prefix + "row ids must be unique: 'b' repeats"
+
+
+class _SlowSha256:
+    """hashlib.sha256 that sleeps 5 ms before each update."""
+
+    def __init__(self):
+        self._hasher = hashlib.sha256()
+
+    def update(self, data):
+        time.sleep(0.005)
+        self._hasher.update(data)
+
+    def hexdigest(self):
+        return self._hasher.hexdigest()
+
+
 class TestIngest:
     def test_raw_blob_assembly(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -472,6 +507,28 @@ class TestIngest:
         assert (tmp_path / "s.semb").read_bytes() == written.read_bytes()
         read = [*sorted(blob_dir.iterdir()), id_file]
         assert noted_digests("read") == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+
+    def test_a_slow_helper_hashes_each_block_before_it_is_overwritten(self, tmp_path, monkeypatch):
+        """The helper thread hashes each block 5 ms late, with two-row blocks
+        over blobs of 7, 0 and 5 rows: the reader waits for it before it
+        reads the next block into the one buffer, so every noted digest is
+        its file's SHA-256 and the store is write_store's."""
+        rows = np.random.default_rng(4).standard_normal((12, 3)).astype("<f4")
+        ids = [f"c{i:02d}" for i in range(len(rows))]
+        blob_dir, id_file = _blobs(tmp_path, rows[:7].tobytes(), b"", rows[7:].tobytes(), ids="\n".join(ids))
+
+        def sha256():
+            slow = threading.current_thread().name == "ingest-hasher"
+            return _SlowSha256() if slow else hashlib.sha256()
+
+        monkeypatch.setattr(storefile, "hashlib", SimpleNamespace(sha256=sha256))
+        monkeypatch.setattr(storefile, "_INGEST_BLOCK", 2 * 4 * 3)
+        forget_digests()
+        ingest_raw_blobs(blob_dir, id_file, 3, tmp_path / "s.semb")
+        read = [*sorted(blob_dir.iterdir()), id_file]
+        assert noted_digests("read") == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+        written = write_store(EmbeddingMatrix(rows, ids), tmp_path / "w.semb")
+        assert (tmp_path / "s.semb").read_bytes() == written.read_bytes()
 
     @pytest.mark.parametrize("change", [b"\x00" * 8, None], ids=["grown", "shrunk"])
     def test_a_blob_that_changes_size_once_sized_is_named(self, tmp_path, monkeypatch, change):
